@@ -13,12 +13,15 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .model import RegimePoint
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Verdict labels shared with the exact decision engine.
 CHOOSABLE = "choosable"
@@ -154,7 +157,12 @@ def xim_bounds(k: int) -> XimBounds:
     k = 1 is exact: the infimum is 1.  For k >= 2 the lower endpoint is
     alpha(k), improved to ln(3)/2 at k = 2; the upper endpoint is
     (ln k)^(k-1), tightened at k = 3 by the 7-edge/7-set witness and for
-    composite k by evaluating the part-swapped block witness.
+    composite k by evaluating the part-swapped block witness.  The candidate
+    upper endpoints are compared by their logarithms, so a candidate beyond
+    float range never raises.  The best one is evaluated by its closed form,
+    or as exp of its logarithm (within 1e-12 relative) where the closed
+    form overflows on the way; hi is math.inf when the bound itself exceeds
+    a float (first at k = 401).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -165,11 +173,13 @@ def xim_bounds(k: int) -> XimBounds:
     if k == 2 and 0.5 * math.log(3.0) > lo:
         lo, lo_rule = 0.5 * math.log(3.0), RULE_HALF_LOG3
 
-    hi, hi_rule = math.log(k) ** (k - 1), RULE_LOG_POWER
+    # (log of the bound, rule, bound); the first smallest log wins.
+    candidates = [
+        ((k - 1) * math.log(math.log(k)), RULE_LOG_POWER, lambda: math.log(k) ** (k - 1))
+    ]
     if k == 3:
         seven = 7.0 * math.log(7.0) ** 2 / 27.0
-        if seven < hi:
-            hi, hi_rule = seven, RULE_SEVEN
+        candidates.append((math.log(seven), RULE_SEVEN, lambda: seven))
     for r in range(2, int(math.isqrt(k)) + 1):
         if k % r:
             continue
@@ -179,9 +189,23 @@ def xim_bounds(k: int) -> XimBounds:
         # whose xi is the quantity below.
         delta_b = a**k * r
         delta_a = k**r
-        swapped = delta_a * math.log(delta_b) ** (k - 1) / float(k) ** k
-        if swapped < hi:
-            hi, hi_rule = swapped, RULE_COMPOSITE
+        log_swapped = (
+            math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * math.log(k)
+        )
+        candidates.append(
+            (
+                log_swapped,
+                RULE_COMPOSITE,
+                lambda da=delta_a, db=delta_b: da * math.log(db) ** (k - 1) / float(k) ** k,
+            )
+        )
+    log_hi, hi_rule, bound = min(candidates, key=lambda c: c[0])
+    try:
+        hi = bound()
+    except OverflowError:
+        hi = math.inf
+    if math.isinf(hi) and log_hi < _LOG_FLOAT_MAX:
+        hi = math.exp(log_hi)  # only an intermediate of the closed form overflowed
     return XimBounds(k, lo, hi, lo_rule, hi_rule)
 
 
@@ -192,13 +216,16 @@ def xim_prime_upper(k: int) -> float:
     the classic K_{d,d} witness with d = k^2 * 2^(k+1).  It is evaluated as
     2 * k^2 * (2 * inner)^k with inner = ((k+1)ln2 + 2 ln k)/k, which keeps
     every intermediate in the normal float range: the result is finite for
-    2 <= k <= 2054 (it grows like e^(0.35 k)), and OverflowError is raised
-    from k = 2055 on, where the value itself exceeds a float.
+    2 <= k <= 2054 (it grows like e^(0.35 k)), and math.inf from k = 2055 on,
+    where the value itself exceeds a float.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     inner = ((k + 1) * math.log(2.0) + 2.0 * math.log(k)) / k
-    return math.ldexp(k * k * (2.0 * inner) ** k, 1)
+    try:
+        return math.ldexp(k * k * (2.0 * inner) ** k, 1)
+    except OverflowError:
+        return math.inf
 
 
 def xim_prime_lower(k: int) -> float:

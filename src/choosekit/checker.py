@@ -13,7 +13,10 @@ parameter point is colorable, by exhausting color systems over a bounded
 universe: a color lying in no A-list can always be added to the B-side color
 set, so any family set reaching outside the covered colors is automatically
 met; a witness therefore exists iff one exists on the covered colors alone,
-and those number at most ka * delta_b.
+and those number at most ka * delta_b.  Each candidate's maximal independent
+sets come from Berge dualization, and each dualization of an n-color
+hypergraph is charged 2^n search nodes, so budgets and nodesExplored keep
+the meaning they had when the sets came from a scan of all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ class _Budget:
         self.nodes += n
         if self.limit is not None and self.nodes > self.limit:
             raise SearchBudgetExceeded(self.nodes)
+
+    def charge_each(self, n):
+        """Charge n one-node steps at once; an overrun stops at the first
+        step past the limit, as n calls of charge() would."""
+        if self.limit is not None and self.nodes + n > self.limit:
+            n = self.limit + 1 - self.nodes
+        self.charge(n)
 
 
 # --- engine (ii): independent transversal search ----------------------------
@@ -274,23 +284,35 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
 
 
 def _maximal_independent_sets(n, edge_masks, budget):
-    """All maximal independent sets (as masks) of a ka-uniform hypergraph."""
+    """All maximal independent sets (as ascending masks) of a hypergraph.
+
+    They are the complements of the minimal transversals, which Berge's
+    dualization builds edge by edge: a transversal already meeting the next
+    edge stays, every other one grows by each color of that edge, and grown
+    sets containing a kept set are dropped.  Nothing else can go non-minimal
+    or repeat, since the previous family was minimal and every grown set
+    holds exactly one color of the edge.  The budget is still charged 2^n
+    nodes, the cost of the subset scan this replaces, so budgets and
+    nodesExplored keep their meaning.
+    """
     budget.charge(1 << n)
-    out = []
-    for i_mask in range(1 << n):
-        if any(e & i_mask == e for e in edge_masks):
-            continue
-        maximal = True
-        for c in range(n):
-            if i_mask >> c & 1:
+    transversals = [0]
+    for e in edge_masks:
+        kept = [t for t in transversals if t & e]
+        grown = []
+        for t in transversals:
+            if t & e:
                 continue
-            grown = i_mask | (1 << c)
-            if not any(e & grown == e for e in edge_masks):
-                maximal = False
-                break
-        if maximal:
-            out.append(i_mask)
-    return out
+            rest = e
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                g = t | c
+                if not any(k & g == k for k in kept if k & c):
+                    grown.append(g)
+        transversals = kept + grown
+    full = (1 << n) - 1
+    return sorted(full & ~t for t in transversals)
 
 
 def _find_blocking_family(n, edge_masks, kb, max_sets, budget):
@@ -298,14 +320,20 @@ def _find_blocking_family(n, edge_masks, kb, max_sets, budget):
     maximal independent set is disjoint from one of them; None if impossible.
 
     Checking maximal sets only is exact: shrinking an independent set keeps
-    it disjoint from the same family member.
+    it disjoint from the same family member.  The search branches on the
+    kb-subsets outside the first unmet maximal set, one node per family set
+    tried.  No candidate is already chosen: every chosen set meets every
+    unmet maximal set.  With one set left to choose, a candidate blocks the
+    rest exactly when it misses the union of the unmet sets, so that level
+    is a single pass charged one node per candidate, as leaf calls would be.
     """
     mis = _maximal_independent_sets(n, edge_masks, budget)
     full = (1 << n) - 1
     for i_mask in mis:
         if (full & ~i_mask).bit_count() < kb:
             return None  # this set meets every possible kb-subset
-    colors = range(n)
+    bits = [1 << c for c in range(n)]
+    outside_subsets = {}
 
     def search(chosen, unmet):
         budget.charge()
@@ -313,14 +341,25 @@ def _find_blocking_family(n, edge_masks, kb, max_sets, budget):
             return chosen
         if len(chosen) >= max_sets:
             return None
-        i_mask = unmet[0]
-        outside = [c for c in colors if not i_mask >> c & 1]
-        for combo in itertools.combinations(outside, kb):
-            f = mask_of(combo)
-            if f in chosen:
-                continue
-            rest = [j for j in unmet if f & j]
-            got = search(chosen + [f], rest)
+        head = unmet[0]
+        candidates = outside_subsets.get(head)
+        if candidates is None:
+            candidates = outside_subsets[head] = [
+                sum(combo)
+                for combo in itertools.combinations([c for c in bits if not c & head], kb)
+            ]
+        if len(chosen) == max_sets - 1:
+            union = 0
+            for j in unmet:
+                union |= j
+            for walked, f in enumerate(candidates, 1):
+                if not f & union:
+                    budget.charge_each(walked)
+                    return chosen + [f]
+            budget.charge_each(len(candidates))
+            return None
+        for f in candidates:
+            got = search(chosen + [f], [j for j in unmet if f & j])
             if got is not None:
                 return got
         return None

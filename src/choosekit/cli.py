@@ -28,9 +28,19 @@ from .model import (
 BUDGET_ENV = "CHOOSEKIT_BUDGET"
 
 
+def _parse_budget(text) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return budget
+
+
 def _default_budget():
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else checker.DEFAULT_NODE_BUDGET
+    return _parse_budget(raw) if raw else checker.DEFAULT_NODE_BUDGET
 
 
 def _parse_point(text) -> RegimePoint:
@@ -39,6 +49,11 @@ def _parse_point(text) -> RegimePoint:
         raise argparse.ArgumentTypeError("point must be deltaA,deltaB,kA,kB")
     da, db, ka, kb = (int(p) for p in parts)
     return RegimePoint(da, db, ka, kb)
+
+
+def _finite_or_inf(x):
+    """JSON has no infinity: an infinite float is written as "inf"."""
+    return x if math.isfinite(x) else "inf"
 
 
 def _emit(obj) -> None:
@@ -114,11 +129,11 @@ def _cmd_bounds(args) -> int:
         "uStar": bounds.alpha(k).u_star,
         "ximLo": xb.lo,
         "ximLoRule": xb.lo_rule,
-        "ximHi": xb.hi,
+        "ximHi": _finite_or_inf(xb.hi),
         "ximHiRule": xb.hi_rule,
     }
     if k >= 2:
-        out["ximPrimeUpper"] = bounds.xim_prime_upper(k)
+        out["ximPrimeUpper"] = _finite_or_inf(bounds.xim_prime_upper(k))
         out["ximPrimeLower"] = bounds.xim_prime_lower(k)
     _emit(out)
     return 0
@@ -220,7 +235,7 @@ def _cmd_simulate(args) -> int:
             "aborts": sim.aborts,
             "bStarved": sim.b_starved,
             "successRate": sim.success_rate,
-            "threshold": sim.threshold if math.isfinite(sim.threshold) else "inf",
+            "threshold": _finite_or_inf(sim.threshold),
             "p": sim.p,
             "seed": sim.seed,
         }
@@ -257,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide choosability at a parameter point")
     p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
     p.add_argument("--witness-out", dest="witness_out")
     p.set_defaults(func=_cmd_decide)
 
@@ -308,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=int, required=True)
     p.add_argument("--maxA", dest="max_a", type=int, required=True)
     p.add_argument("--maxB", dest="max_b", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frontier)
@@ -329,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except argparse.ArgumentTypeError as exc:  # from the budget default
+        print(f"choosekit: error: {BUDGET_ENV} {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     if args.command == "pblocked" and args.mc is not None and args.seed is None:
         parser.error("--mc requires --seed")

@@ -147,6 +147,28 @@ def test_xim_sandwich_through_k20():
         assert alpha(k).alpha <= xb.lo + 1e-12
 
 
+def test_xim_bounds_beyond_float_range():
+    # Candidates are compared by their logarithms: where the part-swapped
+    # witness's closed form overflows a float on the way (118 = 2 * 59,
+    # 119 = 7 * 17, 400 = 20 * 20) it still wins, and an upper bound beyond
+    # float range is inf.  Expected values: 50-digit mpmath evaluations.
+    for k, r, expected in (
+        (118, 2, 3.6441074338760375e73),
+        (119, 7, 1.3096713134914825e66),
+        (400, 20, 9.9198303002970526e239),
+    ):
+        xb = xim_bounds(k)
+        assert xb.hi_rule == bounds.RULE_COMPOSITE, (k, r)
+        assert abs(xb.hi / expected - 1) < 1e-12
+        assert math.log(xb.hi) < (k - 1) * math.log(math.log(k))
+    assert xim_bounds(397).hi_rule == bounds.RULE_LOG_POWER  # 397 is prime
+    assert math.isfinite(xim_bounds(397).hi)
+    xb = xim_bounds(401)  # prime; (ln 401)^400 ~ 1.2e311
+    assert xb.hi == math.inf and xb.hi_rule == bounds.RULE_LOG_POWER
+    assert math.isfinite(xim_prime_upper(2054))
+    assert xim_prime_upper(2055) == math.inf
+
+
 def test_composite_proof_chain_inequalities():
     for k in range(2, 101):
         assert k * math.log(k) ** 2 < (k - 1) ** 2

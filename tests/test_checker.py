@@ -284,24 +284,52 @@ def test_candidate_enumeration_covers_every_isomorphism_class():
         assert generated == reference
 
 
+def _scan_maximal_independent_sets(n, edge_masks):
+    """Reference: every subset of the n colors, ascending, kept when it holds
+    no edge and adding any further color would complete one."""
+
+    def independent(mask):
+        return not any(e & mask == e for e in edge_masks)
+
+    return [
+        i_mask
+        for i_mask in range(1 << n)
+        if independent(i_mask)
+        and not any(independent(i_mask | 1 << c) for c in range(n) if not i_mask >> c & 1)
+    ]
+
+
+def test_maximal_independent_sets_match_subset_scan():
+    from choosekit.checker import _Budget, _maximal_independent_sets
+
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        ka = rng.randint(1, min(4, n))
+        # edges over a random sub-universe, so some colors lie in no edge
+        used = rng.sample(range(n), rng.randint(ka, n))
+        edges = {tuple(sorted(rng.sample(used, ka))) for _ in range(rng.randint(0, 8))}
+        edge_masks = [mask_of(e) for e in edges]
+        budget = _Budget(None)
+        got = _maximal_independent_sets(n, edge_masks, budget)
+        assert got == _scan_maximal_independent_sets(n, edge_masks), (n, sorted(edges))
+        assert budget.nodes == 1 << n
+
+
 def test_blocking_family_search_matches_bruteforce():
-    from choosekit.checker import (
-        _Budget,
-        _find_blocking_family,
-        _maximal_independent_sets,
-    )
+    from choosekit.checker import _Budget, _find_blocking_family
 
     rng = random.Random(41)
-    for _ in range(150):
-        n = rng.randint(2, 6)
+    for _ in range(300):
+        n = rng.randint(2, 9)
         ka = rng.randint(2, min(3, n))
         kb = rng.randint(1, 2)
         max_sets = rng.randint(1, 3)
-        edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 4))}
+        edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 5))}
         edge_masks = [mask_of(e) for e in edges]
         got = _find_blocking_family(n, edge_masks, kb, max_sets, _Budget(None))
 
-        mis = _maximal_independent_sets(n, edge_masks, _Budget(None))
+        mis = _scan_maximal_independent_sets(n, edge_masks)
         all_sets = [mask_of(c) for c in itertools.combinations(range(n), kb)]
         exists = False
         for size in range(1, max_sets + 1):
@@ -315,6 +343,54 @@ def test_blocking_family_search_matches_bruteforce():
         if got is not None:
             assert len(got) == len(set(got)) <= max_sets
             assert all(any(f & i_mask == 0 for f in got) for i_mask in mis)
+
+
+# Verdicts, node counts and witnesses (universe, A-lists, B-lists) measured
+# with a 2^n subset scan for the maximal independent sets and one search call
+# per family set tried; any faster kernel must reproduce them exactly.  The
+# budgeted rows run out inside a last-level pass of the family search, or (at
+# (2,8,2,3)) on a maximal-set charge.
+_PINNED_DECISIONS = [
+    ((2, 6, 2, 3), None, CHOOSABLE, 268802, None),
+    ((3, 6, 2, 3), None, CHOOSABLE, 597552, None),
+    (
+        (3, 7, 2, 3),
+        None,
+        UNCHOOSABLE,
+        212509,
+        (
+            5,
+            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)),
+            ((0, 1, 4), (0, 2, 3), (1, 2, 3)),
+        ),
+    ),
+    ((3, 4, 3, 2), None, CHOOSABLE, 300396, None),
+    (
+        (5, 4, 3, 2),
+        None,
+        UNCHOOSABLE,
+        24497,
+        (
+            6,
+            ((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)),
+            ((0, 4), (0, 5), (1, 4), (1, 5), (2, 3)),
+        ),
+    ),
+    ((2, 8, 2, 3), 1_000_000, EXHAUSTED, 1_000_899, None),
+    ((3, 6, 2, 3), 29_913, EXHAUSTED, 29_914, None),
+    ((2, 5, 2, 3), 26_922, EXHAUSTED, 26_923, None),
+]
+
+
+@pytest.mark.parametrize("point,budget,tag,nodes,witness", _PINNED_DECISIONS)
+def test_decide_pinned_verdicts(point, budget, tag, nodes, witness):
+    kwargs = {} if budget is None else {"budget": budget}
+    v = decide_choosable(RegimePoint(*point), **kwargs)
+    assert (v.tag, v.rule, v.nodes_explored) == (tag, checker.RULE_ENUMERATION, nodes)
+    if witness is None:
+        assert v.witness is None
+    else:
+        assert (v.witness.universe, v.witness.a_lists, v.witness.b_lists) == witness
 
 
 def _naive_decide(point, max_colors=5):

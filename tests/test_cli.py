@@ -89,6 +89,20 @@ def test_bounds_output(capsys):
     assert abs(payload["alpha"] - 0.1018160943972684) < 1e-9
 
 
+@pytest.mark.parametrize("k", [118, 200, 400, 2055])
+def test_bounds_output_beyond_float_range(capsys, k):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out = run(capsys, "bounds", "--k", str(k))
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["k"] == k
+    for key in ("ximHi", "ximPrimeUpper"):
+        assert payload[key] == "inf" or isinstance(payload[key], float)
+    assert (payload["ximPrimeUpper"] == "inf") == (k >= 2055)
+
+
 def test_classify_output(capsys):
     code, out = run(capsys, "classify", "--point", "3,9,2,1")
     assert code == 0
@@ -179,6 +193,23 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["decide", "--point", "2,4,2,2"])
     assert args.budget == 5
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.BUDGET_ENV, value)
+    code = cli.main(["decide", "--point", "1,1,2,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert cli.BUDGET_ENV in captured.err and "Traceback" not in captured.err
+
+
+def test_negative_budget_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", "--point", "1,1,2,2", "--budget", "-1"])
+    assert exc.value.code == 2
 
 
 def test_simulate_requires_seed(tmp_path, capsys):
