@@ -271,32 +271,25 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0.
 
     Every solution lies in [0, b] since g maps the reals into (0, b].  The
-    interval is scanned at step resolution*b for sign changes of
-    g(g(x)) - x, each bracket then sharpened by bisection.  Tangential
-    (double) roots may be missed; the count of transversal roots is what
-    the at-most-three property constrains.
+    interval is scanned at step resolution*b (at least 8 steps), and each
+    grid interval over which h(x) = g(g(x)) - x changes sign, or reaches 0
+    from a nonzero value, counts as one root; no bisection follows, since
+    the count is all that is returned.  Tangential (double) roots may be
+    missed; the count of transversal roots is what the at-most-three
+    property constrains.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     n = max(int(round(1.0 / resolution)), 8)
     x = np.linspace(0.0, b, n + 1)
-    h = b * np.exp(-a * b * np.exp(-a * x)) - x
-    sign = np.sign(h)
-    # A bracket [x_i, x_i+1] holds a root when the sign flips or lands on 0;
-    # h(0) = b*exp(-ab) > 0, so sign[0] is never 0.
-    brackets = np.nonzero((sign[:-1] != 0) & (sign[:-1] * sign[1:] <= 0))[0]
-    count = 0
-    for i in brackets:
-        lo, hi = x[i], x[i + 1]
-        left_positive = h[i] > 0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            hm = b * math.exp(-a * b * math.exp(-a * mid)) - mid
-            if hm == 0:
-                break
-            if (hm > 0) == left_positive:
-                lo = mid
-            else:
-                hi = mid
-        count += 1
-    return count
+    # h = b * exp(-a*b * exp(-a*x)) - x in one buffer, same operation order.
+    h = np.multiply(x, -a)
+    np.exp(h, out=h)
+    h *= -a * b
+    np.exp(h, out=h)
+    h *= b
+    h -= x
+    left, right = h[:-1], h[1:]
+    # A + followed by 0 or -, or a - followed by 0 or +.
+    brackets = ((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))
+    return int(np.count_nonzero(brackets))

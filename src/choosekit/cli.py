@@ -28,14 +28,37 @@ from .model import (
 BUDGET_ENV = "CHOOSEKIT_BUDGET"
 
 
-def _parse_budget(text) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return budget
+def _number_in(kind, low, high, what: str):
+    """An argparse type: kind(text) in [low, high], else a usage error."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_parse_budget = _number_in(int, 0, math.inf, "a non-negative integer")
+_positive_int = _number_in(int, 1, math.inf, "a positive integer")
+_parse_eps = _number_in(float, 0.0, math.inf, "a non-negative number")
+_parse_probability = _number_in(float, 0.0, 1.0, "a number in [0, 1]")
+
+
+def _parse_sizes(text) -> tuple:
+    return tuple(_positive_int(x) for x in text.split(","))
+
+
+def _parse_criteria(text) -> set:
+    from .acceptance import CRITERIA
+
+    count = len(CRITERIA)
+    number = _number_in(int, 1, count, f"comma-separated criterion numbers in 1-{count}")
+    return {number(x) for x in text.split(",")}
 
 
 def _default_budget():
@@ -104,8 +127,7 @@ def _verify_and_emit(inst, args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.generator == "blocks":
-        a = tuple(int(x) for x in args.a.split(","))
-        inst = constructions.construct_blocks(constructions.BlockSpec(args.ka, a))
+        inst = constructions.construct_blocks(constructions.BlockSpec(args.ka, args.a))
     else:
         inst = constructions.construct_simple(args.ka, args.a_uniform, args.r)
     return _verify_and_emit(inst, args)
@@ -246,10 +268,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_selftest(args) -> int:
     from .acceptance import run_criteria
 
-    only = None
-    if args.only:
-        only = {int(x) for x in args.only.split(",")}
-    results = run_criteria(only)
+    results = run_criteria(args.only)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -279,29 +298,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit an uncolorable block-construction instance")
     gen = p.add_subparsers(dest="generator", required=True)
     pb = gen.add_parser("blocks")
-    pb.add_argument("--ka", type=int, required=True)
-    pb.add_argument("--a", required=True, help="comma-separated block sizes, e.g. 2,2")
+    pb.add_argument("--ka", type=_positive_int, required=True)
+    pb.add_argument(
+        "--a", type=_parse_sizes, required=True, help="comma-separated block sizes, e.g. 2,2"
+    )
     pb.add_argument("--out")
     pb.add_argument("--verify", action="store_true")
     pb.set_defaults(func=_cmd_construct)
     ps = gen.add_parser("simple")
-    ps.add_argument("--ka", type=int, required=True)
-    ps.add_argument("--a", dest="a_uniform", type=int, required=True)
-    ps.add_argument("--r", type=int, required=True)
+    ps.add_argument("--ka", type=_positive_int, required=True)
+    ps.add_argument("--a", dest="a_uniform", type=_positive_int, required=True)
+    ps.add_argument("--r", type=_positive_int, required=True)
     ps.add_argument("--out")
     ps.add_argument("--verify", action="store_true")
     ps.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("amplify", help="blow up or expand an instance")
     p.add_argument("--kind", choices=("blowup", "expand"), required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_amplify)
 
     p = sub.add_parser("bounds", help="print threshold values for a list size k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("classify", help="sufficient-condition verdict for a parameter point")
@@ -314,30 +335,30 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--counterexample", action="store_true")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--mc", type=int, metavar="TRIALS")
+    mode.add_argument("--mc", type=_positive_int, metavar="TRIALS")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_pblocked)
 
     p = sub.add_parser("frontier", help="sweep decide over a degree grid, emit CSV")
-    p.add_argument("--ka", type=int, required=True)
-    p.add_argument("--kb", type=int, required=True)
-    p.add_argument("--maxA", dest="max_a", type=int, required=True)
-    p.add_argument("--maxB", dest="max_b", type=int, required=True)
+    p.add_argument("--ka", type=_positive_int, required=True)
+    p.add_argument("--kb", type=_positive_int, required=True)
+    p.add_argument("--maxA", dest="max_a", type=_positive_int, required=True)
+    p.add_argument("--maxB", dest="max_b", type=_positive_int, required=True)
     p.add_argument("--budget", type=_parse_budget, default=_default_budget())
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frontier)
 
     p = sub.add_parser("simulate", help="run the randomized reserve-coloring procedure")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--p", type=_parse_probability, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_parse_eps, default=0.1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_parse_criteria, help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

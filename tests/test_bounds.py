@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from choosekit import bounds
@@ -247,8 +248,9 @@ def test_verify_tedious_extreme_magnitudes():
 
 def test_fixed_point_count_basic():
     assert count_double_exp_fixed_points(1.0, 1.0) == 1
-    with pytest.raises(ValueError):
-        count_double_exp_fixed_points(0.0, 1.0)
+    for a, b in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError):
+            count_double_exp_fixed_points(a, b)
 
 
 def test_fixed_point_count_three_cycle_case():
@@ -267,3 +269,53 @@ def test_fixed_point_count_small_fuzz():
         a = max(rng.uniform(0, 10), 1e-9)
         b = max(rng.uniform(0, 10), 1e-9)
         assert count_double_exp_fixed_points(a, b) <= 3
+
+
+def _reference_fixed_point_count(a, b, resolution=1e-4):
+    """The counter's original grid scan: np.sign and a product of signs."""
+    n = max(int(round(1.0 / resolution)), 8)
+    x = np.linspace(0.0, b, n + 1)
+    h = b * np.exp(-a * b * np.exp(-a * x)) - x
+    sign = np.sign(h)
+    return len(np.nonzero((sign[:-1] != 0) & (sign[:-1] * sign[1:] <= 0))[0])
+
+
+@pytest.mark.parametrize("resolution", [1e-4, 1e-2, 0.5])
+def test_fixed_point_count_matches_sign_scan(resolution):
+    # resolution 0.5 would give 2 intervals; the floor of 8 applies
+    rng = random.Random(11)
+    counts = set()
+    for _ in range(300):
+        a = max(rng.uniform(0, 10), 1e-9)
+        b = max(rng.uniform(0, 10), 1e-9)
+        expected = _reference_fixed_point_count(a, b, resolution)
+        assert count_double_exp_fixed_points(a, b, resolution) == expected, (a, b)
+        counts.add(expected)
+    assert counts >= {1, 3}
+
+
+@pytest.mark.parametrize(
+    "a, b, resolution, zero_at",
+    [
+        # a near ln(b/x0)/x0 makes grid point x0 a fixed point of g; these a
+        # make h(x0) round to exactly 0, where > and >= differ
+        (1.38629436111989, 1.0, 0.5, 4),
+        (5.545177444479561, 1.0, 0.5, 2),
+        (3.359583710671543, 1.0, 1e-2, 33),
+        (0.693147180559945, 2.0, 1e-4, 5000),
+    ],
+)
+def test_fixed_point_count_matches_sign_scan_on_grid_roots(a, b, resolution, zero_at):
+    n = max(int(round(1.0 / resolution)), 8)
+    x = np.linspace(0.0, b, n + 1)
+    assert (b * np.exp(-a * b * np.exp(-a * x)) - x)[zero_at] == 0.0
+    expected = _reference_fixed_point_count(a, b, resolution)
+    assert count_double_exp_fixed_points(a, b, resolution) == expected
+
+
+@pytest.mark.parametrize("a, b", [(1e300, 1e10), (1e200, 1e200), (1e-300, 1e300), (500.0, 5.0)])
+def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
+    # overflowing a*b makes h NaN on the grid; both scans must agree anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_fixed_point_count(a, b)
+        assert count_double_exp_fixed_points(a, b) == expected

@@ -212,6 +212,55 @@ def test_negative_budget_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.fixture
+def instance_file(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    run(capsys, "construct", "blocks", "--ka", "2", "--a", "1", "--out", path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "0"],
+        ["bounds", "--k", "x"],
+        ["frontier", "--ka", "0", "--kb", "1", "--maxA", "1", "--maxB", "1"],
+        ["frontier", "--ka", "1", "--kb", "0", "--maxA", "1", "--maxB", "1"],
+        ["frontier", "--ka", "1", "--kb", "1", "--maxA", "0", "--maxB", "1"],
+        ["frontier", "--ka", "1", "--kb", "1", "--maxA", "1", "--maxB", "-3"],
+        ["frontier", "--ka", "1", "--kb", "1", "--maxA", "1", "--maxB", "1", "--jobs", "0"],
+        ["construct", "blocks", "--ka", "0", "--a", "1"],
+        ["construct", "blocks", "--ka", "2", "--a", "2,0"],
+        ["construct", "blocks", "--ka", "2", "--a", "2,x"],
+        ["construct", "simple", "--ka", "0", "--a", "1", "--r", "1"],
+        ["construct", "simple", "--ka", "2", "--a", "0", "--r", "1"],
+        ["construct", "simple", "--ka", "2", "--a", "1", "--r", "0"],
+        ["amplify", "--kind", "blowup", "--r", "0", "--in", "{inst}"],
+        ["pblocked", "--counterexample", "--mc", "0", "--seed", "1"],
+        ["simulate", "--in", "{inst}", "--p", "0.5", "--trials", "0", "--seed", "7"],
+        ["simulate", "--in", "{inst}", "--p", "0.5", "--trials", "5", "--seed", "7", "--eps", "-5"],
+        ["simulate", "--in", "{inst}", "--p", "0.5", "--trials", "5", "--seed", "7", "--eps", "nan"],
+        ["simulate", "--in", "{inst}", "--p", "1.5", "--trials", "5", "--seed", "7"],
+        ["selftest", "--only", "x"],
+        ["selftest", "--only", "0"],
+        ["selftest", "--only", "11"],
+        ["selftest", "--only", "3,11"],
+    ],
+    ids="_".join,
+)
+def test_out_of_range_argument_is_usage_error(capsys, instance_file, argv):
+    argv = [a.replace("{inst}", instance_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "must be" in captured.err
+    if argv[0] == "selftest":
+        assert "1-10" in captured.err
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "construct", "blocks", "--ka", "2", "--a", "1", "--out", path)
