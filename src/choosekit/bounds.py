@@ -283,9 +283,18 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     n = max(int(round(1.0 / resolution)), 8)
     x = np.linspace(0.0, b, n + 1)
     # h = b * exp(-a*b * exp(-a*x)) - x in one buffer, same operation order.
-    h = np.multiply(x, -a)
-    np.exp(h, out=h)
-    h *= -a * b
+    if math.isfinite(a * b):
+        h = np.multiply(x, -a)
+        np.exp(h, out=h)
+        h *= -a * b
+    else:
+        # -a*b*exp(-a*x) would be -inf * 0 = NaN where exp(-a*x) underflows;
+        # -exp(ln a + ln b - a*x) goes to -inf there instead.
+        with np.errstate(over="ignore"):
+            h = np.multiply(x, -a)
+            h += math.log(a) + math.log(b)
+            np.exp(h, out=h)
+        np.negative(h, out=h)
     np.exp(h, out=h)
     h *= b
     h -= x

@@ -174,12 +174,40 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _read_stgraph(path) -> indepset.STGraph:
+    """The S/T graph in a JSON file; a ValueError says what is wrong with it."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(d, dict) or not {"s", "t", "edges"} <= d.keys():
+        raise ValueError(f"{path}: need a JSON object with keys s, t and edges")
+    if not all(type(d[key]) is int and d[key] >= 0 for key in ("s", "t")):
+        raise ValueError(f"{path}: s and t must be non-negative integers")
+    pairs = d["edges"]
+    if not isinstance(pairs, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in pairs
+    ):
+        raise ValueError(f"{path}: edges must be a list of [s-index, t-index] integer pairs")
+    try:
+        return indepset.STGraph.from_dict(d)
+    except ValueError as exc:  # an edge out of range or repeated
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_pblocked(args) -> int:
-    if args.counterexample:
-        graph = indepset.counterexample_graph()
-    else:
-        with open(args.infile) as fh:
-            graph = indepset.STGraph.from_dict(json.load(fh))
+    try:
+        if args.counterexample:
+            graph = indepset.counterexample_graph()
+        else:
+            graph = _read_stgraph(args.infile)
+        p = indepset.p_blocked_exact(graph) if args.exact else None
+    except ValueError as exc:
+        print(f"choosekit: error: pblocked: {exc}", file=sys.stderr)
+        return 2
     if args.mc is not None:
         est = indepset.p_blocked_monte_carlo(graph, args.mc, args.seed)
         _emit(
@@ -191,7 +219,6 @@ def _cmd_pblocked(args) -> int:
             }
         )
         return 0
-    p = indepset.p_blocked_exact(graph)
     out = {"exact": f"{p.numerator}/{p.denominator}", "float": float(p)}
     if args.counterexample:
         prod = indepset.local_product_bound(graph)

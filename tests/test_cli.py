@@ -131,6 +131,40 @@ def test_pblocked_file_and_mc(tmp_path, capsys):
     assert abs(json.loads(out)["estimate"] - 0.5) < 0.02
 
 
+@pytest.mark.parametrize(
+    "content, mode, says",
+    [
+        (None, "exact", "cannot read"),
+        ("{", "exact", "is not JSON"),
+        ("[1, 2]", "exact", "keys s, t and edges"),
+        ('{"s": 1, "t": 1}', "mc", "keys s, t and edges"),
+        ('{"s": -1, "t": 2, "edges": []}', "exact", "non-negative integers"),
+        ('{"s": "1", "t": 2, "edges": []}', "mc", "non-negative integers"),
+        ('{"s": 1, "t": 2, "edges": [[0, 5]]}', "exact", "out of range"),
+        ('{"s": 1, "t": 2, "edges": [[0, 5]]}', "mc", "out of range"),
+        ('{"s": 1, "t": 2, "edges": [[0, 1], [0, 1]]}', "exact", "parallel edge"),
+        ('{"s": 1, "t": 2, "edges": [[0]]}', "mc", "integer pairs"),
+        ('{"s": 1, "t": 2, "edges": [[0.7, 0]]}', "exact", "integer pairs"),
+        ('{"s": 1, "t": 2, "edges": 3}', "exact", "integer pairs"),
+        ('{"s": 11, "t": 10, "edges": []}', "exact", "exceeds the cap of 20"),
+    ],
+    ids=["missing", "truncated", "list", "no-edges", "negative-s", "string-s", "range-exact",
+         "range-mc", "parallel", "short-edge", "float-edge", "edges-not-list", "past-cap"],
+)
+def test_pblocked_bad_input_is_usage_error(tmp_path, capsys, content, mode, says):
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_text(content)
+    flags = ["--exact"] if mode == "exact" else ["--mc", "100", "--seed", "1"]
+    code = cli.main(["pblocked", "--in", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("choosekit: error: pblocked: ")
+    assert captured.err.count("\n") == 1 and says in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_pblocked_mc_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["pblocked", "--counterexample", "--mc", "100"])

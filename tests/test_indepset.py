@@ -8,7 +8,6 @@ import pytest
 from choosekit.checker import independent_transversal_exists
 from choosekit.indepset import (
     STGraph,
-    blocking_exponent_minimum,
     counterexample_graph,
     degree_functional_check,
     degree_profile,
@@ -17,7 +16,6 @@ from choosekit.indepset import (
     fancy_bound_fraction,
     fancy_bound_params,
     greedy_independent_set,
-    greedy_independent_set_hyper,
     local_product_bound,
     max_degree_deletion,
     p_blocked_bruteforce,
@@ -87,13 +85,6 @@ def test_greedy_path_center_first():
     assert greedy_independent_set(adjacency, ["b", "a", "c"]) == {"b"}
 
 
-def test_greedy_hypergraph_extension():
-    # triangle as a 3-uniform hyperedge: any two vertices are fine
-    got = greedy_independent_set_hyper(3, [(0, 1, 2)], [0, 1, 2])
-    assert got == {0, 1}
-    assert greedy_independent_set_hyper(3, [], [2, 0, 1]) == {0, 1, 2}
-
-
 # --- exact blocking probability --------------------------------------------------
 
 def test_p_blocked_single_pair():
@@ -134,8 +125,89 @@ def test_p_blocked_matches_bruteforce_sampled():
 
 def test_p_blocked_size_cap():
     g = STGraph.make(11, 10, [(i, j) for i in range(11) for j in range(10)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\|S\|\+\|T\| = 21 exceeds the cap of 20$"):
         p_blocked_exact(g)
+
+
+def _p_blocked_full_mask(graph):
+    """The earlier engine, kept as a reference: the same recursion memoized
+    on the alive set of S and T together, in Fraction arithmetic."""
+    s, t = graph.s_size, graph.t_size
+    n = s + t
+    nbr = [0] * n  # S at bits 0..s-1, T at bits s..n-1
+    for i, j in graph.edges:
+        nbr[i] |= 1 << (s + j)
+        nbr[s + j] |= 1 << i
+    smask = (1 << s) - 1
+    memo = {}
+
+    def rec(alive):
+        s_alive = alive & smask
+        if s_alive == 0:
+            return Fraction(1)
+        got = memo.get(alive)
+        if got is not None:
+            return got
+        m = s_alive
+        while m:
+            v = m & -m
+            m &= m - 1
+            if nbr[v.bit_length() - 1] & alive == 0:
+                memo[alive] = Fraction(0)
+                return memo[alive]
+        total = Fraction(0)
+        tm = alive & ~smask
+        while tm:
+            v = tm & -tm
+            tm &= tm - 1
+            idx = v.bit_length() - 1
+            total += rec(alive & ~(v | nbr[idx]))
+        out = total / alive.bit_count()
+        memo[alive] = out
+        return out
+
+    return rec((1 << n) - 1)
+
+
+def _reference_graphs():
+    rng = random.Random(41)
+    graphs = []
+    # small S, large T, sparse: the shapes where the full mask is largest
+    for s, t, degree, count in ((6, 14, 3, 2), (7, 13, 2, 2), (8, 12, 3, 2)):
+        for _ in range(count):
+            edges = [(i, j) for i in range(s) for j in rng.sample(range(t), degree)]
+            graphs.append(STGraph.make(s, t, edges))
+    # dense and balanced
+    for _ in range(40):
+        s = rng.randint(7, 10)
+        t = rng.randint(7, 20 - s)
+        density = rng.uniform(0.4, 0.9)
+        edges = [(i, j) for i in range(s) for j in range(t) if rng.random() < density]
+        graphs.append(STGraph.make(s, t, edges))
+    # any shape and density, so isolated S- and T-vertices and empty edge sets occur
+    for _ in range(124):
+        s = rng.randint(0, 10)
+        t = rng.randint(0, min(10, 20 - s))
+        density = rng.choice((0.0, 0.1, 0.3, 0.6))
+        edges = [(i, j) for i in range(s) for j in range(t) if rng.random() < density]
+        graphs.append(STGraph.make(s, t, edges))
+    for s, t in ((5, 5), (10, 10), (0, 20), (20, 0)):
+        graphs.append(STGraph.make(s, t, []))
+    graphs.append(STGraph.make(10, 10, [(i, 0) for i in range(9)]))  # S-vertex 9 isolated
+    # unions of j copies of K_{a,a}, where p = 2^-j
+    graphs += [_kaa_union(a, j) for a in range(1, 11) for j in range(1, 10 // a + 1)]
+    return graphs
+
+
+def test_p_blocked_matches_full_mask_recursion():
+    graphs = _reference_graphs()
+    assert len(graphs) >= 200
+    assert any(0 in degree_profile(g).d for g in graphs if g.t_size)  # isolated T
+    for g in graphs:
+        got = p_blocked_exact(g)
+        assert got == _p_blocked_full_mask(g), g
+        if len({i for i, _ in g.edges}) < g.s_size:  # an isolated S-vertex
+            assert got == 0
 
 
 # --- Monte Carlo ------------------------------------------------------------------
@@ -387,21 +459,3 @@ def test_random_search_requires_two_uniform():
     system = ColorSystem.make(4, [(0, 1, 2)], [(3,)])
     with pytest.raises(ValueError):
         random_transversal_search(system, restarts=1, seed=0)
-
-
-# --- exploratory convex functional -----------------------------------------------------
-
-def test_blocking_exponent_minimum_feasibility():
-    g = counterexample_graph()
-    m = blocking_exponent_minimum(g)
-    prof = degree_profile(g)
-    fs = f_values(g)
-    at_f = sum(float(fi) * math.log1p(float(fi)) / d for fi, d in zip(fs, prof.d))
-    assert 0.0 < m <= at_f + 1e-9  # the f-profile is feasible, so the min is at most it
-
-
-def test_blocking_exponent_minimum_uniform_case():
-    # identical T-degrees: the optimum is the uniform split
-    g = STGraph.make(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    m = blocking_exponent_minimum(g)
-    assert abs(m - 2 * 1.0 * math.log(2.0) / 2) < 1e-6
