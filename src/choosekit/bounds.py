@@ -76,8 +76,8 @@ def alpha(k: int) -> AlphaResult:
     f[0] = 1.0
     g = u * f ** (k - 1)
     i = int(np.argmax(g))
-    lo = u[max(i - 1, 0)]
-    hi = u[min(i + 1, len(u) - 1)]
+    lo = float(u[max(i - 1, 0)])  # plain floats from here on, not np.float64
+    hi = float(u[min(i + 1, len(u) - 1)])
 
     def gv(x):
         return x * entropy_f(x) ** (k - 1)

@@ -13,16 +13,20 @@ parameter point is colorable, by exhausting color systems over a bounded
 universe: a color lying in no A-list can always be added to the B-side color
 set, so any family set reaching outside the covered colors is automatically
 met; a witness therefore exists iff one exists on the covered colors alone,
-and those number at most ka * delta_b.  Each candidate's maximal independent
-sets come from Berge dualization, and each dualization of an n-color
-hypergraph is charged 2^n search nodes, so budgets and nodesExplored keep
-the meaning they had when the sets came from a scan of all 2^n subsets.
+and those number at most ka * delta_b.  The maximal independent sets are
+the complements of the minimal transversals, which the candidate generator
+carries down its search by incremental Berge dualization, one step per added
+edge.  Each n-color candidate is still charged 2^n search nodes before its
+blocking-family search, a charge only, so budgets and nodesExplored keep the
+meaning they had when the sets came from a scan of all 2^n subsets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from math import comb
@@ -33,6 +37,7 @@ from .model import (
     Coloring,
     ListInstance,
     RegimePoint,
+    colors_of,
     instance_to_dict,
     mask_of,
     to_color_system,
@@ -254,20 +259,46 @@ def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
 
 # --- exhaustive choosability decision ----------------------------------------
 
+def _berge_step(transversals, e):
+    """The minimal transversals once the edge mask e joins a hypergraph whose
+    minimal transversals are given: one step of Berge's dualization.
+
+    A transversal already meeting e stays, every other one grows by each
+    color of e, and grown sets containing a kept set are dropped.  Nothing
+    else can go non-minimal or repeat, since the family was minimal and every
+    grown set holds exactly one color of e.
+    """
+    kept = [t for t in transversals if t & e]
+    grown = []
+    for t in transversals:
+        if t & e:
+            continue
+        rest = e
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            g = t | c
+            if not any(k & g == k for k in kept if k & c):
+                grown.append(g)
+    return kept + grown
+
+
 def _hypergraph_candidates(ka, num_edges, max_colors, budget):
-    """Distinct ka-edge sets in canonical generation order.
+    """Distinct ka-edge sets in canonical generation order, each with its
+    minimal transversals (as masks).
 
     Edges are emitted lexicographically increasing with colors introduced in
     first-use order (a new edge's fresh colors are the next consecutive ids).
     Every isomorphism class over at most max_colors covered colors appears;
     relabel-equivalent orderings are rejected wholesale, which is what makes
-    the exhaustion tractable.
+    the exhaustion tractable.  Each appended edge costs one Berge step on the
+    prefix's transversals, so no candidate is dualized from scratch.
     """
 
-    def extend(edges, ncolors):
+    def extend(edges, ncolors, transversals):
         budget.charge()
         if len(edges) == num_edges:
-            yield tuple(edges), ncolors
+            yield tuple(edges), ncolors, transversals
             return
         last = edges[-1] if edges else None
         for fresh in range(ka + 1):
@@ -275,96 +306,95 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
                 break
             new_cols = tuple(range(ncolors, ncolors + fresh))
             for olds in itertools.combinations(range(ncolors), ka - fresh):
-                e = tuple(sorted(olds + new_cols))
+                e = olds + new_cols
                 if last is not None and e <= last:
                     continue
-                yield from extend(edges + [e], ncolors + fresh)
+                grown = _berge_step(transversals, mask_of(e))
+                yield from extend(edges + [e], ncolors + fresh, grown)
 
-    yield from extend([], 0)
-
-
-def _maximal_independent_sets(n, edge_masks, budget):
-    """All maximal independent sets (as ascending masks) of a hypergraph.
-
-    They are the complements of the minimal transversals, which Berge's
-    dualization builds edge by edge: a transversal already meeting the next
-    edge stays, every other one grows by each color of that edge, and grown
-    sets containing a kept set are dropped.  Nothing else can go non-minimal
-    or repeat, since the previous family was minimal and every grown set
-    holds exactly one color of the edge.  The budget is still charged 2^n
-    nodes, the cost of the subset scan this replaces, so budgets and
-    nodesExplored keep their meaning.
-    """
-    budget.charge(1 << n)
-    transversals = [0]
-    for e in edge_masks:
-        kept = [t for t in transversals if t & e]
-        grown = []
-        for t in transversals:
-            if t & e:
-                continue
-            rest = e
-            while rest:
-                c = rest & -rest
-                rest ^= c
-                g = t | c
-                if not any(k & g == k for k in kept if k & c):
-                    grown.append(g)
-        transversals = kept + grown
-    full = (1 << n) - 1
-    return sorted(full & ~t for t in transversals)
+    yield from extend([], 0, [0])
 
 
-def _find_blocking_family(n, edge_masks, kb, max_sets, budget):
+# the same transversals recur across candidates; their color tuples are cached
+_colors_of = functools.lru_cache(maxsize=1 << 14)(colors_of)
+
+
+def _combination_rank(positions, m):
+    """Index of the ascending positions in itertools.combinations(range(m),
+    len(positions)), by the combinatorial number system."""
+    k = len(positions)
+    return comb(m, k) - 1 - sum(comb(m - 1 - p, k - i) for i, p in enumerate(positions))
+
+
+def _find_blocking_family(n, transversals, kb, max_sets, budget):
     """Search for at most max_sets distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
 
-    Checking maximal sets only is exact: shrinking an independent set keeps
-    it disjoint from the same family member.  The search branches on the
-    kb-subsets outside the first unmet maximal set, one node per family set
-    tried.  No candidate is already chosen: every chosen set meets every
-    unmet maximal set.  With one set left to choose, a candidate blocks the
-    rest exactly when it misses the union of the unmet sets, so that level
-    is a single pass charged one node per candidate, as leaf calls would be.
+    The maximal independent sets are the complements of the minimal
+    transversals, so a set misses one exactly when it lies inside the
+    matching transversal.  Checking maximal sets only is exact: shrinking an
+    independent set keeps it disjoint from the same family member.  The
+    transversals are taken in descending order (the maximal sets ascending)
+    and the unmet ones kept as a bitset over that order.  The search branches
+    on the kb-subsets of the first unmet transversal, one node per family set
+    tried.  No candidate is already chosen: no chosen set lies inside an
+    unmet transversal.  With one set left to choose, a candidate blocks the
+    rest exactly when it lies in every unmet transversal; the first in
+    lexicographic order is the kb lowest colors of their intersection, and
+    that level is charged one node per candidate a walk in that order tries
+    (its outcome depends on the unmet set alone, so it is computed once).
+    The budget is first charged 2^n nodes, the cost of the subset scan that
+    once listed the maximal sets, so budgets and nodesExplored keep their
+    meaning.
     """
-    mis = _maximal_independent_sets(n, edge_masks, budget)
-    full = (1 << n) - 1
-    for i_mask in mis:
-        if (full & ~i_mask).bit_count() < kb:
-            return None  # this set meets every possible kb-subset
-    bits = [1 << c for c in range(n)]
-    outside_subsets = {}
+    budget.charge(1 << n)
+    if any(t.bit_count() < kb for t in transversals):
+        return None  # its maximal set meets every possible kb-subset
+    cols = [_colors_of(t) for t in sorted(transversals, reverse=True)]
+    holding = [0] * n  # holding[c]: the transversals that contain color c
+    for i, cs in enumerate(cols):
+        for c in cs:
+            holding[c] |= 1 << i
+    everyone = (1 << len(cols)) - 1
+    branches = {}  # head -> [(kb-set, the transversals not containing it)]
+    last_sets = {}  # unmet -> (nodes the last level charges, its set or None)
 
-    def search(chosen, unmet):
+    def last_set(unmet):
+        cs = cols[(unmet & -unmet).bit_length() - 1]
+        common = [p for p, c in enumerate(cs) if holding[c] & unmet == unmet][:kb]
+        if len(common) < kb:
+            return comb(len(cs), kb), None
+        return _combination_rank(common, len(cs)) + 1, [mask_of(cs[p] for p in common)]
+
+    def search(unmet, left):
         budget.charge()
         if not unmet:
-            return chosen
-        if len(chosen) >= max_sets:
+            return []
+        if not left:
             return None
-        head = unmet[0]
-        candidates = outside_subsets.get(head)
-        if candidates is None:
-            candidates = outside_subsets[head] = [
-                sum(combo)
-                for combo in itertools.combinations([c for c in bits if not c & head], kb)
+        if left == 1:
+            if unmet not in last_sets:
+                last_sets[unmet] = last_set(unmet)
+            walked, found = last_sets[unmet]
+            budget.charge_each(walked)
+            return found
+        head = (unmet & -unmet).bit_length() - 1
+        if head not in branches:
+            cs = cols[head]
+            branches[head] = [
+                (sum(bits), everyone ^ functools.reduce(operator.and_, holds))
+                for bits, holds in zip(
+                    itertools.combinations([1 << c for c in cs], kb),
+                    itertools.combinations([holding[c] for c in cs], kb),
+                )
             ]
-        if len(chosen) == max_sets - 1:
-            union = 0
-            for j in unmet:
-                union |= j
-            for walked, f in enumerate(candidates, 1):
-                if not f & union:
-                    budget.charge_each(walked)
-                    return chosen + [f]
-            budget.charge_each(len(candidates))
-            return None
-        for f in candidates:
-            got = search(chosen + [f], [j for j in unmet if f & j])
+        for f, rest in branches[head]:
+            got = search(unmet & rest, left - 1)
             if got is not None:
-                return got
+                return [f] + got
         return None
 
-    return search([], mis)
+    return search(everyone, max_sets)
 
 
 def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
@@ -418,10 +448,9 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
 
     b = _Budget(budget)
     try:
-        for edges, ncolors in _hypergraph_candidates(ka, db, ka * db, b):
-            edge_masks = [mask_of(e) for e in edges]
+        for edges, ncolors, transversals in _hypergraph_candidates(ka, db, ka * db, b):
             max_sets = min(da, comb(ncolors, kb))
-            fam = _find_blocking_family(ncolors, edge_masks, kb, max_sets, b)
+            fam = _find_blocking_family(ncolors, transversals, kb, max_sets, b)
             if fam is not None:
                 witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
                 found, _ = has_proper_coloring(witness, engine="transversal")

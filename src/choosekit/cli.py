@@ -18,10 +18,12 @@ from fractions import Fraction
 
 from . import amplify, bounds, checker, constructions, indepset
 from .model import (
+    COMPLETE,
+    ListInstance,
     RegimePoint,
     dump_instance,
+    instance_from_dict,
     instance_to_dict,
-    load_instance,
     validate,
 )
 
@@ -83,8 +85,58 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _input_error(args, exc) -> int:
+    """Report a bad input file on one line of stderr; exit code 2."""
+    print(f"choosekit: error: {args.command}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _read_json_object(path, keys) -> dict:
+    """The JSON object in a file, holding every key in keys; a ValueError
+    says what is wrong with it."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(d, dict) or not set(keys) <= d.keys():
+        names = ", ".join(keys[:-1]) + " and " + keys[-1]
+        raise ValueError(f"{path}: need a JSON object with keys {names}")
+    return d
+
+
+def _int_lists(x, length=None) -> bool:
+    """Is x a list of lists of integers, each of the given length if any?"""
+    return isinstance(x, list) and all(
+        isinstance(row, list)
+        and (length is None or len(row) == length)
+        and all(type(v) is int for v in row)
+        for row in x
+    )
+
+
+def _read_instance(path) -> ListInstance:
+    """The list instance in a JSON file; a ValueError says what is wrong
+    with it.  Lists that break the instance invariants are left to validate()."""
+    d = _read_json_object(path, ("universe", "kA", "kB", "adjacency", "aLists", "bLists"))
+    if not all(type(d[key]) is int for key in ("universe", "kA", "kB")):
+        raise ValueError(f"{path}: universe, kA and kB must be integers")
+    if not (_int_lists(d["aLists"]) and _int_lists(d["bLists"])):
+        raise ValueError(f"{path}: aLists and bLists must be lists of integer lists")
+    if d["adjacency"] != COMPLETE and not _int_lists(d["adjacency"], 2):
+        raise ValueError(
+            f'{path}: adjacency must be "{COMPLETE}" or a list of [a-index, b-index] integer pairs'
+        )
+    return instance_from_dict(d)
+
+
 def _cmd_check(args) -> int:
-    inst = load_instance(args.infile)
+    try:
+        inst = _read_instance(args.infile)
+    except ValueError as exc:
+        return _input_error(args, exc)
     problems = validate(inst)
     if problems:
         _emit({"wellFormed": False, "violations": problems})
@@ -134,7 +186,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_amplify(args) -> int:
-    inst = load_instance(args.infile)
+    try:
+        inst = _read_instance(args.infile)
+    except ValueError as exc:
+        return _input_error(args, exc)
     if args.kind == "blowup":
         out = amplify.blowup(inst, args.r)
     else:
@@ -176,21 +231,10 @@ def _cmd_classify(args) -> int:
 
 def _read_stgraph(path) -> indepset.STGraph:
     """The S/T graph in a JSON file; a ValueError says what is wrong with it."""
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(d, dict) or not {"s", "t", "edges"} <= d.keys():
-        raise ValueError(f"{path}: need a JSON object with keys s, t and edges")
+    d = _read_json_object(path, ("s", "t", "edges"))
     if not all(type(d[key]) is int and d[key] >= 0 for key in ("s", "t")):
         raise ValueError(f"{path}: s and t must be non-negative integers")
-    pairs = d["edges"]
-    if not isinstance(pairs, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in pairs
-    ):
+    if not _int_lists(d["edges"], 2):
         raise ValueError(f"{path}: edges must be a list of [s-index, t-index] integer pairs")
     try:
         return indepset.STGraph.from_dict(d)
@@ -206,8 +250,7 @@ def _cmd_pblocked(args) -> int:
             graph = _read_stgraph(args.infile)
         p = indepset.p_blocked_exact(graph) if args.exact else None
     except ValueError as exc:
-        print(f"choosekit: error: pblocked: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(args, exc)
     if args.mc is not None:
         est = indepset.p_blocked_monte_carlo(graph, args.mc, args.seed)
         _emit(
@@ -275,7 +318,10 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    inst = load_instance(args.infile)
+    try:
+        inst = _read_instance(args.infile)
+    except ValueError as exc:
+        return _input_error(args, exc)
     sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
     _emit(
         {

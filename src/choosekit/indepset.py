@@ -45,6 +45,8 @@ class STGraph:
     edges: tuple
 
     def __post_init__(self):
+        if self.s_size < 0 or self.t_size < 0:
+            raise ValueError(f"negative part size in ({self.s_size}, {self.t_size})")
         seen = set()
         for e in self.edges:
             i, j = e
@@ -186,7 +188,9 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
 
     Orders are sampled as i.i.d. uniform processing times (almost surely
     distinct), so an S-vertex is blocked iff some T-neighbor has a smaller
-    time.  Vectorized over trials.
+    time.  Vectorized over trials in chunks of at most 200 000 rows and
+    2^21 floats (or one row, if longer); the generator fills rows in stream
+    order, so the chunking does not change the estimate.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -197,7 +201,7 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
         nbrs[i].append(s + j)
     successes = 0
     done = 0
-    chunk = 200_000
+    chunk = max(1, min(200_000, 2**21 // max(s + t, 1)))
     while done < trials:
         m = min(chunk, trials - done)
         times = rng.random((m, s + t))

@@ -120,6 +120,13 @@ def test_xim_bounds_k1_exact():
     assert xb.lo == xb.hi == 1.0
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_bounds_are_plain_floats(k):
+    xb = xim_bounds(k)
+    res = alpha(k)
+    assert {type(xb.lo), type(xb.hi), type(res.alpha), type(res.u_star)} == {float}
+
+
 def test_xim_bounds_k2():
     xb = xim_bounds(2)
     assert abs(xb.lo - 0.5 * math.log(3)) < 1e-12

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import comb
@@ -270,10 +271,16 @@ def test_candidate_enumeration_covers_every_isomorphism_class():
 
     for ka, num_edges, max_colors in ((2, 2, 4), (2, 3, 6), (3, 2, 6)):
         generated = set()
-        for edges, nc in _hypergraph_candidates(ka, num_edges, max_colors, _Budget(None)):
+        for edges, nc, transversals in _hypergraph_candidates(
+            ka, num_edges, max_colors, _Budget(None)
+        ):
             covered = {c for e in edges for c in e}
             assert covered == set(range(nc))  # colors appear in first-use order
             assert len(set(edges)) == num_edges
+            full = (1 << nc) - 1
+            assert sorted(full & ~t for t in transversals) == _scan_maximal_independent_sets(
+                nc, [mask_of(e) for e in edges]
+            )
             generated.add(_canonical_class(edges, nc))
         reference = set()
         for nc in range(1, max_colors + 1):
@@ -299,9 +306,12 @@ def _scan_maximal_independent_sets(n, edge_masks):
     ]
 
 
-def test_maximal_independent_sets_match_subset_scan():
-    from choosekit.checker import _Budget, _maximal_independent_sets
+def _minimal_transversals(edge_masks):
+    """Berge dualization from scratch, one step per edge."""
+    return functools.reduce(checker._berge_step, edge_masks, [0])
 
+
+def test_maximal_independent_sets_match_subset_scan():
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(1, 12)
@@ -310,10 +320,8 @@ def test_maximal_independent_sets_match_subset_scan():
         used = rng.sample(range(n), rng.randint(ka, n))
         edges = {tuple(sorted(rng.sample(used, ka))) for _ in range(rng.randint(0, 8))}
         edge_masks = [mask_of(e) for e in edges]
-        budget = _Budget(None)
-        got = _maximal_independent_sets(n, edge_masks, budget)
+        got = sorted(((1 << n) - 1) & ~t for t in _minimal_transversals(edge_masks))
         assert got == _scan_maximal_independent_sets(n, edge_masks), (n, sorted(edges))
-        assert budget.nodes == 1 << n
 
 
 def test_blocking_family_search_matches_bruteforce():
@@ -327,7 +335,9 @@ def test_blocking_family_search_matches_bruteforce():
         max_sets = rng.randint(1, 3)
         edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 5))}
         edge_masks = [mask_of(e) for e in edges]
-        got = _find_blocking_family(n, edge_masks, kb, max_sets, _Budget(None))
+        budget = _Budget(None)
+        got = _find_blocking_family(n, _minimal_transversals(edge_masks), kb, max_sets, budget)
+        assert budget.nodes >= 1 << n  # the per-candidate charge comes first
 
         mis = _scan_maximal_independent_sets(n, edge_masks)
         all_sets = [mask_of(c) for c in itertools.combinations(range(n), kb)]
@@ -391,6 +401,194 @@ def test_decide_pinned_verdicts(point, budget, tag, nodes, witness):
         assert v.witness is None
     else:
         assert (v.witness.universe, v.witness.a_lists, v.witness.b_lists) == witness
+
+
+# --- the earlier kernel, kept as an oracle for the current one ----------------
+#
+# Dualization from scratch at every candidate, a list of maximal independent
+# sets filtered per family set, and a last level that walks its candidates in
+# itertools.combinations order.  The current kernel must give the same verdict,
+# node count and witness for every point and budget.
+
+def _reference_candidates(ka, num_edges, max_colors, budget):
+    def extend(edges, ncolors):
+        budget.charge()
+        if len(edges) == num_edges:
+            yield tuple(edges), ncolors
+            return
+        last = edges[-1] if edges else None
+        for fresh in range(ka + 1):
+            if ncolors + fresh > max_colors:
+                break
+            new_cols = tuple(range(ncolors, ncolors + fresh))
+            for olds in itertools.combinations(range(ncolors), ka - fresh):
+                e = tuple(sorted(olds + new_cols))
+                if last is not None and e <= last:
+                    continue
+                yield from extend(edges + [e], ncolors + fresh)
+
+    yield from extend([], 0)
+
+
+def _reference_maximal_independent_sets(n, edge_masks, budget):
+    budget.charge(1 << n)
+    transversals = [0]
+    for e in edge_masks:
+        kept = [t for t in transversals if t & e]
+        grown = []
+        for t in transversals:
+            if t & e:
+                continue
+            rest = e
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                g = t | c
+                if not any(k & g == k for k in kept if k & c):
+                    grown.append(g)
+        transversals = kept + grown
+    full = (1 << n) - 1
+    return sorted(full & ~t for t in transversals)
+
+
+def _reference_blocking_family(n, edge_masks, kb, max_sets, budget):
+    mis = _reference_maximal_independent_sets(n, edge_masks, budget)
+    full = (1 << n) - 1
+    for i_mask in mis:
+        if (full & ~i_mask).bit_count() < kb:
+            return None
+    bits = [1 << c for c in range(n)]
+    outside_subsets = {}
+
+    def search(chosen, unmet):
+        budget.charge()
+        if not unmet:
+            return chosen
+        if len(chosen) >= max_sets:
+            return None
+        head = unmet[0]
+        candidates = outside_subsets.get(head)
+        if candidates is None:
+            candidates = outside_subsets[head] = [
+                sum(combo)
+                for combo in itertools.combinations([c for c in bits if not c & head], kb)
+            ]
+        if len(chosen) == max_sets - 1:
+            union = 0
+            for j in unmet:
+                union |= j
+            for walked, f in enumerate(candidates, 1):
+                if not f & union:
+                    budget.charge_each(walked)
+                    return chosen + [f]
+            budget.charge_each(len(candidates))
+            return None
+        for f in candidates:
+            got = search(chosen + [f], [j for j in unmet if f & j])
+            if got is not None:
+                return got
+        return None
+
+    return search([], mis)
+
+
+def _reference_decide(point, budget):
+    ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
+    assert da >= ka >= 2 and db >= kb  # the enumeration branch of decide_choosable
+    b = checker._Budget(budget)
+    try:
+        for edges, ncolors in _reference_candidates(ka, db, ka * db, b):
+            edge_masks = [mask_of(e) for e in edges]
+            max_sets = min(da, comb(ncolors, kb))
+            fam = _reference_blocking_family(ncolors, edge_masks, kb, max_sets, b)
+            if fam is not None:
+                witness = checker._witness_instance(ka, kb, da, db, ncolors, edges, fam)
+                return checker.Verdict(UNCHOOSABLE, witness, b.nodes, checker.RULE_ENUMERATION)
+    except SearchBudgetExceeded as exc:
+        return checker.Verdict(EXHAUSTED, None, exc.nodes, checker.RULE_ENUMERATION)
+    return checker.Verdict(CHOOSABLE, None, b.nodes, checker.RULE_ENUMERATION)
+
+
+# the two grids of `frontier --ka 2 --kb 3 --maxA 3 --maxB 8` and
+# `frontier --ka 3 --kb 2 --maxA 5 --maxB 4`
+_FRONTIER_CELLS = [(da, db, 2, 3) for da in range(1, 4) for db in range(1, 9)] + [
+    (da, db, 3, 2) for da in range(1, 6) for db in range(1, 5)
+]
+
+
+def test_decide_matches_reference_kernel_on_frontier_grids():
+    assert len(_FRONTIER_CELLS) == 44
+    tags = set()
+    for cell in _FRONTIER_CELLS:
+        point = RegimePoint(*cell)
+        got = decide_choosable(point, budget=5_000_000)
+        tags.add(got.tag)
+        if got.rule == checker.RULE_ENUMERATION:
+            assert got == _reference_decide(point, 5_000_000), cell
+    assert tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
+
+
+# points whose whole search takes at most about 40 000 nodes, choosable and
+# unchoosable, over both list-size pairs of the frontier grids and (3, 3)
+_BUDGETED_POINTS = [
+    (2, 4, 2, 2), (2, 5, 2, 3), (3, 5, 2, 3), (3, 3, 3, 2),
+    (5, 3, 3, 2), (5, 4, 3, 2), (3, 3, 3, 3), (2, 4, 2, 3),
+]
+
+
+@pytest.mark.parametrize("cell", _BUDGETED_POINTS)
+def test_decide_matches_reference_kernel_under_random_budgets(cell):
+    point = RegimePoint(*cell)
+    whole = _reference_decide(point, None)
+    assert decide_choosable(point, budget=None) == whole
+    rng = random.Random(repr(cell))
+    budgets = [rng.randint(0, whole.nodes_explored) for _ in range(15)]
+    for budget in budgets:
+        got = decide_choosable(point, budget=budget)
+        assert got == _reference_decide(point, budget), budget
+        assert got.tag == (EXHAUSTED if budget < whole.nodes_explored else whole.tag)
+
+
+def _charged_run(search, budget):
+    """(result or "exhausted", nodes charged) of search(budget)."""
+    b = checker._Budget(budget)
+    try:
+        return search(b), b.nodes
+    except SearchBudgetExceeded as exc:
+        return "exhausted", exc.nodes
+
+
+def test_blocking_family_search_matches_reference_kernel():
+    # random hypergraphs, where the last set often has spare room in the
+    # intersection of the unmet transversals; full and random budgets
+    rng = random.Random(59)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        ka = rng.randint(2, min(3, n))
+        kb = rng.randint(1, 3)
+        max_sets = rng.randint(1, 4)
+        edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 6))}
+        edge_masks = [mask_of(e) for e in sorted(edges)]
+        transversals = _minimal_transversals(edge_masks)
+        whole = _charged_run(
+            lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), None
+        )
+        for budget in (None, rng.randint(0, whole[1])):
+            got = _charged_run(
+                lambda b: checker._find_blocking_family(n, transversals, kb, max_sets, b), budget
+            )
+            ref = _charged_run(
+                lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), budget
+            )
+            assert got == ref, (n, sorted(edges), kb, max_sets, budget)
+
+
+def test_combination_rank_matches_itertools_order():
+    for m in range(9):
+        for k in range(m + 1):
+            combos = list(itertools.combinations(range(m), k))
+            for combo in combos:
+                assert checker._combination_rank(combo, m) == combos.index(combo)
 
 
 def _naive_decide(point, max_colors=5):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,59 @@ def test_pblocked_bad_input_is_usage_error(tmp_path, capsys, content, mode, says
     assert captured.err.startswith("choosekit: error: pblocked: ")
     assert captured.err.count("\n") == 1 and says in captured.err
     assert "Traceback" not in captured.err
+
+
+_GOOD_INSTANCE = {
+    "universe": 2, "kA": 1, "kB": 1, "adjacency": "complete", "aLists": [[0]], "bLists": [[1]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["amplify", "--kind", "blowup", "--r", "2"],
+        ["simulate", "--p", "0.5", "--trials", "10", "--seed", "1"],
+    ],
+    ids=["check", "amplify", "simulate"],
+)
+@pytest.mark.parametrize(
+    "content, says",
+    [
+        (None, "cannot read"),
+        ("{", "is not JSON"),
+        ("[1, 2]", "keys universe, kA, kB, adjacency, aLists and bLists"),
+        (json.dumps({k: v for k, v in _GOOD_INSTANCE.items() if k != "bLists"}), "bLists"),
+        (json.dumps({**_GOOD_INSTANCE, "kA": "1"}), "must be integers"),
+        (json.dumps({**_GOOD_INSTANCE, "aLists": [0, 1]}), "lists of integer lists"),
+        (json.dumps({**_GOOD_INSTANCE, "bLists": [[1.5]]}), "lists of integer lists"),
+        (json.dumps({**_GOOD_INSTANCE, "adjacency": [[0]]}), "integer pairs"),
+        (json.dumps({**_GOOD_INSTANCE, "adjacency": "bipartite"}), "integer pairs"),
+    ],
+    ids=["missing", "truncated", "list", "no-blists", "string-ka", "flat-lists", "float-color",
+         "short-edge", "unknown-adjacency"],
+)
+def test_bad_instance_file_is_usage_error(tmp_path, capsys, argv, content, says):
+    path = tmp_path / "inst.json"
+    if content is not None:
+        path.write_text(content)
+    code = cli.main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"choosekit: error: {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and says in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "choosekit", "classify", "--point", "3,9,2,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "unchoosable"
 
 
 def test_pblocked_mc_requires_seed(capsys):

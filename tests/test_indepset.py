@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from choosekit.checker import independent_transversal_exists
@@ -45,6 +46,21 @@ def test_stgraph_validation():
         STGraph.make(1, 1, [(0, 5)])
     with pytest.raises(ValueError):
         STGraph(1, 1, ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: STGraph(-1, 2, ()),
+        lambda: STGraph(2, -1, ()),
+        lambda: STGraph.make(-1, 2, []),
+        lambda: STGraph.from_dict({"s": 3, "t": -2, "edges": []}),
+    ],
+    ids=["direct-s", "direct-t", "make", "from-dict"],
+)
+def test_stgraph_rejects_negative_part_sizes(build):
+    with pytest.raises(ValueError, match="negative part size"):
+        build()
 
 
 def test_stgraph_round_trip():
@@ -229,6 +245,23 @@ def test_monte_carlo_deterministic():
     a = p_blocked_monte_carlo(g, 20000, seed=8)
     b = p_blocked_monte_carlo(g, 20000, seed=8)
     assert a == b
+
+
+def test_monte_carlo_chunks_match_one_draw():
+    # 8 + 256 vertices make a chunk of 2^21 // 264 = 7943 rows, so these
+    # trials take three chunks; one draw of every row must count the same
+    rng = random.Random(12)
+    s, t, trials, seed = 8, 256, 20_000, 3
+    g = STGraph.make(s, t, [(i, j) for i in range(s) for j in rng.sample(range(t), 5)])
+    assert trials > 2 * (2**21 // (s + t))
+    times = np.random.default_rng(seed).random((trials, s + t))
+    ok = np.ones(trials, dtype=bool)
+    for i in range(s):
+        nbrs = [s + j for a, j in g.edges if a == i]
+        ok &= times[:, nbrs].min(axis=1) < times[:, i]
+    est = p_blocked_monte_carlo(g, trials, seed)
+    assert est.successes == int(ok.sum()) > 0
+    assert est.estimate == est.successes / trials
 
 
 def test_blocked_order_has_preceding_t_neighbor():
