@@ -19,6 +19,16 @@ carries down its search by incremental Berge dualization, one step per added
 edge.  Each n-color candidate is still charged 2^n search nodes before its
 blocking-family search, a charge only, so budgets and nodesExplored keep the
 meaning they had when the sets came from a scan of all 2^n subsets.
+
+The two parts play symmetric roles.  A color set I serves the B side (meets
+every B-list, holds no A-list) iff its complement serves the A side, so the
+point (delta_a, delta_b, ka, kb) and its mirror (delta_b, delta_a, kb, ka)
+always get the same verdict, and swapping the two list families turns a
+witness at one into a witness at the other.  The enumeration only ever walks
+the A-lists, delta_b edges over up to ka * delta_b colors, so decide_choosable
+first orients the point: it enumerates the mirror when kb * delta_a is below
+ka * delta_b, or equal with delta_a below delta_b.  Points whose two sides
+tie on both counts, such as (7, 7, 3, 3), run as given.
 """
 
 from __future__ import annotations
@@ -28,10 +38,11 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from . import bounds
+from .bounds import CHOOSABLE, RULE_SINGLETON_EXACT, RULE_TRIVIAL, UNCHOOSABLE
 from .model import (
     ColorSystem,
     Coloring,
@@ -43,12 +54,7 @@ from .model import (
     to_color_system,
 )
 
-CHOOSABLE = "choosable"
-UNCHOOSABLE = "unchoosable"
 EXHAUSTED = "exhausted"
-
-RULE_TRIVIAL = "trivial-degrees"
-RULE_SINGLETON = "singleton-lists-exact"
 RULE_ENUMERATION = "enumeration"
 
 #: Default search budget, in explored nodes (not wall time, for
@@ -427,24 +433,23 @@ def _singleton_witness(point: RegimePoint) -> ListInstance:
     return ListInstance.complete(kb, 1, kb, a_lists, b_lists)
 
 
-def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
-    """Is every list assignment at this parameter point colorable?
+def _decide_as_given(point: RegimePoint, budget) -> Verdict:
+    """decide_choosable's kernel, run on the point as given: it enumerates
+    the A-lists whichever side is cheaper.
 
-    Fast paths: a part with degree below its list size is always colorable;
     ka = 1 is exactly unchoosable iff delta_b >= kb.  Otherwise color
     systems with delta_b distinct edges over at most ka * delta_b colors are
     exhausted, pairing each with a search for a blocking family of at most
     min(delta_a, C(covered, kb)) distinct kb-sets (extra family sets beyond
     the covered colors are always met, and padding a found family upward
-    never un-blocks it).  First witness in canonical order wins.
+    never un-blocks it).  First witness in canonical order wins.  Both
+    degrees must be at least their list sizes.
     """
     ka, kb = point.ka, point.kb
     da, db = point.delta_a, point.delta_b
-    if da < ka or db < kb:
-        return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
     if ka == 1:
         # db >= kb here, so a blocking assignment always exists.
-        return Verdict(UNCHOOSABLE, _singleton_witness(point), 0, RULE_SINGLETON)
+        return Verdict(UNCHOOSABLE, _singleton_witness(point), 0, RULE_SINGLETON_EXACT)
 
     b = _Budget(budget)
     try:
@@ -460,6 +465,33 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
     except SearchBudgetExceeded as exc:
         return Verdict(EXHAUSTED, None, exc.nodes, RULE_ENUMERATION)
     return Verdict(CHOOSABLE, None, b.nodes, RULE_ENUMERATION)
+
+
+def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
+    """Is every list assignment at this parameter point colorable?
+
+    A part with degree below its list size is always colorable.  Otherwise
+    the point is decided on its cheaper side (see the module docstring): when
+    (kb * delta_a, delta_a) < (ka * delta_b, delta_b), the kernel runs on the
+    mirror (delta_b, delta_a, kb, ka), and a witness it finds has its two
+    list families swapped back and is checked again.  nodesExplored and the
+    rule are the kernel's on the side it ran.
+    """
+    ka, kb = point.ka, point.kb
+    da, db = point.delta_a, point.delta_b
+    if da < ka or db < kb:
+        return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
+    if (kb * da, da) >= (ka * db, db):
+        return _decide_as_given(point, budget)
+    verdict = _decide_as_given(RegimePoint(db, da, kb, ka), budget)
+    if verdict.witness is None:
+        return verdict
+    mirrored = verdict.witness
+    witness = ListInstance.complete(mirrored.universe, ka, kb, mirrored.b_lists, mirrored.a_lists)
+    found, _ = has_proper_coloring(witness, engine="transversal")
+    if found:
+        raise RuntimeError("internal error: mirrored witness admits a coloring")
+    return replace(verdict, witness=witness)
 
 
 # --- randomized reserve-coloring simulation ----------------------------------

@@ -3,7 +3,8 @@
 Subcommands: check, decide, construct, amplify, bounds, classify, pblocked,
 frontier, simulate, selftest.  All output is machine-readable (JSON lines or
 CSV); identical arguments and seeds produce byte-identical output.  Exit
-codes: 0 success, 1 exhausted search or failed selftest, 2 usage error.
+codes: 0 success, 1 exhausted search or failed selftest, 2 usage error
+(bad arguments, or an input file that cannot be read or used).
 """
 
 from __future__ import annotations
@@ -132,16 +133,33 @@ def _read_instance(path) -> ListInstance:
     return instance_from_dict(d)
 
 
-def _cmd_check(args) -> int:
+def _valid_instance(args):
+    """The instance in args.infile, or None once its fault is reported: a
+    bad file as one line on stderr, lists that break the instance invariants
+    as a violations JSON line.  Either way the command exits 2."""
     try:
         inst = _read_instance(args.infile)
     except ValueError as exc:
-        return _input_error(args, exc)
+        _input_error(args, exc)
+        return None
     problems = validate(inst)
     if problems:
         _emit({"wellFormed": False, "violations": problems})
+        return None
+    return inst
+
+
+def _cmd_check(args) -> int:
+    inst = _valid_instance(args)
+    if inst is None:
         return 2
-    found, coloring = checker.has_proper_coloring(inst, engine=args.engine)
+    try:
+        found, coloring = checker.has_proper_coloring(inst, engine=args.engine, budget=args.budget)
+    except ValueError as exc:  # the transversal engine on explicit adjacency
+        return _input_error(args, exc)
+    except checker.SearchBudgetExceeded as exc:
+        _emit({"tag": checker.EXHAUSTED, "nodesExplored": exc.nodes})
+        return 1
     out = {"properColoring": found}
     if found and coloring is not None:
         out["coloring"] = [[list(k), v] for k, v in coloring.assignment]
@@ -186,10 +204,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_amplify(args) -> int:
-    try:
-        inst = _read_instance(args.infile)
-    except ValueError as exc:
-        return _input_error(args, exc)
+    inst = _valid_instance(args)
+    if inst is None:
+        return 2
     if args.kind == "blowup":
         out = amplify.blowup(inst, args.r)
     else:
@@ -318,11 +335,13 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    inst = _valid_instance(args)
+    if inst is None:
+        return 2
     try:
-        inst = _read_instance(args.infile)
-    except ValueError as exc:
+        sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
+    except ValueError as exc:  # explicit adjacency, or an empty part
         return _input_error(args, exc)
-    sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
     _emit(
         {
             "trials": sim.trials,
@@ -360,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a list assignment admits a proper coloring")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--engine", choices=("auto", "backtracking", "transversal"), default="auto")
+    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decide", help="decide choosability at a parameter point")

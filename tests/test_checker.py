@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -249,9 +250,9 @@ def test_decide_large_point_finds_witness_early():
 
 
 def test_decide_deep_exhaustion_is_graceful():
-    # a choosable-looking point at this width needs the full 18-color sweep;
-    # the budget trips in milliseconds instead of hanging
-    v = decide_choosable(RegimePoint(2, 9, 2, 3), budget=10_000)
+    # the Fano point is its own mirror, so orientation does not help: the
+    # 21-color sweep is cut by the budget in milliseconds instead of hanging
+    v = decide_choosable(RegimePoint(7, 7, 3, 3), budget=10_000)
     assert v.tag == EXHAUSTED
     assert v.witness is None
 
@@ -355,11 +356,11 @@ def test_blocking_family_search_matches_bruteforce():
             assert all(any(f & i_mask == 0 for f in got) for i_mask in mis)
 
 
-# Verdicts, node counts and witnesses (universe, A-lists, B-lists) measured
-# with a 2^n subset scan for the maximal independent sets and one search call
-# per family set tried; any faster kernel must reproduce them exactly.  The
-# budgeted rows run out inside a last-level pass of the family search, or (at
-# (2,8,2,3)) on a maximal-set charge.
+# Verdicts, node counts and witnesses (universe, A-lists, B-lists) of the
+# as-given kernel, measured with a 2^n subset scan for the maximal independent
+# sets and one search call per family set tried; any faster kernel must
+# reproduce them exactly.  The budgeted rows run out inside a last-level pass
+# of the family search, or (at (2,8,2,3)) on a maximal-set charge.
 _PINNED_DECISIONS = [
     ((2, 6, 2, 3), None, CHOOSABLE, 268802, None),
     ((3, 6, 2, 3), None, CHOOSABLE, 597552, None),
@@ -392,15 +393,57 @@ _PINNED_DECISIONS = [
 ]
 
 
-@pytest.mark.parametrize("point,budget,tag,nodes,witness", _PINNED_DECISIONS)
-def test_decide_pinned_verdicts(point, budget, tag, nodes, witness):
-    kwargs = {} if budget is None else {"budget": budget}
-    v = decide_choosable(RegimePoint(*point), **kwargs)
+# The same points and budgets through decide_choosable, which enumerates the
+# B side of every one of them: all budgeted rows now decide.
+_PINNED_PUBLIC_DECISIONS = [
+    ((2, 6, 2, 3), None, CHOOSABLE, 224, None),
+    ((3, 6, 2, 3), None, CHOOSABLE, 13697, None),
+    (
+        (3, 7, 2, 3),
+        None,
+        UNCHOOSABLE,
+        243,
+        (
+            5,
+            ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)),
+            ((0, 1, 2), (0, 1, 3), (2, 3, 4)),
+        ),
+    ),
+    ((3, 4, 3, 2), None, CHOOSABLE, 301, None),
+    (
+        (5, 4, 3, 2),
+        None,
+        UNCHOOSABLE,
+        4413,
+        (
+            6,
+            ((0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 2, 5)),
+            ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5)),
+        ),
+    ),
+    ((2, 8, 2, 3), 1_000_000, CHOOSABLE, 226, None),
+    ((3, 6, 2, 3), 29_913, CHOOSABLE, 13697, None),
+    ((2, 5, 2, 3), 26_922, CHOOSABLE, 223, None),
+]
+
+
+def _check_pinned(decide, point, budget, tag, nodes, witness):
+    v = decide(RegimePoint(*point), checker.DEFAULT_NODE_BUDGET if budget is None else budget)
     assert (v.tag, v.rule, v.nodes_explored) == (tag, checker.RULE_ENUMERATION, nodes)
     if witness is None:
         assert v.witness is None
     else:
         assert (v.witness.universe, v.witness.a_lists, v.witness.b_lists) == witness
+
+
+@pytest.mark.parametrize("point,budget,tag,nodes,witness", _PINNED_DECISIONS)
+def test_decide_pinned_verdicts(point, budget, tag, nodes, witness):
+    _check_pinned(checker._decide_as_given, point, budget, tag, nodes, witness)
+
+
+@pytest.mark.parametrize("point,budget,tag,nodes,witness", _PINNED_PUBLIC_DECISIONS)
+def test_decide_pinned_public_verdicts(point, budget, tag, nodes, witness):
+    _check_pinned(decide_choosable, point, budget, tag, nodes, witness)
 
 
 # --- the earlier kernel, kept as an oracle for the current one ----------------
@@ -509,6 +552,28 @@ def _reference_decide(point, budget):
     return checker.Verdict(CHOOSABLE, None, b.nodes, checker.RULE_ENUMERATION)
 
 
+def _mirror(point):
+    return RegimePoint(point.delta_b, point.delta_a, point.kb, point.ka)
+
+
+def _swap_lists(witness):
+    """The witness at the mirrored point: the two list families traded."""
+    return ListInstance.complete(
+        witness.universe, witness.kb, witness.ka, witness.b_lists, witness.a_lists
+    )
+
+
+def _oriented_reference(point, budget):
+    """_reference_decide on the side decide_choosable enumerates: the mirror
+    when its color bound kb * delta_a is smaller, or equal with fewer lists;
+    a witness found there is mirrored back."""
+    ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
+    if (kb * da, da) >= (ka * db, db):
+        return _reference_decide(point, budget)
+    v = _reference_decide(_mirror(point), budget)
+    return v if v.witness is None else dataclasses.replace(v, witness=_swap_lists(v.witness))
+
+
 # the two grids of `frontier --ka 2 --kb 3 --maxA 3 --maxB 8` and
 # `frontier --ka 3 --kb 2 --maxA 5 --maxB 4`
 _FRONTIER_CELLS = [(da, db, 2, 3) for da in range(1, 4) for db in range(1, 9)] + [
@@ -518,14 +583,18 @@ _FRONTIER_CELLS = [(da, db, 2, 3) for da in range(1, 4) for db in range(1, 9)] +
 
 def test_decide_matches_reference_kernel_on_frontier_grids():
     assert len(_FRONTIER_CELLS) == 44
-    tags = set()
+    as_given_tags, tags = set(), set()
     for cell in _FRONTIER_CELLS:
         point = RegimePoint(*cell)
         got = decide_choosable(point, budget=5_000_000)
         tags.add(got.tag)
         if got.rule == checker.RULE_ENUMERATION:
-            assert got == _reference_decide(point, 5_000_000), cell
-    assert tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
+            as_given = checker._decide_as_given(point, 5_000_000)
+            as_given_tags.add(as_given.tag)
+            assert as_given == _reference_decide(point, 5_000_000), cell
+            assert got == _oriented_reference(point, 5_000_000), cell
+    assert as_given_tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
+    assert tags == {CHOOSABLE, UNCHOOSABLE}  # every cell decides on its cheaper side
 
 
 # points whose whole search takes at most about 40 000 nodes, choosable and
@@ -539,14 +608,80 @@ _BUDGETED_POINTS = [
 @pytest.mark.parametrize("cell", _BUDGETED_POINTS)
 def test_decide_matches_reference_kernel_under_random_budgets(cell):
     point = RegimePoint(*cell)
-    whole = _reference_decide(point, None)
-    assert decide_choosable(point, budget=None) == whole
     rng = random.Random(repr(cell))
-    budgets = [rng.randint(0, whole.nodes_explored) for _ in range(15)]
-    for budget in budgets:
-        got = decide_choosable(point, budget=budget)
-        assert got == _reference_decide(point, budget), budget
-        assert got.tag == (EXHAUSTED if budget < whole.nodes_explored else whole.tag)
+    for decide, reference in (
+        (checker._decide_as_given, _reference_decide),
+        (decide_choosable, _oriented_reference),
+    ):
+        whole = reference(point, None)
+        assert decide(point, None) == whole
+        budgets = [rng.randint(0, whole.nodes_explored) for _ in range(15)]
+        for budget in budgets:
+            got = decide(point, budget)
+            assert got == reference(point, budget), (decide.__name__, budget)
+            assert got.tag == (EXHAUSTED if budget < whole.nodes_explored else whole.tag)
+
+
+def _rejected_at(witness, point):
+    return (
+        witness.point() == point
+        and not has_proper_coloring(witness, engine="backtracking")[0]
+        and not has_proper_coloring(witness, engine="transversal")[0]
+    )
+
+
+# 180 points, ka, kb <= 3, delta_a <= 4 and delta_b <= 5: decide_choosable
+# settles all of them under the default budget, and both orientations of the
+# kernel settle 97 of the 108 nontrivial ones within 200,000 nodes
+_MIRROR_GRID = [
+    (da, db, ka, kb)
+    for ka in (1, 2, 3)
+    for kb in (1, 2, 3)
+    for da in range(1, 5)
+    for db in range(1, 6)
+]
+
+
+def test_decide_agrees_with_its_mirror():
+    for cell in _MIRROR_GRID:
+        point = RegimePoint(*cell)
+        v, m = decide_choosable(point), decide_choosable(_mirror(point))
+        assert v.tag == m.tag != EXHAUSTED, cell
+        if v.witness is not None:
+            assert _rejected_at(v.witness, point), cell
+            assert _rejected_at(_swap_lists(v.witness), _mirror(point)), cell
+        if point.delta_a < point.ka or point.delta_b < point.kb:
+            continue
+        # the symmetry itself, on the kernel that ignores it
+        a = checker._decide_as_given(point, 200_000)
+        b = checker._decide_as_given(_mirror(point), 200_000)
+        if EXHAUSTED not in (a.tag, b.tag):
+            assert a.tag == b.tag == v.tag, cell
+        for w, at in ((a.witness, point), (b.witness, _mirror(point))):
+            if w is not None:
+                assert _rejected_at(w, at) and _rejected_at(_swap_lists(w), _mirror(at)), cell
+
+
+# points the A-side enumeration cannot settle under the default budget (or at
+# all, in reasonable time, for (3,9,3,2)); their B sides take under 1,400 nodes
+@pytest.mark.parametrize(
+    "cell,tag",
+    [
+        ((2, 8, 2, 3), CHOOSABLE),
+        ((3, 7, 3, 2), CHOOSABLE),
+        ((2, 15, 2, 4), CHOOSABLE),
+        ((2, 9, 2, 3), UNCHOOSABLE),
+        ((3, 8, 3, 2), UNCHOOSABLE),
+        ((3, 9, 3, 2), UNCHOOSABLE),
+        ((2, 16, 2, 4), UNCHOOSABLE),
+    ],
+)
+def test_decide_settles_hard_points_on_the_cheaper_side(cell, tag):
+    point = RegimePoint(*cell)
+    v = decide_choosable(point)
+    assert v.tag == tag
+    assert v.nodes_explored < 1_400
+    assert v.witness is None if tag == CHOOSABLE else _rejected_at(v.witness, point)
 
 
 def _charged_run(search, budget):

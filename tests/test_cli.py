@@ -211,6 +211,73 @@ def test_bad_instance_file_is_usage_error(tmp_path, capsys, argv, content, says)
     assert captured.err.count("\n") == 1 and says in captured.err
 
 
+_SIMULATE = ["simulate", "--p", "0.5", "--trials", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, instance, says",
+    [
+        (["check", "--engine", "transversal"], {"adjacency": [[0, 0]]}, "complete bipartite"),
+        (_SIMULATE, {"adjacency": [[0, 0]]}, "complete bipartite"),
+        (_SIMULATE, {"aLists": []}, "nonempty"),
+    ],
+    ids=["check-explicit", "simulate-explicit", "simulate-empty-part"],
+)
+def test_instance_outside_a_commands_domain_is_usage_error(tmp_path, capsys, argv, instance, says):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_GOOD_INSTANCE, **instance}))
+    code = cli.main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"choosekit: error: {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and says in captured.err
+
+
+def test_backtracking_check_takes_explicit_adjacency(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_GOOD_INSTANCE, "adjacency": [[0, 0]]}))
+    code, out = run(capsys, "check", "--in", str(path), "--engine", "backtracking")
+    assert code == 0 and json.loads(out)["properColoring"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["amplify", "--kind", "blowup", "--r", "2", "--verify"],
+        _SIMULATE,
+    ],
+    ids=["check", "amplify", "simulate"],
+)
+def test_invariant_breaking_lists_are_reported_as_violations(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**_GOOD_INSTANCE, "kA": 2, "aLists": [[0, 5]]}))
+    code = cli.main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    payload = json.loads(captured.out)
+    assert payload["wellFormed"] is False
+    assert any("color 5 out of universe" in v for v in payload["violations"])
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via):
+    # 51 vertices: backtracking takes well over 20 s to finish without a budget
+    path = str(tmp_path / "blocks.json")
+    run(capsys, "construct", "blocks", "--ka", "3", "--a", "2,2,2", "--out", path)
+    argv = ["check", "--in", path, "--engine", "backtracking"]
+    if via == "flag":
+        argv += ["--budget", "1000"]
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV, "1000")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"tag": "exhausted", "nodesExplored": 1001}
+
+
 def test_python_dash_m_runs_the_cli():
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
