@@ -16,9 +16,7 @@ met; a witness therefore exists iff one exists on the covered colors alone,
 and those number at most ka * delta_b.  The maximal independent sets are
 the complements of the minimal transversals, which the candidate generator
 carries down its search by incremental Berge dualization, one step per added
-edge.  Each n-color candidate is still charged 2^n search nodes before its
-blocking-family search, a charge only, so budgets and nodesExplored keep the
-meaning they had when the sets came from a scan of all 2^n subsets.
+edge.
 
 The two parts play symmetric roles.  A color set I serves the B side (meets
 every B-list, holds no A-list) iff its complement serves the A side, so the
@@ -59,6 +57,9 @@ RULE_ENUMERATION = "enumeration"
 
 #: Default search budget, in explored nodes (not wall time, for
 #: reproducibility).  Overridable per call and via CHOOSEKIT_BUDGET in the CLI.
+#: One node is one call of a recursive search: a branching step of either
+#: colorability engine, or in decide_choosable one step of the candidate
+#: generator or of the blocking-family search.
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -91,17 +92,10 @@ class _Budget:
         self.limit = limit
         self.nodes = 0
 
-    def charge(self, n=1):
-        self.nodes += n
+    def charge(self):
+        self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
             raise SearchBudgetExceeded(self.nodes)
-
-    def charge_each(self, n):
-        """Charge n one-node steps at once; an overrun stops at the first
-        step past the limit, as n calls of charge() would."""
-        if self.limit is not None and self.nodes + n > self.limit:
-            n = self.limit + 1 - self.nodes
-        self.charge(n)
 
 
 # --- engine (ii): independent transversal search ----------------------------
@@ -325,13 +319,6 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
 _colors_of = functools.lru_cache(maxsize=1 << 14)(colors_of)
 
 
-def _combination_rank(positions, m):
-    """Index of the ascending positions in itertools.combinations(range(m),
-    len(positions)), by the combinatorial number system."""
-    k = len(positions)
-    return comb(m, k) - 1 - sum(comb(m - 1 - p, k - i) for i, p in enumerate(positions))
-
-
 def _find_blocking_family(n, transversals, kb, max_sets, budget):
     """Search for at most max_sets distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
@@ -346,14 +333,9 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
     tried.  No candidate is already chosen: no chosen set lies inside an
     unmet transversal.  With one set left to choose, a candidate blocks the
     rest exactly when it lies in every unmet transversal; the first in
-    lexicographic order is the kb lowest colors of their intersection, and
-    that level is charged one node per candidate a walk in that order tries
-    (its outcome depends on the unmet set alone, so it is computed once).
-    The budget is first charged 2^n nodes, the cost of the subset scan that
-    once listed the maximal sets, so budgets and nodesExplored keep their
-    meaning.
+    lexicographic order is the kb lowest colors of their intersection (it
+    depends on the unmet set alone, so it is computed once).
     """
-    budget.charge(1 << n)
     if any(t.bit_count() < kb for t in transversals):
         return None  # its maximal set meets every possible kb-subset
     cols = [_colors_of(t) for t in sorted(transversals, reverse=True)]
@@ -363,14 +345,12 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
             holding[c] |= 1 << i
     everyone = (1 << len(cols)) - 1
     branches = {}  # head -> [(kb-set, the transversals not containing it)]
-    last_sets = {}  # unmet -> (nodes the last level charges, its set or None)
 
+    @functools.cache
     def last_set(unmet):
         cs = cols[(unmet & -unmet).bit_length() - 1]
-        common = [p for p, c in enumerate(cs) if holding[c] & unmet == unmet][:kb]
-        if len(common) < kb:
-            return comb(len(cs), kb), None
-        return _combination_rank(common, len(cs)) + 1, [mask_of(cs[p] for p in common)]
+        common = [c for c in cs if holding[c] & unmet == unmet][:kb]
+        return [mask_of(common)] if len(common) == kb else None
 
     def search(unmet, left):
         budget.charge()
@@ -379,11 +359,7 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
         if not left:
             return None
         if left == 1:
-            if unmet not in last_sets:
-                last_sets[unmet] = last_set(unmet)
-            walked, found = last_sets[unmet]
-            budget.charge_each(walked)
-            return found
+            return last_set(unmet)
         head = (unmet & -unmet).bit_length() - 1
         if head not in branches:
             cs = cols[head]

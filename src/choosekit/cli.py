@@ -313,10 +313,12 @@ def _cmd_frontier(args) -> int:
         for da in range(1, args.max_a + 1)
         for db in range(1, args.max_b + 1)
     ]
-    if args.jobs > 1:
+    # the pool forks all its workers up front, so never more than can be busy
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_frontier_cell, cells))
     else:
         rows = [_frontier_cell(c) for c in cells]

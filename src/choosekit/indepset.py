@@ -116,7 +116,11 @@ def greedy_independent_set(adjacency, order):
 
 # --- exact and sampled blocking probability ----------------------------------
 
-def p_blocked_exact(graph: STGraph, size_cap: int = 20) -> Fraction:
+#: Largest |S|+|T| that p_blocked_exact accepts.
+EXACT_SIZE_CAP = 20
+
+
+def p_blocked_exact(graph: STGraph) -> Fraction:
     """Exact p(H_S) by the first-vertex recursion over surviving S-sets.
 
     A T-vertex with no alive S-neighbor does not change p, and a processed
@@ -127,13 +131,13 @@ def p_blocked_exact(graph: STGraph, size_cap: int = 20) -> Fraction:
     integers scaled by n! (n = |S|+|T|): the denominator of p(S') divides
     (|S'|+|N(S')|)!, so p(S')*n! is an integer and each step divides exactly.
 
-    The size cap limits |S|+|T|.  Each call owns its memo table, so
-    concurrent calls stay independent.
+    |S|+|T| may not exceed EXACT_SIZE_CAP.  Each call owns its memo table,
+    so concurrent calls stay independent.
     """
     s, t = graph.s_size, graph.t_size
     n = s + t
-    if n > size_cap:
-        raise ValueError(f"|S|+|T| = {n} exceeds the cap of {size_cap}")
+    if n > EXACT_SIZE_CAP:
+        raise ValueError(f"|S|+|T| = {n} exceeds the cap of {EXACT_SIZE_CAP}")
     s_nbrs = [0] * t  # S-neighbors of each T-vertex, as a bitmask
     for i, j in graph.edges:
         s_nbrs[j] |= 1 << i

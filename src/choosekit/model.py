@@ -135,9 +135,6 @@ class Coloring:
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
-    def color_of(self, side: str, index: int) -> int:
-        return self.as_dict()[(side, index)]
-
 
 def _check_list(l, size, universe, label, out):
     if len(set(l)) != len(l):
@@ -221,18 +218,6 @@ def instance_from_dict(d: dict) -> ListInstance:
     if adj == "complete":
         return ListInstance.complete(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"])
     return ListInstance.explicit(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"], adj)
-
-
-def system_to_dict(system: ColorSystem) -> dict:
-    return {
-        "vertices": system.vertex_count,
-        "edges": [list(e) for e in system.edges],
-        "family": [list(f) for f in system.family],
-    }
-
-
-def system_from_dict(d: dict) -> ColorSystem:
-    return ColorSystem.make(d["vertices"], d["edges"], d["family"])
 
 
 def dump_instance(instance: ListInstance, path) -> None:

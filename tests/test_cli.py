@@ -346,6 +346,40 @@ def test_frontier_parallel_matches_serial(tmp_path, capsys):
     assert open(serial, "rb").read() == open(parallel, "rb").read()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,expected", [(64, [4]), (3, [3]), (1, []), (None, [])])
+def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatch, cpus, expected):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    grid = ["frontier", "--ka", "2", "--kb", "2", "--maxA", "1", "--maxB", "4"]
+    serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+    run(capsys, *grid, "--out", serial)
+    assert _RecordingPool.sizes == []
+    run(capsys, *grid, "--out", pooled, "--jobs", "1000000")
+    assert _RecordingPool.sizes == expected
+    assert open(serial, "rb").read() == open(pooled, "rb").read()
+
+
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "5")
     parser = cli.build_parser()

@@ -16,8 +16,6 @@ from choosekit.model import (
     load_instance,
     dump_instance,
     mask_of,
-    system_from_dict,
-    system_to_dict,
     to_color_system,
     validate,
     validate_coloring,
@@ -156,11 +154,6 @@ def test_every_small_system_has_a_preimage(args):
     assert to_color_system(inst) == system
 
 
-def test_system_serialization_round_trip():
-    system = ColorSystem.make(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
-    assert system_from_dict(system_to_dict(system)) == system
-
-
 def test_validate_coloring():
     inst = ListInstance.complete(2, 2, 1, [(0, 1)], [(0,)])
     good = Coloring.make({("A", 0): 1, ("B", 0): 0})
@@ -176,12 +169,6 @@ def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert colors_of(0b100101) == (0, 2, 5)
     assert colors_of(mask_of([])) == ()
-
-
-def test_coloring_lookup():
-    c = Coloring.make({("A", 0): 3, ("B", 1): 0})
-    assert c.color_of("A", 0) == 3
-    assert c.color_of("B", 1) == 0
 
 
 def test_point_requires_complete_adjacency():
