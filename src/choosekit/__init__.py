@@ -57,55 +57,4 @@ from .indepset import (
     random_transversal_search,
 )
 
-__all__ = [
-    "COMPLETE",
-    "ColorSystem",
-    "Coloring",
-    "ListInstance",
-    "RegimePoint",
-    "to_color_system",
-    "validate",
-    "validate_coloring",
-    "SearchBudgetExceeded",
-    "Verdict",
-    "decide_choosable",
-    "has_proper_coloring",
-    "independent_transversal_exists",
-    "simulate_reserve_coloring",
-    "BlockSpec",
-    "construct_blocks",
-    "construct_simple",
-    "amplify_23_params",
-    "amplify_params",
-    "blowup",
-    "expand",
-    "AlphaResult",
-    "BoundReport",
-    "XimBounds",
-    "alpha",
-    "classify",
-    "count_double_exp_fixed_points",
-    "entropy_f",
-    "reserve_probability",
-    "verify_tedious",
-    "xi",
-    "xim_bounds",
-    "xim_prime_lower",
-    "xim_prime_upper",
-    "STGraph",
-    "counterexample_graph",
-    "degree_functional_check",
-    "degree_profile",
-    "f_values",
-    "fancy_bound",
-    "fancy_bound_fraction",
-    "greedy_independent_set",
-    "local_product_bound",
-    "max_degree_deletion",
-    "p_blocked_bruteforce",
-    "p_blocked_exact",
-    "p_blocked_monte_carlo",
-    "random_transversal_search",
-]
-
 __version__ = "0.1.0"

@@ -244,27 +244,28 @@ def reserve_probability(ka: int, kb: int, delta_a: int, eps: float = 0.1) -> flo
     return (1.0 + eps / ka) * math.log(delta_a) / (entropy_f(a.u_star) * kb)
 
 
-def verify_tedious(a: float, b: float, beta: float, gamma: float) -> bool:
+def verify_tedious(a, b, beta, gamma):
     """Check (1 + beta*(g-a)/(g-b))^-(g-a) <= (1+beta)^-g * (1 + beta*a^2/b).
 
     A fuzz target: the inequality is a theorem on its stated domain, so any
     False return signals an evaluation bug rather than a counterexample.
-    Compared in log space with a small slack for rounding.
+    Compared in log space with a small slack for rounding.  Elementwise on
+    arrays, which broadcast together and give a bool array; scalars give a
+    bool.
     """
-    if min(a, b, beta, gamma) < 0 or a > 1 or gamma <= max(a, b):
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, beta, gamma)))
+    a, b, beta, gamma = args
+    if any((v < 0).any() for v in args) or (a > 1).any() or (gamma <= np.maximum(a, b)).any():
         raise ValueError("need a, b, beta, gamma >= 0, a <= 1, gamma > max(a, b)")
-    lhs = -(gamma - a) * math.log1p(beta * (gamma - a) / (gamma - b))
-    if a == 0:
-        correction = 0.0
-    elif b == 0:
-        if beta == 0:
-            correction = 0.0
-        else:
-            return True  # right side is infinite
-    else:
-        correction = math.log1p(beta * a * a / b)
-    rhs = -gamma * math.log1p(beta) + correction
-    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+    lhs = -(gamma - a) * np.log1p(beta * (gamma - a) / (gamma - b))
+    # The correction is 0 where a == 0, or where b == 0 and beta == 0.  Where
+    # b == 0 but a and beta are not, the right side is infinite: it holds.
+    infinite_rhs = (b == 0) & (a != 0) & (beta != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = np.where((a == 0) | (b == 0), 0.0, np.log1p(beta * a * a / b))
+    rhs = -gamma * np.log1p(beta) + correction
+    holds = (lhs <= rhs + 1e-9 * (1.0 + np.abs(rhs))) | infinite_rhs
+    return holds if holds.ndim else bool(holds)
 
 
 def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) -> int:
@@ -281,7 +282,10 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     n = max(int(round(1.0 / resolution)), 8)
-    x = np.linspace(0.0, b, n + 1)
+    # np.linspace(0, b, n + 1) without its overhead: the same products, bit
+    # for bit, wherever b / n does not underflow to 0.
+    x = _grid_steps(n) * (b / n)
+    x[-1] = b
     # h = b * exp(-a*b * exp(-a*x)) - x in one buffer, same operation order.
     if math.isfinite(a * b):
         h = np.multiply(x, -a)
@@ -298,7 +302,17 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     np.exp(h, out=h)
     h *= b
     h -= x
-    left, right = h[:-1], h[1:]
-    # A + followed by 0 or -, or a - followed by 0 or +.
-    brackets = ((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))
-    return int(np.count_nonzero(brackets))
+    # A + followed by 0 or -, or a - followed by 0 or +; never by NaN.
+    pos, neg = h > 0, h < 0
+    brackets = np.count_nonzero(pos[:-1] > pos[1:]) + np.count_nonzero(neg[:-1] > neg[1:])
+    if np.count_nonzero(pos) + np.count_nonzero(neg) < h.size:  # some h is 0 or NaN
+        brackets -= np.count_nonzero((pos[:-1] | neg[:-1]) & np.isnan(h[1:]))
+    return int(brackets)
+
+
+@lru_cache(maxsize=8)
+def _grid_steps(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n as floats: read-only, shared by the counts at n."""
+    steps = np.arange(n + 1, dtype=float)
+    steps.flags.writeable = False
+    return steps

@@ -22,11 +22,15 @@ Loosening criterion 8 until it passes at k = 200, or changing the bound's
 formula, fails this case.
 """
 
+import functools
 import math
+import random
+import re
 
+import numpy as np
 import pytest
 
-from choosekit import acceptance, bounds
+from choosekit import acceptance, bounds, cli
 
 LN2 = math.log(2.0)
 SLOPE_LIMIT = LN2 + math.log(LN2)
@@ -72,3 +76,109 @@ def test_criterion(index):
         check_criterion_8(result)
     else:
         assert result.passed, result.line()
+
+
+# `choosekit selftest` stdout with each timing bracket ("[0.41s of 30s
+# allowed]", "[0.00s]") taken out.
+SELFTEST_OUTPUT = """\
+[PASS] criterion  1 (block-construction exactness): 14 block instances rejected by both engines
+[PASS] criterion  2 (exhaustive frontier point): (2,4,2,2) -> unchoosable [9 nodes], (2,3,2,2) -> choosable [8 nodes]
+[PASS] criterion  3 (amplification soundness): blowup -> RegimePoint(delta_a=4, delta_b=2, ka=2, kb=2), expansion -> RegimePoint(delta_a=2, delta_b=4, ka=2, kb=2), both uncolorable
+[PASS] criterion  4 (blocking probability engine): p = 83/315 = 0.263492, product bound 0.25660012, MC 0.263246 (sigma 0.000441)
+[PASS] criterion  5 (degree-bound equality family): p = bound = 2^-j on all unions (a <= 3, j <= 2)
+[PASS] criterion  6 (ka=2 interval): [0.549306144334, 0.693147180560] vs [ln(3)/2, ln 2], alpha(2) = 0.101816094397
+[PASS] criterion  7 (ka=3 tightening): 0.98170 < 1.20695, hi = 0.98170 via seven-seven-witness
+[FAIL] criterion  8 (xi-prime slope at k=200): measured 0.46138, target 0.32663, |diff| = 0.13474 (tolerance 0.05)
+[PASS] criterion  9 (appendix fuzz): 10^5 inequality samples hold; 10^4 fixed-point counts all <= 3
+[PASS] criterion 10 (classifier/oracle grid): 60 cells decided (42 unchoosable); classifier consistent, monotone
+9/10 criteria passed
+"""
+
+
+def test_selftest_output_is_pinned(capsys):
+    assert cli.main(["selftest"]) == 1  # criterion 8 is red
+    out = capsys.readouterr().out
+    assert len(re.findall(r" \[\d+\.\d\ds[^\]]*\]", out)) == 10
+    assert re.sub(r" \[\d+\.\d\ds[^\]]*\]", "", out) == SELFTEST_OUTPUT
+
+
+@functools.cache
+def _scalar_fuzz_stream():
+    """Criterion 9's samples as a scalar loop draws them from
+    random.Random(FUZZ_SEED): 10^5 points (a, b, beta, gamma), then 10^4
+    curves (a, b)."""
+    rng = random.Random(acceptance.FUZZ_SEED)
+    points = []
+    for _ in range(10**5):
+        a = rng.uniform(0.0, 1.0)
+        b = rng.uniform(0.0, 1.0)
+        beta = rng.uniform(0.0, 10.0)
+        gamma = max(a, b) + max(rng.uniform(0.0, 10.0), 1e-9)
+        points.append((a, b, beta, gamma))
+    curves = []
+    for _ in range(10**4):
+        a = max(rng.uniform(0.0, 10.0), 1e-9)
+        b = max(rng.uniform(0.0, 10.0), 1e-9)
+        curves.append((a, b))
+    return points, curves
+
+
+def _record(monkeypatch, name, fail_at=None, failure=None):
+    """Replace bounds.<name> by a wrapper that records its arguments and, on
+    the call or array element numbered fail_at, passes the real result and
+    that element's index in the call through failure()."""
+    real = getattr(bounds, name)
+    calls = []
+    seen = [0]  # calls or array elements so far
+
+    def wrapper(*args):
+        start, seen[0] = seen[0], seen[0] + np.size(args[0])
+        calls.append(args)
+        got = real(*args)
+        if fail_at is not None and start <= fail_at < seen[0]:
+            got = failure(got, fail_at - start)
+        return got
+
+    monkeypatch.setattr(bounds, name, wrapper)
+    return calls
+
+
+def test_criterion_9_checks_the_scalar_stream(monkeypatch):
+    points_seen = _record(monkeypatch, "verify_tedious")
+    curves_seen = _record(monkeypatch, "count_double_exp_fixed_points")
+    result = acceptance.criterion_9()
+    assert result.passed, result.line()
+    points, curves = _scalar_fuzz_stream()
+    drawn = np.column_stack([np.concatenate(v) for v in zip(*points_seen)])
+    assert drawn.tobytes() == np.array(points).tobytes()  # bit for bit
+    assert curves_seen == curves
+    assert all(type(a) is float and type(b) is float for a, b in curves_seen)
+
+
+def _fail_elements(holds, i):
+    holds = holds.copy()
+    holds[i] = holds[i + 7] = False  # the first failure is the one reported
+    return holds
+
+
+@pytest.mark.parametrize("trial", [0, 12345, 99990])
+def test_criterion_9_reports_the_first_failing_point(monkeypatch, trial):
+    _record(monkeypatch, "verify_tedious", fail_at=trial, failure=_fail_elements)
+    result = acceptance.criterion_9()
+    a, b, beta, gamma = _scalar_fuzz_stream()[0][trial]
+    assert not result.passed
+    assert result.detail == (
+        f"tedious inequality failed at trial {trial}: a={a} b={b} beta={beta} gamma={gamma}"
+    )
+    assert "np." not in result.detail and "float64" not in result.detail
+
+
+def test_criterion_9_reports_a_curve_with_too_many_fixed_points(monkeypatch):
+    seen = _record(
+        monkeypatch, "count_double_exp_fixed_points", fail_at=777, failure=lambda n, _: 4
+    )
+    result = acceptance.criterion_9()
+    a, b = _scalar_fuzz_stream()[1][777]
+    assert not result.passed
+    assert result.detail == f"4 double-exponential fixed points at a={a} b={b}"
+    assert len(seen) == 778

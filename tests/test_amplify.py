@@ -13,7 +13,7 @@ from choosekit.amplify import (
     expand,
 )
 from choosekit.bounds import xi
-from choosekit.checker import has_proper_coloring
+from choosekit.checker import CHOOSABLE, UNCHOOSABLE, decide_choosable, has_proper_coloring
 from choosekit.constructions import BlockSpec, construct_blocks
 from choosekit.model import ListInstance, RegimePoint, to_color_system, validate
 
@@ -84,6 +84,35 @@ def test_part_sizes_match_param_map(spec, r):
     point = base.point()
     assert blowup(base, r).point() == amplify_params(point, BLOWUP, r)
     assert expand(base, r).point() == amplify_params(point, EXPANSION, r)
+
+
+def test_unchoosable_points_stay_unchoosable_under_amplification():
+    # Every unchoosable point of criterion 10's grid (ka, kb in {1, 2}, da <=
+    # 3, db <= 5), amplified at r = 2 both ways: its witness amplifies to an
+    # instance at amplify_params(P), both engines reject that instance, and
+    # wherever decide_choosable settles amplify_params(P) it is unchoosable.
+    amplified = decided = 0
+    for ka in (1, 2):
+        for kb in (1, 2):
+            for da in range(1, 4):
+                for db in range(1, 6):
+                    point = RegimePoint(da, db, ka, kb)
+                    verdict = decide_choosable(point)
+                    if verdict.tag != UNCHOOSABLE:
+                        continue
+                    for kind, op in ((BLOWUP, blowup), (EXPANSION, expand)):
+                        image = amplify_params(point, kind, 2)
+                        out = op(verdict.witness, 2)
+                        assert out.point() == image, (point, kind)
+                        for engine in ("backtracking", "transversal"):
+                            assert not has_proper_coloring(out, engine=engine)[0], (point, kind)
+                        tag = decide_choosable(image, budget=200_000).tag
+                        assert tag != CHOOSABLE, (point, kind, image)
+                        amplified += 1
+                        decided += tag == UNCHOOSABLE
+    # 42 unchoosable points; only the blowup (2,4,2,2) -> (4,8,2,4) runs out
+    # of the 200,000 nodes
+    assert amplified == 84 and decided >= 83
 
 
 def test_blowup_flattening_golden():

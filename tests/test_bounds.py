@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from choosekit import bounds
+from choosekit import acceptance, bounds
 from choosekit.bounds import (
     CHOOSABLE,
     UNCHOOSABLE,
@@ -232,16 +232,16 @@ def test_verify_tedious_domain():
         verify_tedious(0.5, -0.1, 1.0, 2.0)
 
 
-def test_verify_tedious_small_fuzz():
+def _small_fuzz_points():
     rng = random.Random(5)
     for _ in range(2000):
         a, b = rng.uniform(0, 1), rng.uniform(0, 1)
         beta = rng.uniform(0, 10)
         gamma = max(a, b) + max(rng.uniform(0, 10), 1e-9)
-        assert verify_tedious(a, b, beta, gamma)
+        yield a, b, beta, gamma
 
 
-def test_verify_tedious_extreme_magnitudes():
+def _extreme_fuzz_points():
     # huge beta and near-degenerate gamma stress the log-space evaluation
     rng = random.Random(99)
     for _ in range(5000):
@@ -250,7 +250,85 @@ def test_verify_tedious_extreme_magnitudes():
         gamma = max(a, b) + rng.choice(
             [rng.uniform(1e-9, 1e-3), rng.uniform(1e-9, 10), rng.uniform(1e-9, 100)]
         )
+        yield a, b, beta, gamma
+
+
+def test_verify_tedious_small_fuzz():
+    for a, b, beta, gamma in _small_fuzz_points():
         assert verify_tedious(a, b, beta, gamma)
+
+
+def test_verify_tedious_extreme_magnitudes():
+    for a, b, beta, gamma in _extreme_fuzz_points():
+        assert verify_tedious(a, b, beta, gamma)
+
+
+def _reference_verify_tedious(a, b, beta, gamma):
+    """verify_tedious as it was written for one point, in math-module floats."""
+    if min(a, b, beta, gamma) < 0 or a > 1 or gamma <= max(a, b):
+        raise ValueError("need a, b, beta, gamma >= 0, a <= 1, gamma > max(a, b)")
+    lhs = -(gamma - a) * math.log1p(beta * (gamma - a) / (gamma - b))
+    if a == 0:
+        correction = 0.0
+    elif b == 0:
+        if beta == 0:
+            correction = 0.0
+        else:
+            return True  # right side is infinite
+    else:
+        correction = math.log1p(beta * a * a / b)
+    rhs = -gamma * math.log1p(beta) + correction
+    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+def _criterion_9_points():
+    rng = np.random.RandomState([acceptance.FUZZ_SEED])
+    blocks = [acceptance.fuzz_points(rng, 10**4) for _ in range(10)]
+    return [np.concatenate(v) for v in zip(*blocks)]
+
+
+def _criterion_9_curves():
+    rng = np.random.RandomState([acceptance.FUZZ_SEED])
+    rng.random_sample(4 * 10**5)  # the points come first in the stream
+    return acceptance.fuzz_curves(rng, 10**4)
+
+
+# The branches of the scalar body: a == 0, b == 0 with and without beta, beta
+# == 0, both zero, and points within rounding of equality.
+_EDGE_POINTS = [
+    (0.0, 0.4, 3.0, 2.0), (0.0, 0.0, 3.0, 1.0), (1.0, 0.0, 0.0, 1.5), (1.0, 0.0, 2.0, 1.5),
+    (0.3, 0.7, 0.0, 2.0), (0.5, 0.5, 1.0, 2.0), (1.0, 1.0, 10.0, 1.0000001),
+    (0.0, 0.0, 0.0, 1e-9), (1.0, 1.0, 1e6, 1.0 + 1e-9),
+]
+
+
+@pytest.mark.parametrize("source", ["criterion 9", "small fuzz", "extreme magnitudes", "edges"])
+def test_verify_tedious_arrays_match_scalar_body(source):
+    if source == "criterion 9":
+        a, b, beta, gamma = _criterion_9_points()
+        assert len(a) == 10**5
+    else:
+        points = {"small fuzz": _small_fuzz_points, "extreme magnitudes": _extreme_fuzz_points,
+                  "edges": lambda: _EDGE_POINTS}[source]()
+        a, b, beta, gamma = (np.array(v) for v in zip(*points))
+    got = verify_tedious(a, b, beta, gamma)
+    assert got.dtype == bool and got.shape == a.shape
+    points = zip(a.tolist(), b.tolist(), beta.tolist(), gamma.tolist())
+    expected = [_reference_verify_tedious(*p) for p in points]
+    assert got.tolist() == expected
+    for i in range(0, len(a), max(1, len(a) // 50)):  # the scalar form gives the same bool
+        point = (a[i].item(), b[i].item(), beta[i].item(), gamma[i].item())
+        assert verify_tedious(*point) is expected[i]
+
+
+def test_verify_tedious_broadcasts_and_checks_every_element():
+    assert verify_tedious(np.array([0.0, 0.5, 1.0]), 0.5, 1.0, 2.0).tolist() == [True] * 3
+    with pytest.raises(ValueError, match="need a, b, beta, gamma >= 0"):
+        verify_tedious(np.array([0.5, 1.5]), 0.5, 1.0, 2.0)  # one a > 1
+    with pytest.raises(ValueError, match="need a, b, beta, gamma >= 0"):
+        verify_tedious(0.5, 0.5, np.array([1.0, -1.0]), 2.0)  # one negative beta
+    with pytest.raises(ValueError, match="need a, b, beta, gamma >= 0"):
+        verify_tedious(0.5, np.array([0.1, 0.9]), 1.0, 0.8)  # one gamma <= max(a, b)
 
 
 def test_fixed_point_count_basic():
@@ -329,3 +407,49 @@ def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
         assert count >= 1
     else:
         assert count == _reference_fixed_point_count(a, b)
+
+
+def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
+    curves = _criterion_9_curves().tolist()
+    counts = set()
+    for a, b in curves[:2000]:
+        # the grid is np.linspace's, bit for bit
+        steps = bounds._grid_steps(10**4) * (b / 10**4)
+        steps[-1] = b
+        assert steps.tobytes() == np.linspace(0.0, b, 10**4 + 1).tobytes(), b
+        expected = _reference_fixed_point_count(a, b)
+        assert count_double_exp_fixed_points(a, b) == expected, (a, b)
+        counts.add(expected)
+    assert counts >= {1, 3}
+
+
+def _bracket_rule(h):
+    """The counter's bracket rule as four comparisons: a + followed by 0 or -,
+    or a - followed by 0 or +; a NaN on either side is no bracket."""
+    left, right = h[:-1], h[1:]
+    return int(np.count_nonzero(((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))))
+
+
+@pytest.mark.parametrize("where", ["after h[0] > 0", "before a rise", "at x = 0", "at a drop"])
+def test_fixed_point_count_skips_brackets_into_nan(monkeypatch, where):
+    # No finite (a, b) puts a lone NaN on the grid, so plant one in the grid
+    # steps; h is NaN there and only there.
+    a, b, n = 3.0, 5.0, 10**4
+    x = np.linspace(0.0, b, n + 1)
+    h = b * np.exp(-a * b * np.exp(-a * x)) - x
+    drops = np.flatnonzero((h[:-1] > 0) & (h[1:] <= 0)) + 1
+    rises = np.flatnonzero((h[:-1] < 0) & (h[1:] >= 0)) + 1
+    k = {"after h[0] > 0": 1, "before a rise": int(rises[0]) - 1, "at x = 0": 0,
+         "at a drop": int(drops[0])}[where]
+    steps = np.arange(n + 1.0)
+    steps[k] = np.nan
+    monkeypatch.setattr(bounds, "_grid_steps", lambda _: steps)
+    x[k] = np.nan
+    h = b * np.exp(-a * b * np.exp(-a * x)) - x
+    assert np.isnan(h).nonzero()[0].tolist() == [k]
+    if k:
+        assert h[k - 1] != 0
+    assert count_double_exp_fixed_points(a, b) == _bracket_rule(h)
+    pos, neg = h > 0, h < 0
+    naive = np.count_nonzero(pos[:-1] > pos[1:]) + np.count_nonzero(neg[:-1] > neg[1:])
+    assert naive == _bracket_rule(h) + (k > 0)  # it would count the sign before the NaN

@@ -122,14 +122,50 @@ def test_p_blocked_counterexample_value():
     assert p_blocked_exact(counterexample_graph()) == Fraction(83, 315)
 
 
+def _reference_order_scan(graph):
+    """The oracle's oracle: walk every processing order of S + T and count
+    those in which each S-vertex follows one of its T-neighbors."""
+    s, t = graph.s_size, graph.t_size
+    n = s + t
+    t_neighbors = [set() for _ in range(s)]
+    for i, j in graph.edges:
+        t_neighbors[i].add(s + j)
+    good = 0
+    for perm in itertools.permutations(range(n)):
+        seen = set()
+        ok = True
+        for v in perm:
+            if v < s and not (t_neighbors[v] & seen):
+                ok = False
+                break
+            seen.add(v)
+        if ok:
+            good += 1
+    return Fraction(good, math.factorial(n))
+
+
 def test_p_blocked_matches_bruteforce_exhaustively():
-    # every graph on up to six vertices, all part splits
+    # every graph on up to six vertices, all part splits; the prefix-set count
+    # also matches the literal order scan
     for s, t in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         cells = [(i, j) for i in range(s) for j in range(t)]
         for bits in range(1 << len(cells)):
             edges = [cells[i] for i in range(len(cells)) if bits >> i & 1]
             g = STGraph.make(s, t, edges)
-            assert p_blocked_exact(g) == p_blocked_bruteforce(g), (s, t, edges)
+            brute = p_blocked_bruteforce(g)
+            assert brute == _reference_order_scan(g), (s, t, edges)
+            assert p_blocked_exact(g) == brute, (s, t, edges)
+
+
+def test_bruteforce_matches_order_scan_on_counterexample():
+    g = counterexample_graph()
+    assert p_blocked_bruteforce(g) == _reference_order_scan(g) == Fraction(83, 315)
+
+
+def test_bruteforce_on_degenerate_graphs():
+    for g in (STGraph.make(0, 0, []), STGraph.make(0, 3, []), STGraph.make(2, 0, []),
+              STGraph.make(2, 2, [(0, 0)])):
+        assert p_blocked_bruteforce(g) == _reference_order_scan(g)
 
 
 def test_p_blocked_matches_bruteforce_sampled():
