@@ -255,8 +255,12 @@ def verify_tedious(a, b, beta, gamma):
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, beta, gamma)))
     a, b, beta, gamma = args
-    if any((v < 0).any() for v in args) or (a > 1).any() or (gamma <= np.maximum(a, b)).any():
-        raise ValueError("need a, b, beta, gamma >= 0, a <= 1, gamma > max(a, b)")
+    if (
+        not all(np.isfinite(v).all() and (v >= 0).all() for v in args)
+        or (a > 1).any()
+        or (gamma <= np.maximum(a, b)).any()
+    ):
+        raise ValueError("need a, b, beta, gamma >= 0, a <= 1, gamma > max(a, b), all finite")
     lhs = -(gamma - a) * np.log1p(beta * (gamma - a) / (gamma - b))
     # The correction is 0 where a == 0, or where b == 0 and beta == 0.  Where
     # b == 0 but a and beta are not, the right side is infinite: it holds.
@@ -269,7 +273,7 @@ def verify_tedious(a, b, beta, gamma):
 
 
 def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) -> int:
-    """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0.
+    """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0 finite.
 
     Every solution lies in [0, b] since g maps the reals into (0, b].  The
     interval is scanned at step resolution*b (at least 8 steps), and each
@@ -279,8 +283,8 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     missed; the count of transversal roots is what the at-most-three
     property constrains.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("a and b must be positive and finite")
     n = max(int(round(1.0 / resolution)), 8)
     # np.linspace(0, b, n + 1) without its overhead: the same products, bit
     # for bit, wherever b / n does not underflow to 0.

@@ -4,7 +4,8 @@ Subcommands: check, decide, construct, amplify, bounds, classify, pblocked,
 frontier, simulate, selftest.  All output is machine-readable (JSON lines or
 CSV); identical arguments and seeds produce byte-identical output.  Exit
 codes: 0 success, 1 exhausted search or failed selftest, 2 usage error
-(bad arguments, or an input file that cannot be read or used).
+(bad arguments, an input file that cannot be read or used, or an output
+file that cannot be written).
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import amplify, bounds, checker, constructions, indepset
-from .model import (
-    COMPLETE,
-    ListInstance,
-    RegimePoint,
-    dump_instance,
-    instance_from_dict,
-    instance_to_dict,
-    validate,
-)
+from .model import RegimePoint, dump_instance, instance_to_dict, load_instance, read_json, validate
 
 BUDGET_ENV = "CHOOSEKIT_BUDGET"
 
@@ -86,62 +79,10 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _input_error(args, exc) -> int:
-    """Report a bad input file on one line of stderr; exit code 2."""
-    print(f"choosekit: error: {args.command}: {exc}", file=sys.stderr)
-    return 2
-
-
-def _read_json_object(path, keys) -> dict:
-    """The JSON object in a file, holding every key in keys; a ValueError
-    says what is wrong with it."""
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(d, dict) or not set(keys) <= d.keys():
-        names = ", ".join(keys[:-1]) + " and " + keys[-1]
-        raise ValueError(f"{path}: need a JSON object with keys {names}")
-    return d
-
-
-def _int_lists(x, length=None) -> bool:
-    """Is x a list of lists of integers, each of the given length if any?"""
-    return isinstance(x, list) and all(
-        isinstance(row, list)
-        and (length is None or len(row) == length)
-        and all(type(v) is int for v in row)
-        for row in x
-    )
-
-
-def _read_instance(path) -> ListInstance:
-    """The list instance in a JSON file; a ValueError says what is wrong
-    with it.  Lists that break the instance invariants are left to validate()."""
-    d = _read_json_object(path, ("universe", "kA", "kB", "adjacency", "aLists", "bLists"))
-    if not all(type(d[key]) is int for key in ("universe", "kA", "kB")):
-        raise ValueError(f"{path}: universe, kA and kB must be integers")
-    if not (_int_lists(d["aLists"]) and _int_lists(d["bLists"])):
-        raise ValueError(f"{path}: aLists and bLists must be lists of integer lists")
-    if d["adjacency"] != COMPLETE and not _int_lists(d["adjacency"], 2):
-        raise ValueError(
-            f'{path}: adjacency must be "{COMPLETE}" or a list of [a-index, b-index] integer pairs'
-        )
-    return instance_from_dict(d)
-
-
 def _valid_instance(args):
-    """The instance in args.infile, or None once its fault is reported: a
-    bad file as one line on stderr, lists that break the instance invariants
-    as a violations JSON line.  Either way the command exits 2."""
-    try:
-        inst = _read_instance(args.infile)
-    except ValueError as exc:
-        _input_error(args, exc)
-        return None
+    """The instance in args.infile, or None once the invariants it breaks
+    are reported as a violations JSON line (the command exits 2)."""
+    inst = load_instance(args.infile)
     problems = validate(inst)
     if problems:
         _emit({"wellFormed": False, "violations": problems})
@@ -155,8 +96,6 @@ def _cmd_check(args) -> int:
         return 2
     try:
         found, coloring = checker.has_proper_coloring(inst, engine=args.engine, budget=args.budget)
-    except ValueError as exc:  # the transversal engine on explicit adjacency
-        return _input_error(args, exc)
     except checker.SearchBudgetExceeded as exc:
         _emit({"tag": checker.EXHAUSTED, "nodesExplored": exc.nodes})
         return 1
@@ -169,12 +108,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_decide(args) -> int:
     verdict = checker.decide_choosable(args.point, budget=args.budget)
-    out = {"tag": verdict.tag, "nodesExplored": verdict.nodes_explored, "rule": verdict.rule}
+    out = verdict.to_dict()
     if verdict.witness is not None and args.witness_out:
         dump_instance(verdict.witness, args.witness_out)
+        del out["witness"]
         out["witnessFile"] = args.witness_out
-    elif verdict.witness is not None:
-        out["witness"] = instance_to_dict(verdict.witness)
     _emit(out)
     return 1 if verdict.tag == checker.EXHAUSTED else 0
 
@@ -246,28 +184,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_stgraph(path) -> indepset.STGraph:
-    """The S/T graph in a JSON file; a ValueError says what is wrong with it."""
-    d = _read_json_object(path, ("s", "t", "edges"))
-    if not all(type(d[key]) is int and d[key] >= 0 for key in ("s", "t")):
-        raise ValueError(f"{path}: s and t must be non-negative integers")
-    if not _int_lists(d["edges"], 2):
-        raise ValueError(f"{path}: edges must be a list of [s-index, t-index] integer pairs")
-    try:
-        return indepset.STGraph.from_dict(d)
-    except ValueError as exc:  # an edge out of range or repeated
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _cmd_pblocked(args) -> int:
-    try:
-        if args.counterexample:
-            graph = indepset.counterexample_graph()
-        else:
-            graph = _read_stgraph(args.infile)
-        p = indepset.p_blocked_exact(graph) if args.exact else None
-    except ValueError as exc:
-        return _input_error(args, exc)
+    if args.counterexample:
+        graph = indepset.counterexample_graph()
+    else:
+        graph = read_json(args.infile, indepset.STGraph.from_dict)
+    p = indepset.p_blocked_exact(graph) if args.exact else None
     if args.mc is not None:
         est = indepset.p_blocked_monte_carlo(graph, args.mc, args.seed)
         _emit(
@@ -340,10 +262,7 @@ def _cmd_simulate(args) -> int:
     inst = _valid_instance(args)
     if inst is None:
         return 2
-    try:
-        sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
-    except ValueError as exc:  # explicit adjacency, or an empty part
-        return _input_error(args, exc)
+    sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
     _emit(
         {
             "trials": sim.trials,
@@ -468,7 +387,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pblocked" and args.mc is not None and args.seed is None:
         parser.error("--mc requires --seed")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a bad input file or an unwritable output
+        print(f"choosekit: error: {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

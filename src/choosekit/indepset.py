@@ -31,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .model import ColorSystem
+from .model import ColorSystem, int_rows, require_keys
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,10 @@ class STGraph:
 
     def __post_init__(self):
         if self.s_size < 0 or self.t_size < 0:
-            raise ValueError(f"negative part size in ({self.s_size}, {self.t_size})")
+            raise ValueError(
+                f"negative part size in ({self.s_size}, {self.t_size}):"
+                " s and t must be non-negative integers"
+            )
         seen = set()
         for e in self.edges:
             i, j = e
@@ -64,6 +67,12 @@ class STGraph:
 
     @staticmethod
     def from_dict(d) -> "STGraph":
+        """The graph a JSON object describes; a ValueError says what is wrong."""
+        require_keys(d, ("s", "t", "edges"))
+        if not (type(d["s"]) is int and type(d["t"]) is int):
+            raise ValueError("s and t must be non-negative integers")
+        if not int_rows(d["edges"], 2):
+            raise ValueError("edges must be a list of [s-index, t-index] integer pairs")
         return STGraph.make(d["s"], d["t"], d["edges"])
 
 
@@ -198,9 +207,9 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
 
     Orders are sampled as i.i.d. uniform processing times (almost surely
     distinct), so an S-vertex is blocked iff some T-neighbor has a smaller
-    time.  Vectorized over trials in chunks of at most 200 000 rows and
-    2^21 floats (or one row, if longer); the generator fills rows in stream
-    order, so the chunking does not change the estimate.
+    time.  Vectorized over trials in chunks of at most 2^18 floats (or one
+    row, if longer); the generator fills rows in stream order, so the
+    chunking does not change the estimate.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -211,7 +220,7 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
         nbrs[i].append(s + j)
     successes = 0
     done = 0
-    chunk = max(1, min(200_000, 2**21 // max(s + t, 1)))
+    chunk = max(1, 2**18 // max(s + t, 1))
     while done < trials:
         m = min(chunk, trials - done)
         times = rng.random((m, s + t))

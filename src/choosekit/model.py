@@ -213,11 +213,55 @@ def instance_to_dict(instance: ListInstance) -> dict:
     }
 
 
-def instance_from_dict(d: dict) -> ListInstance:
+def require_keys(d, keys) -> None:
+    """Raise a ValueError unless d is a JSON object holding every key in keys."""
+    if not isinstance(d, dict) or not set(keys) <= d.keys():
+        names = ", ".join(keys[:-1]) + " and " + keys[-1]
+        raise ValueError(f"need a JSON object with keys {names}")
+
+
+def int_rows(x, length=None) -> bool:
+    """Is x a list of lists of integers, each of the given length if any?"""
+    return (
+        isinstance(x, list)
+        and all(isinstance(row, list) and (length is None or len(row) == length) for row in x)
+        and {type(v) for row in x for v in row} <= {int}
+    )
+
+
+def instance_from_dict(d) -> ListInstance:
+    """The instance a JSON object describes.  A ValueError names a missing
+    key or a value of the wrong type; lists that break the instance
+    invariants are left to validate()."""
+    require_keys(d, ("universe", "kA", "kB", "adjacency", "aLists", "bLists"))
+    if not all(type(d[key]) is int for key in ("universe", "kA", "kB")):
+        raise ValueError("universe, kA and kB must be integers")
+    if not (int_rows(d["aLists"]) and int_rows(d["bLists"])):
+        raise ValueError("aLists and bLists must be lists of integer lists")
     adj = d["adjacency"]
-    if adj == "complete":
+    if adj == COMPLETE:
         return ListInstance.complete(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"])
+    if not int_rows(adj, 2):
+        raise ValueError(
+            f'adjacency must be "{COMPLETE}" or a list of [a-index, b-index] integer pairs'
+        )
     return ListInstance.explicit(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"], adj)
+
+
+def read_json(path, decode):
+    """decode(the JSON value in the file at path).  Every ValueError, from
+    reading, parsing or decode, starts with the path."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    try:
+        return decode(d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def dump_instance(instance: ListInstance, path) -> None:
@@ -227,8 +271,7 @@ def dump_instance(instance: ListInstance, path) -> None:
 
 
 def load_instance(path) -> ListInstance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    return read_json(path, instance_from_dict)
 
 
 # --- bitmask helpers shared by the search kernels ---------------------------

@@ -331,11 +331,33 @@ def test_verify_tedious_broadcasts_and_checks_every_element():
         verify_tedious(0.5, np.array([0.1, 0.9]), 1.0, 0.8)  # one gamma <= max(a, b)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", range(4))
+def test_verify_tedious_rejects_nan_and_infinity(where, bad):
+    point = [0.5, 0.5, 1.0, 2.0]
+    point[where] = bad
+    with pytest.raises(ValueError, match="all finite"):
+        verify_tedious(*point)
+    point[where] = np.array([point[where - 1 if where else 1], bad])  # one bad element
+    with pytest.raises(ValueError, match="all finite"):
+        verify_tedious(*point)
+
+
 def test_fixed_point_count_basic():
     assert count_double_exp_fixed_points(1.0, 1.0) == 1
     for a, b in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -2.0)):
         with pytest.raises(ValueError):
             count_double_exp_fixed_points(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)]
+)
+def test_fixed_point_count_rejects_nan_and_infinity(a, b):
+    # NaN fails every comparison, so a bare "a <= 0" check let it through
+    # and the NaN grid counted 0 roots
+    with pytest.raises(ValueError, match="positive and finite"):
+        count_double_exp_fixed_points(a, b)
 
 
 def test_fixed_point_count_three_cycle_case():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choosekit import cli
-from choosekit.model import load_instance
+from choosekit.indepset import STGraph
+from choosekit.model import load_instance, read_json
 
 
 def run(capsys, *argv):
@@ -135,26 +140,26 @@ def test_pblocked_file_and_mc(tmp_path, capsys):
     assert abs(json.loads(out)["estimate"] - 0.5) < 0.02
 
 
-@pytest.mark.parametrize(
-    "content, mode, says",
-    [
-        (None, "exact", "cannot read"),
-        ("{", "exact", "is not JSON"),
-        ("[1, 2]", "exact", "keys s, t and edges"),
-        ('{"s": 1, "t": 1}', "mc", "keys s, t and edges"),
-        ('{"s": -1, "t": 2, "edges": []}', "exact", "non-negative integers"),
-        ('{"s": "1", "t": 2, "edges": []}', "mc", "non-negative integers"),
-        ('{"s": 1, "t": 2, "edges": [[0, 5]]}', "exact", "out of range"),
-        ('{"s": 1, "t": 2, "edges": [[0, 5]]}', "mc", "out of range"),
-        ('{"s": 1, "t": 2, "edges": [[0, 1], [0, 1]]}', "exact", "parallel edge"),
-        ('{"s": 1, "t": 2, "edges": [[0]]}', "mc", "integer pairs"),
-        ('{"s": 1, "t": 2, "edges": [[0.7, 0]]}', "exact", "integer pairs"),
-        ('{"s": 1, "t": 2, "edges": 3}', "exact", "integer pairs"),
-        ('{"s": 11, "t": 10, "edges": []}', "exact", "exceeds the cap of 20"),
-    ],
-    ids=["missing", "truncated", "list", "no-edges", "negative-s", "string-s", "range-exact",
-         "range-mc", "parallel", "short-edge", "float-edge", "edges-not-list", "past-cap"],
-)
+_BAD_ST_FILES = [
+    pytest.param(None, "exact", "cannot read", id="missing"),
+    pytest.param("{", "exact", "is not JSON", id="truncated"),
+    pytest.param("[1, 2]", "exact", "keys s, t and edges", id="list"),
+    pytest.param('{"s": 1, "t": 1}', "mc", "keys s, t and edges", id="no-edges"),
+    pytest.param('{"s": -1, "t": 2, "edges": []}', "exact", "non-negative integers", id="negative-s"),
+    pytest.param('{"s": "1", "t": 2, "edges": []}', "mc", "non-negative integers", id="string-s"),
+    pytest.param('{"s": 1, "t": 2, "edges": [[0, 5]]}', "exact", "out of range", id="range-exact"),
+    pytest.param('{"s": 1, "t": 2, "edges": [[0, 5]]}', "mc", "out of range", id="range-mc"),
+    pytest.param(
+        '{"s": 1, "t": 2, "edges": [[0, 1], [0, 1]]}', "exact", "parallel edge", id="parallel"
+    ),
+    pytest.param('{"s": 1, "t": 2, "edges": [[0]]}', "mc", "integer pairs", id="short-edge"),
+    pytest.param('{"s": 1, "t": 2, "edges": [[0.7, 0]]}', "exact", "integer pairs", id="float-edge"),
+    pytest.param('{"s": 1, "t": 2, "edges": 3}', "exact", "integer pairs", id="edges-not-list"),
+    pytest.param('{"s": 11, "t": 10, "edges": []}', "exact", "exceeds the cap of 20", id="past-cap"),
+]
+
+
+@pytest.mark.parametrize("content, mode, says", _BAD_ST_FILES)
 def test_pblocked_bad_input_is_usage_error(tmp_path, capsys, content, mode, says):
     path = tmp_path / "g.json"
     if content is not None:
@@ -174,6 +179,32 @@ _GOOD_INSTANCE = {
 }
 
 
+_BAD_INSTANCE_FILES = [
+    pytest.param(None, "cannot read", id="missing"),
+    pytest.param("{", "is not JSON", id="truncated"),
+    pytest.param("[1, 2]", "keys universe, kA, kB, adjacency, aLists and bLists", id="list"),
+    pytest.param(
+        json.dumps({k: v for k, v in _GOOD_INSTANCE.items() if k != "bLists"}), "bLists",
+        id="no-blists",
+    ),
+    pytest.param(json.dumps({**_GOOD_INSTANCE, "kA": "1"}), "must be integers", id="string-ka"),
+    pytest.param(
+        json.dumps({**_GOOD_INSTANCE, "aLists": [0, 1]}), "lists of integer lists", id="flat-lists"
+    ),
+    pytest.param(
+        json.dumps({**_GOOD_INSTANCE, "bLists": [[1.5]]}), "lists of integer lists",
+        id="float-color",
+    ),
+    pytest.param(
+        json.dumps({**_GOOD_INSTANCE, "adjacency": [[0]]}), "integer pairs", id="short-edge"
+    ),
+    pytest.param(
+        json.dumps({**_GOOD_INSTANCE, "adjacency": "bipartite"}), "integer pairs",
+        id="unknown-adjacency",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,22 +214,7 @@ _GOOD_INSTANCE = {
     ],
     ids=["check", "amplify", "simulate"],
 )
-@pytest.mark.parametrize(
-    "content, says",
-    [
-        (None, "cannot read"),
-        ("{", "is not JSON"),
-        ("[1, 2]", "keys universe, kA, kB, adjacency, aLists and bLists"),
-        (json.dumps({k: v for k, v in _GOOD_INSTANCE.items() if k != "bLists"}), "bLists"),
-        (json.dumps({**_GOOD_INSTANCE, "kA": "1"}), "must be integers"),
-        (json.dumps({**_GOOD_INSTANCE, "aLists": [0, 1]}), "lists of integer lists"),
-        (json.dumps({**_GOOD_INSTANCE, "bLists": [[1.5]]}), "lists of integer lists"),
-        (json.dumps({**_GOOD_INSTANCE, "adjacency": [[0]]}), "integer pairs"),
-        (json.dumps({**_GOOD_INSTANCE, "adjacency": "bipartite"}), "integer pairs"),
-    ],
-    ids=["missing", "truncated", "list", "no-blists", "string-ka", "flat-lists", "float-color",
-         "short-edge", "unknown-adjacency"],
-)
+@pytest.mark.parametrize("content, says", _BAD_INSTANCE_FILES)
 def test_bad_instance_file_is_usage_error(tmp_path, capsys, argv, content, says):
     path = tmp_path / "inst.json"
     if content is not None:
@@ -209,6 +225,30 @@ def test_bad_instance_file_is_usage_error(tmp_path, capsys, argv, content, says)
     assert captured.out == ""
     assert captured.err.startswith(f"choosekit: error: {argv[0]}: ")
     assert captured.err.count("\n") == 1 and says in captured.err
+
+
+@pytest.mark.parametrize("content, says", _BAD_INSTANCE_FILES)
+def test_load_instance_gives_the_cli_message(tmp_path, capsys, content, says):
+    path = tmp_path / "inst.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ValueError) as exc:
+        load_instance(path)
+    assert cli.main(["check", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"choosekit: error: check: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "content, mode, says", [p for p in _BAD_ST_FILES if p.id != "past-cap"]  # a reader fault each
+)
+def test_stgraph_reader_gives_the_cli_message(tmp_path, capsys, content, mode, says):
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ValueError) as exc:
+        read_json(path, STGraph.from_dict)
+    assert cli.main(["pblocked", "--in", str(path), "--exact"]) == 2
+    assert capsys.readouterr().err == f"choosekit: error: pblocked: {exc.value}\n"
 
 
 _SIMULATE = ["simulate", "--p", "0.5", "--trials", "10", "--seed", "1"]
@@ -387,6 +427,26 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert args.budget == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--point", "2,4,2,2", "--witness-out"],
+        ["construct", "blocks", "--ka", "2", "--a", "1", "--out"],
+        ["amplify", "--kind", "blowup", "--r", "2", "--in", "{inst}", "--out"],
+        ["frontier", "--ka", "2", "--kb", "2", "--maxA", "1", "--maxB", "2", "--out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, instance_file, argv):
+    argv = [a.replace("{inst}", instance_file) for a in argv]
+    code = cli.main([*argv, str(tmp_path / "no-such-dir" / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"choosekit: error: {argv[0]}: ")
+    assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv(cli.BUDGET_ENV, value)
@@ -528,3 +588,68 @@ def test_selftest_subset(capsys):
     assert len(lines) == 3
     assert all(l.startswith("[PASS]") for l in lines)
     assert "3/3 criteria passed" in out
+
+
+_WRONG_TYPE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4).filter(lambda t: t != "complete"),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _malformed_file(draw, good, list_keys):
+    """The text of a JSON file that is good mangled, short of a key, holding
+    a value of the wrong type, or not an object at all."""
+    d = dict(good)
+    how = draw(st.sampled_from(["mangle", "drop", "wrong", "wrong-row", "not-object"]))
+    if how == "mangle":
+        text = json.dumps(d)
+        junk = st.sampled_from(["", "]", ",", "x", "\u00e9"])
+        return text[: draw(st.integers(0, len(text) - 1))] + draw(junk)
+    if how == "drop":
+        for key in draw(st.sets(st.sampled_from(sorted(d)), min_size=1)):
+            del d[key]
+    elif how == "wrong":
+        d[draw(st.sampled_from(sorted(d)))] = draw(_WRONG_TYPE)
+    elif how == "wrong-row":
+        bad = draw(_WRONG_TYPE)
+        d[draw(st.sampled_from(list_keys))] = draw(st.sampled_from([[bad], [[bad, 0]]]))
+    else:
+        d = draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(max_size=4)))
+    return json.dumps(d)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue() + err.getvalue()
+
+
+@given(
+    text=_malformed_file(_GOOD_INSTANCE, ["aLists", "bLists", "adjacency"]),
+    argv=st.sampled_from([["check"], ["amplify", "--kind", "expand", "--r", "2"], _SIMULATE]),
+)
+@settings(max_examples=150, deadline=None)
+def test_malformed_instance_file_fuzz(tmp_path_factory, text, argv):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(text)
+    code, printed = _run_quietly([*argv, "--in", str(path)])
+    assert code == 2
+    assert printed.count("\n") == 1 and "Traceback" not in printed
+
+
+@given(
+    text=_malformed_file({"s": 2, "t": 2, "edges": [[0, 0], [1, 1]]}, ["edges"]),
+    mode=st.sampled_from([["--exact"], ["--mc", "10", "--seed", "1"]]),
+)
+@settings(max_examples=100, deadline=None)
+def test_malformed_stgraph_file_fuzz(tmp_path_factory, text, mode):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(text)
+    code, printed = _run_quietly(["pblocked", "--in", str(path), *mode])
+    assert code == 2
+    assert printed.count("\n") == 1 and "Traceback" not in printed

@@ -88,6 +88,26 @@ def test_file_round_trip(tmp_path):
     assert load_instance(path) == inst
 
 
+_GOOD = {"universe": 2, "kA": 1, "kB": 1, "adjacency": "complete", "aLists": [[0]], "bLists": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "d, says",
+    [
+        ([1, 2], "need a JSON object with keys universe, kA, kB, adjacency, aLists and bLists"),
+        ({**_GOOD, "kA": "1"}, "universe, kA and kB must be integers"),
+        ({**_GOOD, "universe": True}, "universe, kA and kB must be integers"),
+        ({**_GOOD, "bLists": [[1.0]]}, "aLists and bLists must be lists of integer lists"),
+        ({**_GOOD, "adjacency": [[0.7, 0]]}, "integer pairs"),
+        ({**_GOOD, "adjacency": None}, "integer pairs"),
+    ],
+    ids=["list", "string-ka", "bool-universe", "float-color", "float-edge", "null-adjacency"],
+)
+def test_instance_from_dict_rejects_wrong_shapes(d, says):
+    with pytest.raises(ValueError, match=says):
+        instance_from_dict(d)
+
+
 def test_explicit_adjacency_round_trip():
     inst = ListInstance.explicit(3, 1, 1, [(0,), (1,)], [(2,)], [(0, 0), (1, 0)])
     assert instance_from_dict(instance_to_dict(inst)) == inst
