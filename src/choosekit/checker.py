@@ -335,15 +335,46 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
     rest exactly when it lies in every unmet transversal; the first in
     lexicographic order is the kb lowest colors of their intersection (it
     depends on the unmet set alone, so it is computed once).
+
+    A kb-set lies inside two transversals only if they share kb colors, so
+    unmet transversals that pairwise share fewer need one family set each.
+    A greedy packing gives such a set of heads: take the first unmet
+    transversal, drop every transversal sharing kb colors with it, repeat.
+    A search with more heads than sets left is pruned; the test runs at the
+    root before any search state is built, and in every search call with at
+    least two sets left.  Pruning never cuts off a family, so the first
+    family found is the same as without the bound.  A candidate settled by
+    the root test charges no node.
     """
     if any(t.bit_count() < kb for t in transversals):
         return None  # its maximal set meets every possible kb-subset
-    cols = [_colors_of(t) for t in sorted(transversals, reverse=True)]
+    masks = sorted(transversals, reverse=True)
+    later_compatible = {}  # i -> the transversals after i sharing kb colors with it
+
+    def packing_exceeds(unmet, left):
+        heads = 0
+        while unmet:
+            i = (unmet & -unmet).bit_length() - 1
+            row = later_compatible.get(i)
+            if row is None:
+                t = masks[i]
+                row = later_compatible[i] = sum(
+                    1 << j for j in range(i + 1, len(masks)) if (t & masks[j]).bit_count() >= kb
+                )
+            heads += 1
+            if heads > left:
+                return True
+            unmet &= ~row & (unmet - 1)  # (unmet - 1) clears the head itself
+        return False
+
+    everyone = (1 << len(masks)) - 1
+    if packing_exceeds(everyone, max_sets):
+        return None  # this covers max_sets == 0, so every search has a set left
+    cols = [_colors_of(t) for t in masks]
     holding = [0] * n  # holding[c]: the transversals that contain color c
     for i, cs in enumerate(cols):
         for c in cs:
             holding[c] |= 1 << i
-    everyone = (1 << len(cols)) - 1
     branches = {}  # head -> [(kb-set, the transversals not containing it)]
 
     @functools.cache
@@ -356,10 +387,10 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
         budget.charge()
         if not unmet:
             return []
-        if not left:
-            return None
         if left == 1:
             return last_set(unmet)
+        if unmet != everyone and packing_exceeds(unmet, left):
+            return None  # the root was tested before the search began
         head = (unmet & -unmet).bit_length() - 1
         if head not in branches:
             cs = cols[head]

@@ -11,6 +11,7 @@ file that cannot be written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -235,26 +236,24 @@ def _cmd_frontier(args) -> int:
         for da in range(1, args.max_a + 1)
         for db in range(1, args.max_b + 1)
     ]
-    # the pool forks all its workers up front, so never more than can be busy
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # opened before the sweep, so an unwritable path fails before any work
+    target = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with target as out:
+        # the pool forks all its workers up front, so never more than can be busy
+        workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_frontier_cell, cells))
-    else:
-        rows = [_frontier_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(target, lineterminator="\n")
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_frontier_cell, cells))
+        else:
+            rows = [_frontier_cell(c) for c in cells]
+        rows.sort(key=lambda r: (r[0], r[1]))
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["deltaA", "deltaB", "kA", "kB", "xi", "verdict", "rule", "nodesExplored"]
         )
         writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
     return 1 if any(r[5] == checker.EXHAUSTED for r in rows) else 0
 
 

@@ -82,7 +82,7 @@ def test_criterion(index):
 # allowed]", "[0.00s]") taken out.
 SELFTEST_OUTPUT = """\
 [PASS] criterion  1 (block-construction exactness): 14 block instances rejected by both engines
-[PASS] criterion  2 (exhaustive frontier point): (2,4,2,2) -> unchoosable [9 nodes], (2,3,2,2) -> choosable [8 nodes]
+[PASS] criterion  2 (exhaustive frontier point): (2,4,2,2) -> unchoosable [9 nodes], (2,3,2,2) -> choosable [5 nodes]
 [PASS] criterion  3 (amplification soundness): blowup -> RegimePoint(delta_a=4, delta_b=2, ka=2, kb=2), expansion -> RegimePoint(delta_a=2, delta_b=4, ka=2, kb=2), both uncolorable
 [PASS] criterion  4 (blocking probability engine): p = 83/315 = 0.263492, product bound 0.25660012, MC 0.263246 (sigma 0.000441)
 [PASS] criterion  5 (degree-bound equality family): p = bound = 2^-j on all unions (a <= 3, j <= 2)

@@ -355,46 +355,50 @@ def test_blocking_family_search_matches_bruteforce():
 
 
 # Verdicts, node counts and witnesses (universe, A-lists, B-lists) of the
-# as-given kernel, one node per generator step and per family-search call; any
-# faster kernel must reproduce them exactly.  The budgeted rows stop short of
-# the whole search.
+# as-given kernel, one node per generator step and per family-search call.
+# The budgeted rows at 100,000, 29,913 and 600 ran out before the family search
+# had its packing bound and now decide; the rows one node below each whole
+# search pin the budget boundary.
 _PINNED_DECISIONS = [
-    ((2, 6, 2, 3), None, CHOOSABLE, 6976, None),
-    ((3, 6, 2, 3), None, CHOOSABLE, 45458, None),
+    ((2, 6, 2, 3), None, CHOOSABLE, 1105, None),
+    ((3, 6, 2, 3), None, CHOOSABLE, 1861, None),
     (
         (3, 7, 2, 3),
         None,
         UNCHOOSABLE,
-        17550,
+        4091,
         (
             5,
             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)),
             ((0, 1, 4), (0, 2, 3), (1, 2, 3)),
         ),
     ),
-    ((3, 4, 3, 2), None, CHOOSABLE, 15875, None),
+    ((3, 4, 3, 2), None, CHOOSABLE, 1097, None),
     (
         (5, 4, 3, 2),
         None,
         UNCHOOSABLE,
-        4146,
+        201,
         (
             6,
             ((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)),
             ((0, 4), (0, 5), (1, 4), (1, 5), (2, 3)),
         ),
     ),
-    ((2, 8, 2, 3), 100_000, EXHAUSTED, 100_001, None),
-    ((3, 6, 2, 3), 29_913, EXHAUSTED, 29_914, None),
-    ((2, 5, 2, 3), 600, EXHAUSTED, 601, None),
+    ((2, 8, 2, 3), 100_000, CHOOSABLE, 49_843, None),
+    ((3, 6, 2, 3), 29_913, CHOOSABLE, 1861, None),
+    ((2, 5, 2, 3), 600, CHOOSABLE, 248, None),
+    ((2, 8, 2, 3), 49_842, EXHAUSTED, 49_843, None),
+    ((3, 6, 2, 3), 1860, EXHAUSTED, 1861, None),
+    ((2, 5, 2, 3), 247, EXHAUSTED, 248, None),
 ]
 
 
 # The same points and budgets through decide_choosable, which enumerates the
-# B side of every one of them: all budgeted rows now decide.
+# B side of every one of them: all budgeted rows decide.
 _PINNED_PUBLIC_DECISIONS = [
-    ((2, 6, 2, 3), None, CHOOSABLE, 15, None),
-    ((3, 6, 2, 3), None, CHOOSABLE, 3087, None),
+    ((2, 6, 2, 3), None, CHOOSABLE, 9, None),
+    ((3, 6, 2, 3), None, CHOOSABLE, 83, None),
     (
         (3, 7, 2, 3),
         None,
@@ -406,21 +410,24 @@ _PINNED_PUBLIC_DECISIONS = [
             ((0, 1, 2), (0, 1, 3), (2, 3, 4)),
         ),
     ),
-    ((3, 4, 3, 2), None, CHOOSABLE, 20, None),
+    ((3, 4, 3, 2), None, CHOOSABLE, 16, None),
     (
         (5, 4, 3, 2),
         None,
         UNCHOOSABLE,
-        488,
+        96,
         (
             6,
             ((0, 3, 4), (0, 3, 5), (1, 2, 4), (1, 2, 5)),
             ((0, 1), (0, 2), (1, 3), (2, 3), (4, 5)),
         ),
     ),
-    ((2, 8, 2, 3), 100_000, CHOOSABLE, 17, None),
-    ((3, 6, 2, 3), 29_913, CHOOSABLE, 3087, None),
-    ((2, 5, 2, 3), 600, CHOOSABLE, 14, None),
+    ((2, 8, 2, 3), 100_000, CHOOSABLE, 9, None),
+    ((3, 6, 2, 3), 29_913, CHOOSABLE, 83, None),
+    ((2, 5, 2, 3), 600, CHOOSABLE, 9, None),
+    ((2, 8, 2, 3), 49_842, CHOOSABLE, 9, None),
+    ((3, 6, 2, 3), 1860, CHOOSABLE, 83, None),
+    ((2, 5, 2, 3), 247, CHOOSABLE, 9, None),
 ]
 
 
@@ -460,8 +467,30 @@ def test_decide_pinned_public_verdicts(point, budget, tag, nodes, witness):
 # Dualization from scratch at every candidate, a list of maximal independent
 # sets filtered per family set, and a last level that walks its candidates in
 # itertools.combinations order.  It charges one node per generator step and
-# one per family-search call, the walk included.  The current kernel must give
-# the same verdict, node count and witness for every point and budget.
+# one per family-search call, the walk included.  The current kernel prunes the
+# family search with a packing bound, so it must give the same verdict and
+# witness (or family) for every point and budget in at most as many nodes; under
+# a budget that only the current kernel finishes within, its result must be the
+# reference's unbudgeted one.
+
+
+def _assert_no_worse(got, ref, whole, where):
+    """got and ref are (result, nodes) of the current and the reference kernel
+    under one budget, whole the reference's unbudgeted run; a result is
+    EXHAUSTED when the budget ran out."""
+    (result, nodes), (ref_result, ref_nodes) = got, ref
+    if ref_result == EXHAUSTED and result != EXHAUSTED:
+        ref_result, ref_nodes = whole
+    assert result == ref_result, where
+    assert nodes <= ref_nodes, where
+
+
+def _outcome(verdict):
+    """A verdict as (result, nodes) for _assert_no_worse."""
+    if verdict.tag == EXHAUSTED:
+        return EXHAUSTED, verdict.nodes_explored
+    return (verdict.tag, verdict.rule, verdict.witness), verdict.nodes_explored
+
 
 def _reference_candidates(ka, num_edges, max_colors, budget):
     def extend(edges, ncolors):
@@ -596,16 +625,19 @@ def test_decide_matches_reference_kernel_on_frontier_grids():
         got = decide_choosable(point, budget=5_000_000)
         tags.add(got.tag)
         if got.rule == checker.RULE_ENUMERATION:
-            assert got == _oriented_reference(point, 5_000_000), cell
+            whole = _outcome(_oriented_reference(point, 5_000_000))
+            _assert_no_worse(_outcome(got), whole, whole, cell)
             as_given = checker._decide_as_given(point, 5_000_000)
             as_given_tags.add(as_given.tag)
-            assert as_given == _reference_decide(point, 5_000_000), cell
-            if as_given.nodes_explored > 50_000:
+            whole = _outcome(_reference_decide(point, 5_000_000))
+            _assert_no_worse(_outcome(as_given), whole, whole, cell)
+            if as_given.nodes_explored > 5_000:
                 # the as-given kernel decides every cell at the frontier
                 # budget; this one cuts (2,7,2,3) and (2,8,2,3) short
-                cut = checker._decide_as_given(point, 50_000)
+                cut = checker._decide_as_given(point, 5_000)
                 as_given_tags.add(cut.tag)
-                assert cut == _reference_decide(point, 50_000), cell
+                ref = _outcome(_reference_decide(point, 5_000))
+                _assert_no_worse(_outcome(cut), ref, whole, cell)
     assert as_given_tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
     assert tags == {CHOOSABLE, UNCHOOSABLE}  # every cell decides on its cheaper side
 
@@ -627,12 +659,14 @@ def test_decide_matches_reference_kernel_under_random_budgets(cell):
         (decide_choosable, _oriented_reference),
     ):
         whole = reference(point, None)
-        assert decide(point, None) == whole
+        unbudgeted = decide(point, None)
+        _assert_no_worse(_outcome(unbudgeted), _outcome(whole), _outcome(whole), decide.__name__)
         budgets = [rng.randint(0, whole.nodes_explored) for _ in range(15)]
         for budget in budgets:
             got = decide(point, budget)
-            assert got == reference(point, budget), (decide.__name__, budget)
-            assert got.tag == (EXHAUSTED if budget < whole.nodes_explored else whole.tag)
+            ref = _outcome(reference(point, budget))
+            _assert_no_worse(_outcome(got), ref, _outcome(whole), (decide.__name__, budget))
+            assert got.tag == (EXHAUSTED if budget < unbudgeted.nodes_explored else whole.tag)
 
 
 def _rejected_at(witness, point):
@@ -700,13 +734,34 @@ def test_decide_settles_hard_points_on_the_cheaper_side(cell, tag):
 # points whose two sides nearly tie, which the default budget still settles
 @pytest.mark.parametrize(
     "cell,tag,nodes",
-    [((5, 6, 2, 4), CHOOSABLE, 721_570), ((5, 9, 2, 4), UNCHOOSABLE, 381_764)],
+    [((5, 6, 2, 4), CHOOSABLE, 1094), ((5, 9, 2, 4), UNCHOOSABLE, 703)],
     ids=["5-6-2-4", "5-9-2-4"],
 )
 def test_decide_settles_near_tied_points_at_the_default_budget(cell, tag, nodes):
     point = RegimePoint(*cell)
     v = decide_choosable(point)
     assert (v.tag, v.nodes_explored) == (tag, nodes)
+    assert v.witness is None if tag == CHOOSABLE else _rejected_at(v.witness, point)
+
+
+# points that ran out of the default budget before the family search had its
+# packing bound; (5,5,3,3) took 3,677,277 nodes.  In every choosable one the
+# count is the generator's alone: each candidate is settled at the root.
+@pytest.mark.parametrize(
+    "cell,tag,nodes",
+    [
+        ((6, 6, 2, 4), CHOOSABLE, 1094),
+        ((5, 7, 3, 3), CHOOSABLE, 18_335),
+        ((5, 5, 3, 3), CHOOSABLE, 18_335),
+        ((4, 9, 2, 4), UNCHOOSABLE, 6171),
+    ],
+    ids=["6-6-2-4", "5-7-3-3", "5-5-3-3", "4-9-2-4"],
+)
+def test_decide_settles_points_the_packing_bound_unlocks(cell, tag, nodes):
+    point = RegimePoint(*cell)
+    v = decide_choosable(point)
+    assert (v.tag, v.nodes_explored) == (tag, nodes)
+    # (4,9,2,4) runs on its mirror, and the witness swapped back is checked here
     assert v.witness is None if tag == CHOOSABLE else _rejected_at(v.witness, point)
 
 
@@ -753,18 +808,21 @@ def test_decide_is_monotone_and_agrees_with_classify(da, db, ka, kb):
 
 
 def _charged_run(search, budget):
-    """(result or "exhausted", nodes charged) of search(budget)."""
+    """(result or EXHAUSTED, nodes charged) of search(budget)."""
     b = checker._Budget(budget)
     try:
         return search(b), b.nodes
     except SearchBudgetExceeded as exc:
-        return "exhausted", exc.nodes
+        return EXHAUSTED, exc.nodes
 
 
-def test_blocking_family_search_matches_reference_kernel():
-    # random hypergraphs, where the last set often has spare room in the
-    # intersection of the unmet transversals; full and random budgets
+@functools.cache
+def _random_blocking_cases():
+    """400 random hypergraphs, where the last set often has spare room in the
+    intersection of the unmet transversals, each with the reference's
+    unbudgeted run and a random budget below its node count."""
     rng = random.Random(59)
+    cases = []
     for _ in range(400):
         n = rng.randint(2, 9)
         ka = rng.randint(2, min(3, n))
@@ -772,18 +830,39 @@ def test_blocking_family_search_matches_reference_kernel():
         max_sets = rng.randint(1, 4)
         edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 6))}
         edge_masks = [mask_of(e) for e in sorted(edges)]
-        transversals = _minimal_transversals(edge_masks)
         whole = _charged_run(
             lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), None
         )
-        for budget in (None, rng.randint(0, whole[1])):
+        cases.append((n, edge_masks, kb, max_sets, whole, rng.randint(0, whole[1])))
+    return cases
+
+
+def test_blocking_family_search_matches_reference_kernel():
+    for n, edge_masks, kb, max_sets, whole, random_budget in _random_blocking_cases():
+        transversals = _minimal_transversals(edge_masks)
+        for budget in (None, random_budget):
             got = _charged_run(
                 lambda b: checker._find_blocking_family(n, transversals, kb, max_sets, b), budget
             )
             ref = _charged_run(
                 lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), budget
             )
-            assert got == ref, (n, sorted(edges), kb, max_sets, budget)
+            _assert_no_worse(got, ref, whole, (n, edge_masks, kb, max_sets, budget))
+
+
+def test_packing_bound_prunes_only_unblockable_roots():
+    # a search that returns None without charging a node and without a
+    # transversal shorter than kb was pruned by the bound at its root
+    pruned = 0
+    for n, edge_masks, kb, max_sets, whole, _ in _random_blocking_cases():
+        transversals = _minimal_transversals(edge_masks)
+        got = _charged_run(
+            lambda b: checker._find_blocking_family(n, transversals, kb, max_sets, b), None
+        )
+        if got == (None, 0) and min(t.bit_count() for t in transversals) >= kb:
+            pruned += 1
+            assert whole[0] is None, (n, edge_masks, kb, max_sets)
+    assert pruned > 0
 
 
 def _naive_decide(point, max_colors=5):

@@ -447,6 +447,22 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, instance_file, argv)
     assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
 
 
+def test_frontier_unwritable_output_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was decided before --out was opened")
+
+    monkeypatch.setattr(cli.checker, "decide_choosable", refuse)
+    code = cli.main(
+        ["frontier", "--ka", "3", "--kb", "3", "--maxA", "5", "--maxB", "5",
+         "--out", str(tmp_path / "no-such-dir" / "f.csv")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("choosekit: error: frontier: ")
+    assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv(cli.BUDGET_ENV, value)
