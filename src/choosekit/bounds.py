@@ -22,6 +22,8 @@ import numpy as np
 from .model import RegimePoint
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest normal float
 
 # Verdict labels shared with the exact decision engine.
 CHOOSABLE = "choosable"
@@ -272,7 +274,11 @@ def verify_tedious(a, b, beta, gamma):
     return holds if holds.ndim else bool(holds)
 
 
-def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) -> int:
+#: Grid intervals per block of count_double_exp_fixed_points' coarse scan.
+_BLOCK = 50
+
+
+def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
     """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0 finite.
 
     Every solution lies in [0, b] since g maps the reals into (0, b].  The
@@ -281,42 +287,62 @@ def count_double_exp_fixed_points(a: float, b: float, resolution: float = 1e-4) 
     from a nonzero value, counts as one root; no bisection follows, since
     the count is all that is returned.  Tangential (double) roots may be
     missed; the count of transversal roots is what the at-most-three
-    property constrains.
+    property constrains.  Elementwise on arrays, which broadcast together
+    and give an int array; scalars give an int.
+
+    The grid is cut into blocks of _BLOCK intervals, and h is evaluated at
+    every grid point only in the blocks that can hold a bracket.  The count
+    is the one a full scan gives, sign for sign: G = g(g(.)) is
+    nondecreasing since g decreases, so on a block [x_i, x_j] every grid
+    point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The computed G is within
+    tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the machine epsilon)
+    from the rounding of the exponents, so a block whose bound clears tol
+    has one strict sign at every grid point as computed too.  A NaN bound or a tolerance of b
+    (a*b beyond a float, or a subnormal step b / n) settles no block.
     """
-    if not (0 < a < math.inf and 0 < b < math.inf):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not ((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)).all():
         raise ValueError("a and b must be positive and finite")
+    shape, a, b = a.shape, a.reshape(-1, 1), b.reshape(-1, 1)
     n = max(int(round(1.0 / resolution)), 8)
-    # np.linspace(0, b, n + 1) without its overhead: the same products, bit
-    # for bit, wherever b / n does not underflow to 0.
-    x = _grid_steps(n) * (b / n)
-    x[-1] = b
-    # h = b * exp(-a*b * exp(-a*x)) - x in one buffer, same operation order.
-    if math.isfinite(a * b):
-        h = np.multiply(x, -a)
-        np.exp(h, out=h)
-        h *= -a * b
-    else:
-        # -a*b*exp(-a*x) would be -inf * 0 = NaN where exp(-a*x) underflows;
-        # -exp(ln a + ln b - a*x) goes to -inf there instead.
-        with np.errstate(over="ignore"):
-            h = np.multiply(x, -a)
-            h += math.log(a) + math.log(b)
-            np.exp(h, out=h)
-        np.negative(h, out=h)
-    np.exp(h, out=h)
-    h *= b
+    step = b / n
+    with np.errstate(over="ignore"):
+        ab = a * b  # inf switches _double_exp to its log form
+    tol = b * np.where(step < _TINY, 1.0, np.minimum(16 * _EPS * (1.0 + ab), 1.0))
+
+    # Grid point k is k * (b / n), and point n is b: np.linspace(0, b, n + 1),
+    # bit for bit wherever b / n does not underflow to 0.
+    ends = np.append(np.arange(0.0, n, _BLOCK), n)
+    x = ends * step
+    x[:, -1:] = b
+    g = _double_exp(x, a, b, ab)
+    settled = (g[:, :-1] - x[:, 1:] > tol) | (g[:, 1:] - x[:, :-1] < -tol)
+    rows, blocks = np.nonzero(~settled)
+
+    k = np.minimum(ends[blocks, None] + np.arange(_BLOCK + 1.0), n)  # n repeats: no bracket
+    x = k * step[rows]
+    np.copyto(x, b[rows], where=k == n)
+    h = _double_exp(x, a[rows], b[rows], ab[rows])
     h -= x
     # A + followed by 0 or -, or a - followed by 0 or +; never by NaN.
-    pos, neg = h > 0, h < 0
-    brackets = np.count_nonzero(pos[:-1] > pos[1:]) + np.count_nonzero(neg[:-1] > neg[1:])
-    if np.count_nonzero(pos) + np.count_nonzero(neg) < h.size:  # some h is 0 or NaN
-        brackets -= np.count_nonzero((pos[:-1] | neg[:-1]) & np.isnan(h[1:]))
-    return int(brackets)
+    left, right = h[:, :-1], h[:, 1:]
+    brackets = ((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))
+    counts = np.bincount(rows[np.nonzero(brackets)[0]], minlength=a.size).reshape(shape)
+    return counts if counts.ndim else int(counts)
 
 
-@lru_cache(maxsize=8)
-def _grid_steps(n: int) -> np.ndarray:
-    """0.0, 1.0, ..., n as floats: read-only, shared by the counts at n."""
-    steps = np.arange(n + 1, dtype=float)
-    steps.flags.writeable = False
-    return steps
+def _double_exp(x, a, b, ab):
+    """g(g(x)) = b*exp(-a*b*exp(-a*x)) on the rows of x for columns a, b and
+    ab = a*b, in one buffer and in a fixed operation order."""
+    # -a*b*exp(-a*x) would be -inf * 0 = NaN where a*b is inf and exp(-a*x)
+    # underflows; -exp(ln a + ln b - a*x) goes to -inf there instead.
+    wide = np.isinf(ab)
+    with np.errstate(over="ignore"):  # only where a*b is inf
+        g = np.multiply(x, -a)
+        np.add(g, np.log(a) + np.log(b), out=g, where=wide)
+        np.exp(g, out=g)
+    np.negative(g, out=g, where=wide)
+    np.multiply(g, -ab, out=g, where=~wide)
+    np.exp(g, out=g)
+    g *= b
+    return g

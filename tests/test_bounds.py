@@ -1,10 +1,13 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choosekit import acceptance, bounds
+from choosekit import acceptance, bounds, checker
 from choosekit.bounds import (
     CHOOSABLE,
     UNCHOOSABLE,
@@ -20,7 +23,7 @@ from choosekit.bounds import (
     xim_prime_lower,
     xim_prime_upper,
 )
-from choosekit.model import RegimePoint
+from choosekit.model import ListInstance, RegimePoint
 
 # frozen from a 10^6-point grid oracle with golden-section refinement
 ALPHA_2 = 0.1018160943972684
@@ -360,6 +363,18 @@ def test_fixed_point_count_rejects_nan_and_infinity(a, b):
         count_double_exp_fixed_points(a, b)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_fixed_point_count_checks_every_array_element(where, bad):
+    good = np.linspace(0.5, 5.0, 40)
+    assert count_double_exp_fixed_points(good, 2.0).shape == (40,)
+    spoiled = good.copy()
+    spoiled[17] = bad  # one bad element among many
+    a, b = (spoiled, good) if where == "a" else (good, spoiled)
+    with pytest.raises(ValueError, match="positive and finite"):
+        count_double_exp_fixed_points(a, b)
+
+
 def test_fixed_point_count_three_cycle_case():
     # strong decay splits the fixed point into a 2-cycle: three solutions
     assert count_double_exp_fixed_points(3.0, 5.0) == 3
@@ -432,17 +447,78 @@ def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
 
 
 def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
-    curves = _criterion_9_curves().tolist()
+    curves = _criterion_9_curves()
+    got = count_double_exp_fixed_points(curves[:, 0], curves[:, 1])
+    assert got.shape == (10**4,)
     counts = set()
-    for a, b in curves[:2000]:
+    for (a, b), count in zip(curves.tolist(), got.tolist()):
         # the grid is np.linspace's, bit for bit
-        steps = bounds._grid_steps(10**4) * (b / 10**4)
+        steps = np.arange(10**4 + 1.0) * (b / 10**4)
         steps[-1] = b
         assert steps.tobytes() == np.linspace(0.0, b, 10**4 + 1).tobytes(), b
         expected = _reference_fixed_point_count(a, b)
-        assert count_double_exp_fixed_points(a, b) == expected, (a, b)
+        assert count == expected, (a, b)
         counts.add(expected)
     assert counts >= {1, 3}
+
+
+# n = 10^4, 9999, 777, 100 and 8 grid intervals: 9999, 777 and 8 end in a
+# block shorter than the others, and 8 is the floor that 0.5 rounds up to.
+RESOLUTIONS = [1e-4, 1 / 9999, 1 / 777, 1e-2, 0.5]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# a and b in criterion 9's range; over many magnitudes; and with a*b in
+# [1e6, 1e12], where the tolerance of the coarse step is widest
+_CURVES = st.one_of(
+    st.tuples(st.floats(1e-9, 10.0), st.floats(1e-9, 10.0)),
+    st.tuples(_log_uniform(1e-9, 1e4), _log_uniform(1e-9, 1e4)),
+    st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e6, 1e12)).map(
+        lambda c: (c[1] / c[0], c[0])
+    ),
+)
+
+
+@given(curves=st.lists(_CURVES, min_size=1, max_size=6), resolution=st.sampled_from(RESOLUTIONS))
+@settings(max_examples=200, deadline=None)
+def test_fixed_point_count_matches_sign_scan_property(curves, resolution):
+    a, b = np.array(curves).T
+    expected = [_reference_fixed_point_count(p, q, resolution) for p, q in curves]
+    got = count_double_exp_fixed_points(a, b, resolution)
+    assert got.dtype.kind == "i" and got.tolist() == expected, curves
+    scalar = count_double_exp_fixed_points(*curves[0], resolution)
+    assert type(scalar) is int and scalar == expected[0]
+    assert count_double_exp_fixed_points(a[:, None], b[None, :1], resolution).shape == (len(a), 1)
+
+
+@pytest.mark.parametrize("resolution", [1e-4, 1 / 777])
+def test_fixed_point_count_tolerates_errors_of_g_within_its_bound(monkeypatch, resolution):
+    # The coarse step is sound for any g(g(x)) within tol / 2 = 8 eps b (1 + a b)
+    # of the exact one, monotone or not.  Perturb the computed g(g(x)) by
+    # +-0.45 tol, by the low bit of x, and compare with a full scan of the same
+    # perturbed values.  Large a*b makes g(g(x)) flat at b near x = b, where a
+    # coarse step without the tolerance misses the bracket into x = b.
+    real = bounds._double_exp
+
+    def perturbed(x, a, b, ab):
+        error = 0.45 * 16 * sys.float_info.epsilon * b * (1.0 + ab)
+        return real(x, a, b, ab) + np.where(x.view(np.int64) & 1, error, -error)
+
+    rng = random.Random(29)
+    a = np.array([10 ** rng.uniform(-1, 2) for _ in range(60)])
+    b = np.array([10 ** rng.uniform(0, 2) for _ in range(60)])
+    monkeypatch.setattr(bounds, "_double_exp", perturbed)
+    got = count_double_exp_fixed_points(a, b, resolution)
+    n = max(int(round(1.0 / resolution)), 8)
+    expected = []
+    for p, q in zip(a.tolist(), b.tolist()):
+        x = np.linspace(0.0, q, n + 1)[None, :]
+        h = perturbed(x, np.array([[p]]), np.array([[q]]), np.array([[p * q]]))[0] - x[0]
+        expected.append(_bracket_rule(h))
+    assert got.tolist() == expected
 
 
 def _bracket_rule(h):
@@ -454,8 +530,8 @@ def _bracket_rule(h):
 
 @pytest.mark.parametrize("where", ["after h[0] > 0", "before a rise", "at x = 0", "at a drop"])
 def test_fixed_point_count_skips_brackets_into_nan(monkeypatch, where):
-    # No finite (a, b) puts a lone NaN on the grid, so plant one in the grid
-    # steps; h is NaN there and only there.
+    # No finite (a, b) puts a lone NaN on the grid, so plant one in g(g(x)) at
+    # grid point k; h is NaN there and only there.
     a, b, n = 3.0, 5.0, 10**4
     x = np.linspace(0.0, b, n + 1)
     h = b * np.exp(-a * b * np.exp(-a * x)) - x
@@ -463,11 +539,15 @@ def test_fixed_point_count_skips_brackets_into_nan(monkeypatch, where):
     rises = np.flatnonzero((h[:-1] < 0) & (h[1:] >= 0)) + 1
     k = {"after h[0] > 0": 1, "before a rise": int(rises[0]) - 1, "at x = 0": 0,
          "at a drop": int(drops[0])}[where]
-    steps = np.arange(n + 1.0)
-    steps[k] = np.nan
-    monkeypatch.setattr(bounds, "_grid_steps", lambda _: steps)
-    x[k] = np.nan
-    h = b * np.exp(-a * b * np.exp(-a * x)) - x
+    real, planted_at = bounds._double_exp, x[k]
+
+    def planted(x, a, b, ab):
+        g = real(x, a, b, ab)
+        g[x == planted_at] = np.nan
+        return g
+
+    monkeypatch.setattr(bounds, "_double_exp", planted)
+    h[k] = np.nan
     assert np.isnan(h).nonzero()[0].tolist() == [k]
     if k:
         assert h[k - 1] != 0
@@ -475,3 +555,17 @@ def test_fixed_point_count_skips_brackets_into_nan(monkeypatch, where):
     pos, neg = h > 0, h < 0
     naive = np.count_nonzero(pos[:-1] > pos[1:]) + np.count_nonzero(neg[:-1] > neg[1:])
     assert naive == _bracket_rule(h) + (k > 0)  # it would count the sign before the NaN
+
+
+FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+
+
+def test_seven_seven_witness_certifies_the_ka_3_upper_bound():
+    # xim_bounds(3).hi = 7 ln^2 7 / 27 is the xi of K_{7,7} with the Fano
+    # plane's lines as both parts' lists; both engines find no colouring
+    inst = ListInstance.complete(7, 3, 3, FANO_LINES, FANO_LINES)
+    for engine in ("backtracking", "transversal"):
+        assert checker.has_proper_coloring(inst, engine=engine) == (False, None), engine
+    hi = xim_bounds(3)
+    assert hi.hi_rule == bounds.RULE_SEVEN
+    assert abs(xi(inst.point()) - hi.hi) < 1e-12
