@@ -3,58 +3,22 @@
 Exact colorability checks, exhaustive choosability decisions, uncolorable
 instance generators and amplifiers, the xi threshold machinery, and an exact
 blocking-probability engine for random greedy independent sets.
+
+The package re-exports the names that README's "Library usage" documents;
+every other name is imported from its submodule.
 """
 
-from .model import (
-    COMPLETE,
-    ColorSystem,
-    Coloring,
-    ListInstance,
-    RegimePoint,
-    to_color_system,
-    validate,
-    validate_coloring,
-)
-from .checker import (
-    SearchBudgetExceeded,
-    Verdict,
-    decide_choosable,
-    has_proper_coloring,
-    independent_transversal_exists,
-    simulate_reserve_coloring,
-)
-from .constructions import BlockSpec, construct_blocks, construct_simple
-from .amplify import amplify_23_params, amplify_params, blowup, expand
-from .bounds import (
-    AlphaResult,
-    BoundReport,
-    XimBounds,
-    alpha,
-    classify,
-    count_double_exp_fixed_points,
-    entropy_f,
-    reserve_probability,
-    verify_tedious,
-    xi,
-    xim_bounds,
-    xim_prime_lower,
-    xim_prime_upper,
-)
+from .model import RegimePoint
+from .checker import decide_choosable, has_proper_coloring
+from .constructions import BlockSpec, construct_blocks
+from .amplify import blowup
+from .bounds import classify
 from .indepset import (
     STGraph,
     counterexample_graph,
-    degree_functional_check,
-    degree_profile,
-    f_values,
     fancy_bound,
-    fancy_bound_fraction,
-    greedy_independent_set,
-    local_product_bound,
-    max_degree_deletion,
-    p_blocked_bruteforce,
     p_blocked_exact,
     p_blocked_monte_carlo,
-    random_transversal_search,
 )
 
 __version__ = "0.1.0"

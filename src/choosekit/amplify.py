@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .model import COMPLETE, ListInstance, RegimePoint
+from .model import ListInstance, RegimePoint
 
 BLOWUP = "blowup"
 EXPANSION = "expansion"

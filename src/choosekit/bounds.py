@@ -62,41 +62,29 @@ class AlphaResult:
 
 @lru_cache(maxsize=None)
 def alpha(k: int) -> AlphaResult:
-    """Global maximum of u * f(u)^(k-1) over [0, 1].
+    """Global maximum of u * f(u)^(k-1) over [0, 1].  alpha(1) = 1 exactly.
 
-    Dense grid scan (10^4 points) followed by golden-section refinement of
-    the best bracket; no unimodality assumption.  alpha(1) = 1 exactly.
+    For k >= 2 the derivative is f(u)^(k-2) * phi(u) with
+    phi(u) = 1 - u + k*u*ln(u), and f > 0 on [0, 1).  phi(0) = 1, phi falls
+    to a negative minimum at e^(-(k-1)/k) and rises to phi(1) = 0, so its
+    one root in (0, e^(-(k-1)/k)) is the maximiser u*.  It is bisected
+    until the midpoint meets an endpoint, and u* is the upper end.  f^(k-1)
+    is taken as exp((k-1) * log1p(f - 1)), since the power multiplies any
+    rounding of f by k - 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= sys.float_info.max:
+        raise ValueError("k must be >= 1 and fit a float")
     if k == 1:
         return AlphaResult(1, 1.0, 1.0)
-
-    u = np.linspace(0.0, 1.0, 10001)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = 1.0 - u + u * np.log(u)
-    f[0] = 1.0
-    g = u * f ** (k - 1)
-    i = int(np.argmax(g))
-    lo = float(u[max(i - 1, 0)])  # plain floats from here on, not np.float64
-    hi = float(u[min(i + 1, len(u) - 1)])
-
-    def gv(x):
-        return x * entropy_f(x) ** (k - 1)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    while b - a > 1e-15:
-        if gv(c) > gv(d):
-            b = d
+    lo, hi = 0.0, math.exp(-(k - 1) / k)
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if 1.0 - mid + k * mid * math.log(mid) > 0.0:
+            lo = mid
         else:
-            a = c
-        c = b - (b - a) * invphi
-        d = a + (b - a) * invphi
-    u_star = 0.5 * (a + b)
-    return AlphaResult(k, gv(u_star), u_star)
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return AlphaResult(k, hi * math.exp((k - 1) * math.log1p(hi * (math.log(hi) - 1.0))), hi)
 
 
 def xi(point: RegimePoint) -> float:
@@ -160,11 +148,11 @@ def xim_bounds(k: int) -> XimBounds:
     alpha(k), improved to ln(3)/2 at k = 2; the upper endpoint is
     (ln k)^(k-1), tightened at k = 3 by the 7-edge/7-set witness and for
     composite k by evaluating the part-swapped block witness.  The candidate
-    upper endpoints are compared by their logarithms, so a candidate beyond
-    float range never raises.  The best one is evaluated by its closed form,
-    or as exp of its logarithm (within 1e-12 relative) where the closed
-    form overflows on the way; hi is math.inf when the bound itself exceeds
-    a float (first at k = 401).
+    upper endpoints are compared by their logarithms, taken from the logs of
+    k and its divisors, so no candidate builds a large integer or raises.
+    The best one is evaluated by its closed form, or as exp of its logarithm
+    (within 1e-12 relative) where the closed form overflows on the way; hi
+    is math.inf when the bound itself exceeds a float (first at k = 401).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -175,37 +163,35 @@ def xim_bounds(k: int) -> XimBounds:
     if k == 2 and 0.5 * math.log(3.0) > lo:
         lo, lo_rule = 0.5 * math.log(3.0), RULE_HALF_LOG3
 
-    # (log of the bound, rule, bound); the first smallest log wins.
-    candidates = [
-        ((k - 1) * math.log(math.log(k)), RULE_LOG_POWER, lambda: math.log(k) ** (k - 1))
-    ]
+    log_k = math.log(k)
+    seven = 7.0 * math.log(7.0) ** 2 / 27.0
+    # (log of the bound, rule, divisor r of k); the first smallest log wins.
+    candidates = [((k - 1) * math.log(log_k), RULE_LOG_POWER, 0)]
     if k == 3:
-        seven = 7.0 * math.log(7.0) ** 2 / 27.0
-        candidates.append((math.log(seven), RULE_SEVEN, lambda: seven))
-    for r in range(2, int(math.isqrt(k)) + 1):
-        if k % r:
-            continue
-        a = k // r
-        # K_{delta_b, delta_a} with delta_b = a^k * r, delta_a = k^r is
-        # unchoosable at list sizes (k, k); so is its part-swapped mirror,
-        # whose xi is the quantity below.
-        delta_b = a**k * r
-        delta_a = k**r
-        log_swapped = (
-            math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * math.log(k)
-        )
-        candidates.append(
-            (
-                log_swapped,
-                RULE_COMPOSITE,
-                lambda da=delta_a, db=delta_b: da * math.log(db) ** (k - 1) / float(k) ** k,
-            )
-        )
-    log_hi, hi_rule, bound = min(candidates, key=lambda c: c[0])
-    try:
-        hi = bound()
-    except OverflowError:
-        hi = math.inf
+        candidates.append((math.log(seven), RULE_SEVEN, 0))
+    for r in range(2, math.isqrt(k) + 1):
+        if k % r == 0:
+            # K_{delta_b, delta_a} with delta_b = a^k * r, delta_a = k^r
+            # (a = k / r) is unchoosable at list sizes (k, k); so is its
+            # part-swapped mirror, whose xi is
+            # delta_a * ln(delta_b)^(k-1) / k^k.
+            log_db = k * math.log(k // r) + math.log(r)
+            log_xi = r * log_k + (k - 1) * math.log(log_db) - k * log_k
+            candidates.append((log_xi, RULE_COMPOSITE, r))
+    log_hi, hi_rule, r = min(candidates, key=lambda c: c[0])
+    hi = math.inf
+    if log_hi < _LOG_FLOAT_MAX:  # else the bound itself exceeds a float
+        try:
+            if hi_rule == RULE_COMPOSITE:
+                # The exp fallback below takes the log from the integers,
+                # which are small wherever the bound fits a float.
+                delta_b, delta_a = (k // r) ** k * r, k**r
+                log_hi = math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * log_k
+                hi = delta_a * math.log(delta_b) ** (k - 1) / float(k) ** k
+            else:
+                hi = seven if hi_rule == RULE_SEVEN else log_k ** (k - 1)
+        except OverflowError:
+            pass
     if math.isinf(hi) and log_hi < _LOG_FLOAT_MAX:
         hi = math.exp(log_hi)  # only an intermediate of the closed form overflowed
     return XimBounds(k, lo, hi, lo_rule, hi_rule)

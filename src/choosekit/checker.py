@@ -465,9 +465,6 @@ def _decide_as_given(point: RegimePoint, budget) -> Verdict:
             fam = _find_blocking_family(ncolors, transversals, kb, max_sets, b)
             if fam is not None:
                 witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
-                found, _ = has_proper_coloring(witness, engine="transversal")
-                if found:
-                    raise RuntimeError("internal error: witness admits a coloring")
                 return Verdict(UNCHOOSABLE, witness, b.nodes, RULE_ENUMERATION)
     except SearchBudgetExceeded as exc:
         return Verdict(EXHAUSTED, None, exc.nodes, RULE_ENUMERATION)
@@ -481,23 +478,23 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
     the point is decided on its cheaper side (see the module docstring): when
     (kb * delta_a, delta_a) < (ka * delta_b, delta_b), the kernel runs on the
     mirror (delta_b, delta_a, kb, ka), and a witness it finds has its two
-    list families swapped back and is checked again.  nodesExplored and the
-    rule are the kernel's on the side it ran.
+    list families swapped back.  Every witness is checked once, by the
+    transversal engine at the point as given.  nodesExplored and the rule
+    are the kernel's on the side it ran.
     """
     ka, kb = point.ka, point.kb
     da, db = point.delta_a, point.delta_b
     if da < ka or db < kb:
         return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
-    if (kb * da, da) >= (ka * db, db):
-        return _decide_as_given(point, budget)
-    verdict = _decide_as_given(RegimePoint(db, da, kb, ka), budget)
-    if verdict.witness is None:
+    mirror = (kb * da, da) < (ka * db, db)
+    verdict = _decide_as_given(RegimePoint(db, da, kb, ka) if mirror else point, budget)
+    witness = verdict.witness
+    if witness is None:
         return verdict
-    mirrored = verdict.witness
-    witness = ListInstance.complete(mirrored.universe, ka, kb, mirrored.b_lists, mirrored.a_lists)
-    found, _ = has_proper_coloring(witness, engine="transversal")
-    if found:
-        raise RuntimeError("internal error: mirrored witness admits a coloring")
+    if mirror:
+        witness = ListInstance.complete(witness.universe, ka, kb, witness.b_lists, witness.a_lists)
+    if has_proper_coloring(witness, engine="transversal")[0]:
+        raise RuntimeError("internal error: witness admits a coloring")
     return replace(verdict, witness=witness)
 
 

@@ -65,10 +65,12 @@ def _default_budget():
 
 def _parse_point(text) -> RegimePoint:
     parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("point must be deltaA,deltaB,kA,kB")
-    da, db, ka, kb = (int(p) for p in parts)
-    return RegimePoint(da, db, ka, kb)
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        if len(parts) == 4:
+            return RegimePoint(*map(_positive_int, parts))
+    raise argparse.ArgumentTypeError(
+        f"point must be four positive integers dA,dB,kA,kB, got {text!r}"
+    )
 
 
 def _finite_or_inf(x):

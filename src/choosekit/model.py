@@ -8,9 +8,8 @@ threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 COMPLETE = "complete"
 

@@ -25,9 +25,15 @@ from choosekit.bounds import (
 )
 from choosekit.model import ListInstance, RegimePoint
 
-# frozen from a 10^6-point grid oracle with golden-section refinement
-ALPHA_2 = 0.1018160943972684
-U_STAR_2 = 0.2846681439970920
+# (root of phi, alpha) by k, frozen from 30-digit mpmath: the root of
+# phi(u) = 1 - u + k*u*ln(u) below e^(-(k-1)/k), and u*f(u)^(k-1) there.
+ALPHA_ORACLE = {
+    2: (0.28466813704083846, 0.10181609439726844),
+    3: (0.1489992965125086, 0.04795805241595889),
+    10: (0.026918259600680217, 0.008157807839336582),
+    100: (0.001542115074889666, 0.0004893802029017689),
+    1000: (0.00010965958802510552, 3.617343987414574e-05),
+}
 
 
 def test_entropy_endpoints():
@@ -45,10 +51,35 @@ def test_alpha_k1_exact():
     assert res.alpha == 1.0
 
 
-def test_alpha_k2_matches_grid_oracle():
-    res = alpha(2)
-    assert abs(res.alpha - ALPHA_2) < 1e-9
-    assert abs(res.u_star - U_STAR_2) < 1e-6
+@pytest.mark.parametrize("k", sorted(ALPHA_ORACLE))
+def test_alpha_matches_mpmath(k):
+    u_star, value = ALPHA_ORACLE[k]
+    res = alpha(k)
+    assert abs(res.u_star - u_star) <= 2 * math.ulp(u_star)
+    assert abs(res.alpha - value) <= 2 * math.ulp(value)
+
+
+def test_alpha_is_the_root_of_phi_and_beats_a_grid():
+    u = np.linspace(0.0, 1.0, 10001)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1.0 - u + u * np.log(u)
+    f[0] = 1.0
+    for k in range(2, 1001):
+        res = alpha(k)
+
+        def phi(x):
+            return 1.0 - x + k * x * math.log(x)
+
+        assert phi(res.u_star * (1 - 1e-12)) > 0 > phi(res.u_star * (1 + 1e-12)), k
+        grid_max = float((u * f ** (k - 1)).max())
+        assert res.alpha >= grid_max - 4 * math.ulp(grid_max), k
+
+
+def test_alpha_rejects_k_beyond_float_range():
+    assert alpha(2**1023).alpha > 0.0
+    for k in (0, 10**400):
+        with pytest.raises(ValueError, match="k must be >= 1 and fit a float"):
+            alpha(k)
 
 
 def test_alpha_k2_below_upper_bounds():
@@ -178,6 +209,47 @@ def test_xim_bounds_beyond_float_range():
     assert xb.hi == math.inf and xb.hi_rule == bounds.RULE_LOG_POWER
     assert math.isfinite(xim_prime_upper(2054))
     assert xim_prime_upper(2055) == math.inf
+
+
+def _xim_hi_from_integers(k):
+    """(hi, hi_rule) as xim_bounds chose them by logs of the exact integers
+    delta_b = (k / r)^k * r and delta_a = k^r, for k >= 2."""
+    candidates = [((k - 1) * math.log(math.log(k)), bounds.RULE_LOG_POWER,
+                   lambda: math.log(k) ** (k - 1))]
+    if k == 3:
+        seven = 7.0 * math.log(7.0) ** 2 / 27.0
+        candidates.append((math.log(seven), bounds.RULE_SEVEN, lambda: seven))
+    for r in range(2, int(math.isqrt(k)) + 1):
+        if k % r:
+            continue
+        delta_b, delta_a = (k // r) ** k * r, k**r
+        log_swapped = math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * math.log(k)
+        candidates.append((log_swapped, bounds.RULE_COMPOSITE, lambda da=delta_a, db=delta_b:
+                           da * math.log(db) ** (k - 1) / float(k) ** k))
+    log_hi, rule, bound = min(candidates, key=lambda c: c[0])
+    try:
+        hi = bound()
+    except OverflowError:
+        hi = math.inf
+    if math.isinf(hi) and log_hi < math.log(sys.float_info.max):
+        hi = math.exp(log_hi)
+    return hi, rule
+
+
+def test_xim_bounds_matches_the_integer_formula():
+    for k in range(2, 601):
+        xb = xim_bounds(k)
+        assert (xb.hi, xb.hi_rule) == _xim_hi_from_integers(k), k
+        expected_lo_rule = bounds.RULE_HALF_LOG3 if k == 2 else bounds.RULE_XI_ALPHA
+        assert xb.lo_rule == expected_lo_rule, k
+
+
+def test_xim_bounds_at_large_k():
+    # 720720 = 2^4 3^2 5 7 11 13 has 240 divisors; none of their candidates
+    # is built as an integer, and the bound is beyond float range.
+    xb = xim_bounds(720720)
+    assert xb.hi == math.inf and xb.hi_rule == bounds.RULE_COMPOSITE
+    assert xb.lo == alpha(720720).alpha
 
 
 def test_composite_proof_chain_inequalities():

@@ -709,6 +709,46 @@ def test_decide_agrees_with_its_mirror():
                 assert _rejected_at(w, at) and _rejected_at(_swap_lists(w), _mirror(at)), cell
 
 
+# unchoosable as given, on the mirror, at ka = 1 and at kb = 1 (whose mirror
+# has ka = 1), then choosable and exhausted
+_ONE_CHECK_CELLS = [
+    ((3, 3, 2, 2), UNCHOOSABLE, False),
+    ((2, 4, 2, 2), UNCHOOSABLE, True),
+    ((4, 3, 1, 2), UNCHOOSABLE, False),
+    ((3, 9, 2, 1), UNCHOOSABLE, True),
+    ((2, 8, 2, 3), CHOOSABLE, True),
+    ((4, 4, 3, 3), EXHAUSTED, False),
+]
+
+
+@pytest.mark.parametrize("cell,tag,mirrored", _ONE_CHECK_CELLS)
+def test_decide_checks_each_witness_once(monkeypatch, cell, tag, mirrored):
+    point = RegimePoint(*cell)
+    kb_side, ka_side = (point.kb * point.delta_a, point.delta_a), (point.ka * point.delta_b, point.delta_b)
+    assert (kb_side < ka_side) == mirrored
+    calls = []
+    real = checker.has_proper_coloring
+
+    def counting(instance, engine="auto", budget=None):
+        calls.append((instance, engine))
+        return real(instance, engine=engine, budget=budget)
+
+    monkeypatch.setattr(checker, "has_proper_coloring", counting)
+    budget = 100 if tag == EXHAUSTED else checker.DEFAULT_NODE_BUDGET
+    checker._decide_as_given(_mirror(point) if mirrored else point, budget)
+    assert calls == []
+    v = decide_choosable(point, budget)
+    assert v.tag == tag
+    assert calls == ([(v.witness, "transversal")] if tag == UNCHOOSABLE else [])
+
+
+@pytest.mark.parametrize("cell", [c for c, tag, _ in _ONE_CHECK_CELLS if tag == UNCHOOSABLE])
+def test_decide_raises_on_a_witness_that_admits_a_coloring(monkeypatch, cell):
+    monkeypatch.setattr(checker, "has_proper_coloring", lambda *a, **k: (True, None))
+    with pytest.raises(RuntimeError, match="internal error: witness admits a coloring"):
+        decide_choosable(RegimePoint(*cell))
+
+
 # points the A-side enumeration settles only after hundreds of thousands of
 # nodes, or not within the default budget; their B sides take under 100 nodes
 @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ def test_bounds_output(capsys):
     assert abs(payload["alpha"] - 0.1018160943972684) < 1e-9
 
 
-@pytest.mark.parametrize("k", [118, 200, 400, 2055])
+@pytest.mark.parametrize("k", [118, 200, 400, 2055, 10**6])
 def test_bounds_output_beyond_float_range(capsys, k):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -339,6 +339,26 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decide", "--point", "2,4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["decide", "classify"])
+@pytest.mark.parametrize("text", ["3,x,1,1", "0,1,1,1", "2,4,2"])
+def test_bad_point_is_usage_error(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--point", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"point must be four positive integers dA,dB,kA,kB, got '{text}'" in captured.err
+    assert "_parse_point" not in captured.err
+
+
+def test_bounds_k_beyond_float_range_is_usage_error(capsys):
+    code = cli.main(["bounds", "--k", str(10**400)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "choosekit: error: bounds: k must be >= 1 and fit a float\n"
 
 
 def test_frontier_csv(tmp_path, capsys):
