@@ -202,36 +202,42 @@ class MonteCarloEstimate:
     trials: int
 
 
+MC_CHUNK_FLOATS = 2**17  # floats per Monte Carlo chunk (1 MiB): the fastest of 2^14..2^18
+
+
 def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloEstimate:
     """Estimate p(H_S) from uniform random orders; deterministic per seed.
 
     Orders are sampled as i.i.d. uniform processing times (almost surely
     distinct), so an S-vertex is blocked iff some T-neighbor has a smaller
-    time.  Vectorized over trials in chunks of at most 2^18 floats (or one
-    row, if longer); the generator fills rows in stream order, so the
-    chunking does not change the estimate.
+    time.  Vectorized over trials in 1 MiB chunks (MC_CHUNK_FLOATS floats, or
+    one row, if longer) drawn into one reused buffer; the generator fills rows
+    in stream order, so a (graph, trials, seed) gives the estimate one draw of
+    all its rows gives, the same as before chunking or buffer reuse.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     s, t = graph.s_size, graph.t_size
-    rng = np.random.default_rng(seed)
     nbrs = [[] for _ in range(s)]
     for i, j in graph.edges:
         nbrs[i].append(s + j)
     successes = 0
-    done = 0
-    chunk = max(1, 2**18 // max(s + t, 1))
-    while done < trials:
-        m = min(chunk, trials - done)
-        times = rng.random((m, s + t))
-        ok = np.ones(m, dtype=bool)
-        for i in range(s):
-            if not nbrs[i]:
-                ok[:] = False
-                break
-            ok &= times[:, nbrs[i]].min(axis=1) < times[:, i]
-        successes += int(ok.sum())
-        done += m
+    if all(nbrs):  # an S-vertex without T-neighbors is never blocked
+        rng = np.random.default_rng(seed)
+        chunk = min(trials, max(1, MC_CHUNK_FLOATS // max(s + t, 1)))
+        buf, mins = np.empty((chunk, s + t)), np.empty(chunk)
+        ok = np.empty(chunk, dtype=bool)
+        for done in range(0, trials, chunk):
+            m = min(chunk, trials - done)
+            times, ok_m = buf[:m], ok[:m]
+            rng.random(out=times)
+            ok_m.fill(True)
+            for i in range(s):
+                earliest = times[:, nbrs[i][0]]  # earliest T-neighbor time
+                for j in nbrs[i][1:]:
+                    earliest = np.minimum(earliest, times[:, j], out=mins[:m])
+                ok_m &= earliest < times[:, i]
+            successes += int(np.count_nonzero(ok_m))
     est = successes / trials
     return MonteCarloEstimate(
         est, math.sqrt(max(est * (1.0 - est), 0.0) / trials), successes, trials

@@ -102,6 +102,16 @@ def test_selftest_output_is_pinned(capsys):
     assert re.sub(r" \[\d+\.\d\ds[^\]]*\]", "", out) == SELFTEST_OUTPUT
 
 
+def test_criterion_4_detail_is_pinned():
+    # recorded with the kernel that drew a fresh 2^18-float array per chunk
+    (result,) = acceptance.run_criteria({4})
+    detail, timings = re.subn(r" \[\d+\.\d\ds of \d+s allowed\]$", "", result.detail)
+    assert timings == 1, result.detail
+    assert detail == (
+        "p = 83/315 = 0.263492, product bound 0.25660012, MC 0.263246 (sigma 0.000441)"
+    )
+
+
 @functools.cache
 def _scalar_fuzz_stream():
     """Criterion 9's samples as a scalar loop draws them from

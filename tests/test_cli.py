@@ -140,6 +140,16 @@ def test_pblocked_file_and_mc(tmp_path, capsys):
     assert abs(json.loads(out)["estimate"] - 0.5) < 0.02
 
 
+def test_pblocked_mc_output_is_pinned(capsys):
+    # recorded with the kernel that drew a fresh 2^18-float array per chunk
+    code, out = run(capsys, "pblocked", "--counterexample", "--mc", "300000", "--seed", "5")
+    assert code == 0
+    assert out == (
+        '{"estimate": 0.26377, "stdError": 0.000804560723003553, '
+        '"successes": 79131, "trials": 300000}\n'
+    )
+
+
 _BAD_ST_FILES = [
     pytest.param(None, "exact", "cannot read", id="missing"),
     pytest.param("{", "exact", "is not JSON", id="truncated"),

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from choosekit.checker import independent_transversal_exists
 from choosekit.indepset import (
+    MC_CHUNK_FLOATS,
     STGraph,
     counterexample_graph,
     degree_functional_check,
@@ -300,21 +303,57 @@ def test_monte_carlo_deterministic():
     assert a == b
 
 
-def test_monte_carlo_chunks_match_one_draw():
-    # 8 + 256 vertices make a chunk of 2^18 // 264 = 992 rows, so these
-    # trials take 21 chunks; one draw of every row must count the same
-    rng = random.Random(12)
-    s, t, trials, seed = 8, 256, 20_000, 3
-    g = STGraph.make(s, t, [(i, j) for i in range(s) for j in rng.sample(range(t), 5)])
-    assert trials > 2 * (2**18 // (s + t))
-    times = np.random.default_rng(seed).random((trials, s + t))
+def _one_draw_successes(g, trials, seed):
+    """Orders in which every S-vertex has an earlier T-neighbor, counted on
+    one draw of all trials x (s + t) uniform times."""
+    s = g.s_size
+    times = np.random.default_rng(seed).random((trials, s + g.t_size))
     ok = np.ones(trials, dtype=bool)
     for i in range(s):
         nbrs = [s + j for a, j in g.edges if a == i]
-        ok &= times[:, nbrs].min(axis=1) < times[:, i]
+        ok &= times[:, nbrs].min(axis=1, initial=np.inf) < times[:, i]
+    return int(ok.sum())
+
+
+@st.composite
+def _mc_cases(draw):
+    """A graph with up to 5 + 8 vertices (isolated vertices on either side,
+    empty parts allowed), a seed, and a trial count that ends one row before,
+    on, or one row after a chunk boundary, or 7 rows into a fourth chunk."""
+    s, t = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    pairs = st.tuples(st.integers(0, s - 1), st.integers(0, t - 1))
+    edges = draw(st.sets(pairs, max_size=s * t)) if s and t else set()
+    chunk = MC_CHUNK_FLOATS // max(s + t, 1)
+    trials = draw(st.sampled_from([chunk - 1, chunk, chunk + 1, 3 * chunk + 7]))
+    return STGraph.make(s, t, edges), trials, draw(st.integers(0, 2**32 - 1))
+
+
+def _wide_case():
+    """8 + 256 vertices, each S-vertex with 5 T-neighbors: a chunk of
+    2^17 // 264 = 496 rows, so 20,000 trials take 41 chunks."""
+    rng = random.Random(12)
+    edges = [(i, j) for i in range(8) for j in rng.sample(range(256), 5)]
+    return STGraph.make(8, 256, edges), 20_000, 3
+
+
+_WIDE = _wide_case()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mc_cases())
+@example(_WIDE)
+@example((STGraph.make(0, 0, []), MC_CHUNK_FLOATS + 1, 1))
+@example((STGraph.make(0, 3, []), 3 * (MC_CHUNK_FLOATS // 3) + 7, 2))
+@example((STGraph.make(2, 3, [(0, 1), (0, 2)]), MC_CHUNK_FLOATS // 5, 3))
+@example((STGraph.make(3, 4, [(0, 0), (1, 0), (2, 1)]), MC_CHUNK_FLOATS // 7 + 1, 4))
+def test_monte_carlo_chunks_match_one_draw(case):
+    g, trials, seed = case
     est = p_blocked_monte_carlo(g, trials, seed)
-    assert est.successes == int(ok.sum()) > 0
-    assert est.estimate == est.successes / trials
+    assert est.successes == _one_draw_successes(g, trials, seed)
+    assert est.trials == trials and est.estimate == est.successes / trials
+    if case is _WIDE:  # many chunks, and some orders block every S-vertex
+        assert trials > 2 * (MC_CHUNK_FLOATS // (g.s_size + g.t_size))
+        assert est.successes > 0
 
 
 def test_blocked_order_has_preceding_t_neighbor():
