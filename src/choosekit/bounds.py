@@ -107,6 +107,11 @@ class BoundReport:
     rule: str
 
 
+def trivial_degrees(point: RegimePoint) -> bool:
+    """A part's degree is below its list size, so every assignment is colourable."""
+    return point.delta_a < point.ka or point.delta_b < point.kb
+
+
 def classify(point: RegimePoint) -> BoundReport:
     """Sufficient-condition classifier: choosable, unchoosable, or unknown.
 
@@ -117,7 +122,7 @@ def classify(point: RegimePoint) -> BoundReport:
     da, db, ka, kb = point.delta_a, point.delta_b, point.ka, point.kb
     x = xi(point)
 
-    if da < ka or db < kb:
+    if trivial_degrees(point):
         return BoundReport(point, x, CHOOSABLE, RULE_TRIVIAL)
     if x < alpha(ka).alpha:
         return BoundReport(point, x, CHOOSABLE, RULE_XI_ALPHA)
@@ -260,35 +265,38 @@ def verify_tedious(a, b, beta, gamma):
     return holds if holds.ndim else bool(holds)
 
 
-#: Grid intervals per block of count_double_exp_fixed_points' coarse scan.
-_BLOCK = 50
+#: Pieces that count_double_exp_fixed_points cuts each open block into.
+_FAN = 10
 
 
 def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
     """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0 finite.
 
     Every solution lies in [0, b] since g maps the reals into (0, b].  The
-    interval is scanned at step resolution*b (at least 8 steps), and each
-    grid interval over which h(x) = g(g(x)) - x changes sign, or reaches 0
-    from a nonzero value, counts as one root; no bisection follows, since
-    the count is all that is returned.  Tangential (double) roots may be
-    missed; the count of transversal roots is what the at-most-three
-    property constrains.  Elementwise on arrays, which broadcast together
-    and give an int array; scalars give an int.
+    interval is scanned at step resolution*b (at least 8 steps; resolution
+    is finite and at least 2**-53), and each grid interval over which h(x) =
+    g(g(x)) - x changes sign, or reaches 0 from a nonzero value, counts as
+    one root; no bisection follows, since the count is all that is returned.
+    Tangential (double) roots may be missed; the count of transversal roots
+    is what the at-most-three property constrains.  Elementwise on arrays,
+    which broadcast together and give an int array; scalars give an int.
 
-    The grid is cut into blocks of _BLOCK intervals, and h is evaluated at
-    every grid point only in the blocks that can hold a bracket.  The count
-    is the one a full scan gives, sign for sign: G = g(g(.)) is
-    nondecreasing since g decreases, so on a block [x_i, x_j] every grid
-    point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The computed G is within
-    tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the machine epsilon)
-    from the rounding of the exponents, so a block whose bound clears tol
-    has one strict sign at every grid point as computed too.  A NaN bound or a tolerance of b
-    (a*b beyond a float, or a subnormal step b / n) settles no block.
+    [0, b] is cut into up to _FAN blocks of a power of _FAN grid intervals
+    (the last may be shorter), then each block that can hold a bracket into
+    _FAN pieces, down to single intervals.  The count is a full scan's, sign
+    for sign: G = g(g(.)) is nondecreasing since g decreases, so on a block
+    [x_i, x_j] every grid point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The
+    computed G is within tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the
+    machine epsilon) from the rounding of the exponents, so a block whose
+    bound clears tol has one strict sign at every grid point as computed
+    too.  A NaN bound or a tolerance of b (a*b beyond a float, or a
+    subnormal step b / n) settles no block.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not ((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)).all():
         raise ValueError("a and b must be positive and finite")
+    if not 2.0**-53 <= resolution < math.inf:  # else n is past 2**53, k * step inexact
+        raise ValueError("resolution must be finite and at least 2**-53")
     shape, a, b = a.shape, a.reshape(-1, 1), b.reshape(-1, 1)
     n = max(int(round(1.0 / resolution)), 8)
     step = b / n
@@ -296,22 +304,25 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
         ab = a * b  # inf switches _double_exp to its log form
     tol = b * np.where(step < _TINY, 1.0, np.minimum(16 * _EPS * (1.0 + ab), 1.0))
 
-    # Grid point k is k * (b / n), and point n is b: np.linspace(0, b, n + 1),
-    # bit for bit wherever b / n does not underflow to 0.
-    ends = np.append(np.arange(0.0, n, _BLOCK), n)
-    x = ends * step
-    x[:, -1:] = b
-    g = _double_exp(x, a, b, ab)
-    settled = (g[:, :-1] - x[:, 1:] > tol) | (g[:, 1:] - x[:, :-1] < -tol)
-    rows, blocks = np.nonzero(~settled)
-
-    k = np.minimum(ends[blocks, None] + np.arange(_BLOCK + 1.0), n)  # n repeats: no bracket
-    x = k * step[rows]
-    np.copyto(x, b[rows], where=k == n)
-    h = _double_exp(x, a[rows], b[rows], ab[rows])
-    h -= x
+    piece = 1
+    while piece * _FAN < n:
+        piece *= _FAN
+    rows, first = np.arange(a.size), np.zeros((a.size, 1))
+    while True:
+        # Grid point k is k * (b / n), and point n is b: np.linspace(0, b, n + 1),
+        # bit for bit wherever b / n does not underflow to 0.
+        k = np.minimum(first + piece * np.arange(_FAN + 1.0), n)  # n repeats: no bracket
+        x = k * step[rows]
+        np.copyto(x, b[rows], where=k == n)
+        g = _double_exp(x, a[rows], b[rows], ab[rows])
+        if piece == 1:
+            break
+        settled = (g[:, :-1] - x[:, 1:] > tol[rows]) | (g[:, 1:] - x[:, :-1] < -tol[rows])
+        open_rows, blocks = np.nonzero(~settled & (x[:, :-1] < x[:, 1:]))  # else h is flat
+        rows, first, piece = rows[open_rows], k[open_rows, blocks, None], piece // _FAN
+    g -= x
     # A + followed by 0 or -, or a - followed by 0 or +; never by NaN.
-    left, right = h[:, :-1], h[:, 1:]
+    left, right = g[:, :-1], g[:, 1:]
     brackets = ((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))
     counts = np.bincount(rows[np.nonzero(brackets)[0]], minlength=a.size).reshape(shape)
     return counts if counts.ndim else int(counts)

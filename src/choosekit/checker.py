@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from . import bounds
-from .bounds import CHOOSABLE, RULE_SINGLETON_EXACT, RULE_TRIVIAL, UNCHOOSABLE
+from .bounds import CHOOSABLE, RULE_SINGLETON_EXACT, RULE_TRIVIAL, UNCHOOSABLE, trivial_degrees
 from .model import (
     ColorSystem,
     Coloring,
@@ -482,10 +482,9 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
     transversal engine at the point as given.  nodesExplored and the rule
     are the kernel's on the side it ran.
     """
-    ka, kb = point.ka, point.kb
-    da, db = point.delta_a, point.delta_b
-    if da < ka or db < kb:
+    if trivial_degrees(point):
         return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
+    ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
     mirror = (kb * da, da) < (ka * db, db)
     verdict = _decide_as_given(RegimePoint(db, da, kb, ka) if mirror else point, budget)
     witness = verdict.witness

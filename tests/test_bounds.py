@@ -447,6 +447,19 @@ def test_fixed_point_count_checks_every_array_element(where, bad):
         count_double_exp_fixed_points(a, b)
 
 
+@pytest.mark.parametrize(
+    "resolution", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e-100, 5e-324]
+)
+def test_fixed_point_count_rejects_bad_resolution(resolution):
+    # 0 divided by zero, NaN failed in int(), -1 and inf counted on 8 intervals,
+    # and 5e-324 overflowed 1 / resolution.  Past 2**53 intervals the grid index
+    # k is no longer an exact float, and blocks the bound cannot settle (here
+    # near x = 0) may hold more grid points than memory.
+    with pytest.raises(ValueError, match="resolution must be finite and at least 2"):
+        count_double_exp_fixed_points(3.0, 5.0, resolution)
+    assert count_double_exp_fixed_points(3.0, 5.0, 2.0**-53) >= 1  # the floor itself is accepted
+
+
 def test_fixed_point_count_three_cycle_case():
     # strong decay splits the fixed point into a 2-cycle: three solutions
     assert count_double_exp_fixed_points(3.0, 5.0) == 3
@@ -497,6 +510,23 @@ def test_fixed_point_count_matches_sign_scan(resolution):
         (5.545177444479561, 1.0, 0.5, 2),
         (3.359583710671543, 1.0, 1e-2, 33),
         (0.693147180559945, 2.0, 1e-4, 5000),
+        # h = 0 on a block end of each level of the refinement: at n = 10^4,
+        # blocks of 1000, 100 and 10 intervals, then a single interval.
+        # No a, b puts the zero at k = 100: it needs exp(.) within about an
+        # ulp of x_100 / b = 0.01, where exp's outputs lie 5 ulps apart, so
+        # k = 300 stands in for it.
+        (4.168924924238127, 5.5232107433905, 1e-4, 1000),
+        (20.08576897938324, 5.81930735955266, 1e-4, 300),
+        (703.1760615955515, 9.823649660808982, 1e-4, 10),
+        (5.0007500916738e-05, 2.0, 1e-4, 10**4 - 1),
+        # n = 9999 and 777, whose last block at each level is short
+        (0.04178190640353356, 2.798925118710825, 1 / 9999, 9000),
+        (0.002028895015731725, 4.953353467663389, 1 / 9999, 9900),
+        (0.00038308657083736255, 2.352749114480849, 1 / 9999, 9990),
+        (1.5483092228325208e-05, 6.460273203807171, 1 / 9999, 9998),
+        (0.03942330829707037, 2.9383535277407837, 1 / 777, 700),
+        (0.0009349249910116772, 9.767742695630913, 1 / 777, 770),
+        (0.0009870971373024103, 1.3063453541488175, 1 / 777, 776),
     ],
 )
 def test_fixed_point_count_matches_sign_scan_on_grid_roots(a, b, resolution, zero_at):
@@ -534,6 +564,39 @@ def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
     assert counts >= {1, 3}
 
 
+def test_fixed_point_count_work_on_criterion_9_curves(monkeypatch):
+    # Points where criterion 9 evaluates g(g(x)): 1,682,758 by nested blocks
+    # of 10; 4,737,276 by 50-interval blocks and a scan of each open one; a
+    # full scan needs 10^4 * 10,001.  The ceiling leaves 1 % for other
+    # roundings of exp near a block's bound.
+    real, points = bounds._double_exp, [0]
+
+    def counted(x, a, b, ab):
+        points[0] += x.size
+        return real(x, a, b, ab)
+
+    monkeypatch.setattr(bounds, "_double_exp", counted)
+    assert acceptance.criterion_9().passed
+    assert points[0] <= 1_700_000
+
+
+def test_fixed_point_count_settles_blocks_whose_ends_round_to_one_x(monkeypatch):
+    # At resolution 2**-53 the step is below an ulp of x near b, so grid
+    # points share an x, and a block whose ends share one has one h.  These
+    # 250 curves need 1,224,586 points; without settling such blocks they open
+    # millions, and the wrapper stops the run at 2M points, before memory does.
+    real, points = bounds._double_exp, [0]
+
+    def counted(x, a, b, ab):
+        points[0] += x.size
+        assert points[0] <= 2_000_000
+        return real(x, a, b, ab)
+
+    monkeypatch.setattr(bounds, "_double_exp", counted)
+    a, b = np.random.default_rng(3).uniform(0.01, 10.0, (2, 250))
+    assert count_double_exp_fixed_points(a, b, 2.0**-53).shape == (250,)
+
+
 # n = 10^4, 9999, 777, 100 and 8 grid intervals: 9999, 777 and 8 end in a
 # block shorter than the others, and 8 is the floor that 0.5 rounds up to.
 RESOLUTIONS = [1e-4, 1 / 9999, 1 / 777, 1e-2, 0.5]
@@ -566,13 +629,13 @@ def test_fixed_point_count_matches_sign_scan_property(curves, resolution):
     assert count_double_exp_fixed_points(a[:, None], b[None, :1], resolution).shape == (len(a), 1)
 
 
-@pytest.mark.parametrize("resolution", [1e-4, 1 / 777])
+@pytest.mark.parametrize("resolution", [1e-4, 1 / 9999, 1 / 777])
 def test_fixed_point_count_tolerates_errors_of_g_within_its_bound(monkeypatch, resolution):
-    # The coarse step is sound for any g(g(x)) within tol / 2 = 8 eps b (1 + a b)
+    # The block bound is sound for any g(g(x)) within tol / 2 = 8 eps b (1 + a b)
     # of the exact one, monotone or not.  Perturb the computed g(g(x)) by
     # +-0.45 tol, by the low bit of x, and compare with a full scan of the same
     # perturbed values.  Large a*b makes g(g(x)) flat at b near x = b, where a
-    # coarse step without the tolerance misses the bracket into x = b.
+    # bound without the tolerance misses the bracket into x = b.
     real = bounds._double_exp
 
     def perturbed(x, a, b, ab):

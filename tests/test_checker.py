@@ -167,6 +167,13 @@ def test_decide_frontier_pair():
 def test_decide_trivial_region():
     v = decide_choosable(RegimePoint(1, 100, 2, 1))
     assert v.tag == CHOOSABLE and v.rule == checker.RULE_TRIVIAL
+    # decide's fast path and classify's first rule are one test
+    for point in itertools.starmap(RegimePoint, itertools.product(range(1, 5), repeat=4)):
+        trivial = point.delta_a < point.ka or point.delta_b < point.kb
+        assert bounds.trivial_degrees(point) == trivial
+        assert (bounds.classify(point).rule == checker.RULE_TRIVIAL) == trivial
+        if trivial:
+            assert decide_choosable(point) == checker.Verdict(CHOOSABLE, None, 0, checker.RULE_TRIVIAL)
 
 
 def test_decide_singleton_lists():
