@@ -564,35 +564,33 @@ def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
     assert counts >= {1, 3}
 
 
+def _limit_points(monkeypatch, limit):
+    """Fail as soon as the counter has evaluated g(g(x)) at more than limit points."""
+    real, points = bounds._double_exp, [0]
+
+    def counted(x, a, b, ab):
+        points[0] += x.size
+        assert points[0] <= limit
+        return real(x, a, b, ab)
+
+    monkeypatch.setattr(bounds, "_double_exp", counted)
+
+
 def test_fixed_point_count_work_on_criterion_9_curves(monkeypatch):
     # Points where criterion 9 evaluates g(g(x)): 1,682,758 by nested blocks
     # of 10; 4,737,276 by 50-interval blocks and a scan of each open one; a
     # full scan needs 10^4 * 10,001.  The ceiling leaves 1 % for other
     # roundings of exp near a block's bound.
-    real, points = bounds._double_exp, [0]
-
-    def counted(x, a, b, ab):
-        points[0] += x.size
-        return real(x, a, b, ab)
-
-    monkeypatch.setattr(bounds, "_double_exp", counted)
+    _limit_points(monkeypatch, 1_700_000)
     assert acceptance.criterion_9().passed
-    assert points[0] <= 1_700_000
 
 
 def test_fixed_point_count_settles_blocks_whose_ends_round_to_one_x(monkeypatch):
     # At resolution 2**-53 the step is below an ulp of x near b, so grid
     # points share an x, and a block whose ends share one has one h.  These
     # 250 curves need 1,224,586 points; without settling such blocks they open
-    # millions, and the wrapper stops the run at 2M points, before memory does.
-    real, points = bounds._double_exp, [0]
-
-    def counted(x, a, b, ab):
-        points[0] += x.size
-        assert points[0] <= 2_000_000
-        return real(x, a, b, ab)
-
-    monkeypatch.setattr(bounds, "_double_exp", counted)
+    # millions, and the limit stops the run at 2M points, before memory does.
+    _limit_points(monkeypatch, 2_000_000)
     a, b = np.random.default_rng(3).uniform(0.01, 10.0, (2, 250))
     assert count_double_exp_fixed_points(a, b, 2.0**-53).shape == (250,)
 
