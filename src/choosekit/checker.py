@@ -18,6 +18,14 @@ the complements of the minimal transversals, which the candidate generator
 carries down its search by incremental Berge dualization, one step per added
 edge.
 
+A hypergraph with a minimal transversal of fewer than kb colors can never be
+blocked: its maximal independent set meets every kb-set.  The generator
+drops such candidates before their last Berge step, by a test on the
+prefix's short transversals that is exact (see _hypergraph_candidates), and
+the family search settles most of the rest at its root by a greedy packing
+bound, run on a list of transversals that shrinks with each head taken.
+Neither shortcut changes a verdict, a witness or a node count.
+
 The two parts play symmetric roles.  A color set I serves the B side (meets
 every B-list, holds no A-list) iff its complement serves the A side, so the
 point (delta_a, delta_b, ka, kb) and its mirror (delta_b, delta_a, kb, ka)
@@ -59,7 +67,10 @@ RULE_ENUMERATION = "enumeration"
 #: reproducibility).  Overridable per call and via CHOOSEKIT_BUDGET in the CLI.
 #: One node is one call of a recursive search: a branching step of either
 #: colorability engine, or in decide_choosable one step of the candidate
-#: generator or of the blocking-family search.
+#: generator or of the blocking-family search.  A node's wall time depends on
+#: the point: on a 2-vCPU Xeon VM under Python 3.11, (6,6,3,3) decides in
+#: 372,304 nodes and about 6 s (15 us per node), and (7,7,3,3) exhausts this
+#: budget in about 124 s (25 us per node).
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -266,26 +277,34 @@ def _berge_step(transversals, e):
     A transversal already meeting e stays, every other one grows by each
     color of e, and grown sets containing a kept set are dropped.  Nothing
     else can go non-minimal or repeat, since the family was minimal and every
-    grown set holds exactly one color of e.
+    grown set holds exactly one color of e.  A missed t grown by c contains a
+    kept k exactly when k holds c and its stem k ^ c lies inside t, so the
+    test runs color by color against the stems of the kept sets holding c.
+    The grown sets come out by color, not by t; no caller reads the order.
     """
-    kept = [t for t in transversals if t & e]
-    grown = []
+    kept = []
+    missed = []
     for t in transversals:
-        if t & e:
-            continue
-        rest = e
-        while rest:
-            c = rest & -rest
-            rest ^= c
-            g = t | c
-            if not any(k & g == k for k in kept if k & c):
-                grown.append(g)
+        (kept if t & e else missed).append(t)
+    grown = []
+    rest = e
+    while rest:
+        c = rest & -rest
+        rest ^= c
+        stems = [k ^ c for k in kept if k & c]
+        for t in missed:
+            for s in stems:
+                if s & t == s:
+                    break
+            else:
+                grown.append(t | c)
     return kept + grown
 
 
-def _hypergraph_candidates(ka, num_edges, max_colors, budget):
+def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
     """Distinct ka-edge sets in canonical generation order, each with its
-    minimal transversals (as masks).
+    minimal transversals (as masks), leaving out those that have a minimal
+    transversal with fewer than kb colors.
 
     Edges are emitted lexicographically increasing with colors introduced in
     first-use order (a new edge's fresh colors are the next consecutive ids).
@@ -293,6 +312,18 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
     relabel-equivalent orderings are rejected wholesale, which is what makes
     the exhaustion tractable.  Each appended edge costs one Berge step on the
     prefix's transversals, so no candidate is dualized from scratch.
+
+    The last edge e is dualized lazily.  Let U be the union of the prefix's
+    minimal transversals with fewer than kb colors.  The candidate has a
+    transversal below kb exactly when the prefix has one below kb - 1 or e
+    meets U, and such a leaf is skipped before its Berge step.  Proof: a
+    short prefix transversal t meeting e is a transversal of the candidate,
+    and t plus any color of e is one when |t| < kb - 1.  Conversely a
+    candidate transversal s with |s| < kb contains a minimal prefix
+    transversal t; either t meets e, so t lies in U, or s holds a color of e
+    outside t, so |t| < kb - 1.  A skipped leaf still charges its node, so
+    the budget runs out at the same node as without the rule; kb = 1 skips
+    nothing.  The rule acts on the last edge, so num_edges is at least 1.
     """
 
     def extend(edges, ncolors, transversals):
@@ -301,6 +332,15 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
             yield tuple(edges), ncolors, transversals
             return
         last = edges[-1] if edges else None
+        short = 0  # U, on the last level: every leaf meeting it is skipped
+        if len(edges) == num_edges - 1:
+            for t in transversals:
+                size = t.bit_count()
+                if size < kb - 1:
+                    short = -1  # meets every edge: the whole level is skipped
+                    break
+                if size < kb:
+                    short |= t
         for fresh in range(ka + 1):
             if ncolors + fresh > max_colors:
                 break
@@ -309,8 +349,11 @@ def _hypergraph_candidates(ka, num_edges, max_colors, budget):
                 e = olds + new_cols
                 if last is not None and e <= last:
                     continue
-                grown = _berge_step(transversals, mask_of(e))
-                yield from extend(edges + [e], ncolors + fresh, grown)
+                m = mask_of(e)
+                if m & short:
+                    budget.charge()  # the leaf's node, as if it were dualized
+                    continue
+                yield from extend(edges + [e], ncolors + fresh, _berge_step(transversals, m))
 
     yield from extend([], 0, [0])
 
@@ -342,13 +385,23 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
     transversal, drop every transversal sharing kb colors with it, repeat.
     A search with more heads than sets left is pruned; the test runs at the
     root before any search state is built, and in every search call with at
-    least two sets left.  Pruning never cuts off a family, so the first
-    family found is the same as without the bound.  A candidate settled by
-    the root test charges no node.
+    least two sets left.  At the root it works on a shrinking list: take the
+    head, keep only the later transversals sharing fewer than kb colors with
+    it.  Below the root it works on bitsets over the same order, with each
+    head's row of later transversals sharing kb colors built the first time
+    it is a head; both pick the same heads.  Pruning never cuts off a family,
+    so the first family found is the same as without the bound.  A
+    candidate settled by the root test charges no node.
     """
     if any(t.bit_count() < kb for t in transversals):
         return None  # its maximal set meets every possible kb-subset
     masks = sorted(transversals, reverse=True)
+    unmet, heads = masks, 0
+    while unmet and heads <= max_sets:
+        unmet = [m for m in unmet[1:] if (unmet[0] & m).bit_count() < kb]
+        heads += 1
+    if heads > max_sets:
+        return None  # this covers max_sets == 0, so every search has a set left
     later_compatible = {}  # i -> the transversals after i sharing kb colors with it
 
     def packing_exceeds(unmet, left):
@@ -368,8 +421,6 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
         return False
 
     everyone = (1 << len(masks)) - 1
-    if packing_exceeds(everyone, max_sets):
-        return None  # this covers max_sets == 0, so every search has a set left
     cols = [_colors_of(t) for t in masks]
     holding = [0] * n  # holding[c]: the transversals that contain color c
     for i, cs in enumerate(cols):
@@ -460,7 +511,7 @@ def _decide_as_given(point: RegimePoint, budget) -> Verdict:
 
     b = _Budget(budget)
     try:
-        for edges, ncolors, transversals in _hypergraph_candidates(ka, db, ka * db, b):
+        for edges, ncolors, transversals in _hypergraph_candidates(ka, kb, db, ka * db, b):
             max_sets = min(da, comb(ncolors, kb))
             fam = _find_blocking_family(ncolors, transversals, kb, max_sets, b)
             if fam is not None:

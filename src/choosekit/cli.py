@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -290,7 +291,11 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main call.  It holds nothing from the environment: --budget defaults to
+    None, and main reads CHOOSEKIT_BUDGET on each call."""
     parser = argparse.ArgumentParser(
         prog="choosekit",
         description="Exact and probabilistic tools for asymmetric list coloring "
@@ -301,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a list assignment admits a proper coloring")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--engine", choices=("auto", "backtracking", "transversal"), default="auto")
-    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
+    p.add_argument("--budget", type=_parse_budget)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decide", help="decide choosability at a parameter point")
     p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
-    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
+    p.add_argument("--budget", type=_parse_budget)
     p.add_argument("--witness-out", dest="witness_out")
     p.set_defaults(func=_cmd_decide)
 
@@ -359,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", type=_positive_int, required=True)
     p.add_argument("--maxA", dest="max_a", type=_positive_int, required=True)
     p.add_argument("--maxB", dest="max_b", type=_positive_int, required=True)
-    p.add_argument("--budget", type=_parse_budget, default=_default_budget())
+    p.add_argument("--budget", type=_parse_budget)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frontier)
@@ -380,12 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except argparse.ArgumentTypeError as exc:  # from the budget default
-        print(f"choosekit: error: {BUDGET_ENV} {exc}", file=sys.stderr)
-        return 2
+    parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "budget") and args.budget is None:  # no --budget flag given
+        try:
+            args.budget = _default_budget()
+        except argparse.ArgumentTypeError as exc:
+            print(f"choosekit: error: {BUDGET_ENV} {exc}", file=sys.stderr)
+            return 2
     if args.command == "pblocked" and args.mc is not None and args.seed is None:
         parser.error("--mc requires --seed")
     try:

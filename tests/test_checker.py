@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -280,7 +281,7 @@ def test_candidate_enumeration_covers_every_isomorphism_class():
     for ka, num_edges, max_colors in ((2, 2, 4), (2, 3, 6), (3, 2, 6)):
         generated = set()
         for edges, nc, transversals in _hypergraph_candidates(
-            ka, num_edges, max_colors, _Budget(None)
+            ka, 1, num_edges, max_colors, _Budget(None)
         ):
             covered = {c for e in edges for c in e}
             assert covered == set(range(nc))  # colors appear in first-use order
@@ -297,6 +298,35 @@ def test_candidate_enumeration_covers_every_isomorphism_class():
                     continue
                 reference.add(_canonical_class(edges, nc))
         assert generated == reference
+
+
+def test_leaf_rule_drops_exactly_the_candidates_with_a_short_transversal():
+    from choosekit.checker import _Budget, _hypergraph_candidates
+
+    def stream(ka, kb, num_edges, max_colors, limit=None):
+        budget, got = _Budget(limit), []
+        with contextlib.suppress(SearchBudgetExceeded):
+            for edges, nc, ts in _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
+                got.append((edges, nc, sorted(ts)))
+        return got, budget.nodes
+
+    skipped = 0
+    for ka in (2, 3):
+        for num_edges in (1, 2, 3, 4):
+            for max_colors in (ka + 1, 2 * ka, ka * num_edges):
+                full, full_nodes = stream(ka, 1, num_edges, max_colors)
+                for kb in (2, 3, 4):
+                    kept, nodes = stream(ka, kb, num_edges, max_colors)
+                    assert kept == [c for c in full if min(map(int.bit_count, c[2])) >= kb]
+                    assert nodes == full_nodes, (ka, kb, num_edges, max_colors)
+                    skipped += len(full) - len(kept)
+                    # a budget runs out at the same node, after the same candidates
+                    cut = full_nodes // 2
+                    head = stream(ka, 1, num_edges, max_colors, cut)[0]
+                    assert stream(ka, kb, num_edges, max_colors, cut) == (
+                        [c for c in head if min(map(int.bit_count, c[2])) >= kb], cut + 1
+                    )
+    assert skipped > 0
 
 
 def _scan_maximal_independent_sets(n, edge_masks):

@@ -450,11 +450,27 @@ def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatc
     assert open(serial, "rb").read() == open(pooled, "rb").read()
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
+def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["decide", "--point", "2,4,2,2"])
-    assert args.budget == 5
+    code, out = run(capsys, "decide", "--point", "5,5,3,3")
+    assert code == 1
+    assert json.loads(out) == {"tag": "exhausted", "nodesExplored": 6, "rule": "enumeration"}
+
+
+def test_budget_env_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, so the variable cannot live in it
+    monkeypatch.setenv(cli.BUDGET_ENV, "9")
+    assert json.loads(run(capsys, "decide", "--point", "5,5,3,3")[1])["nodesExplored"] == 10
+    monkeypatch.delenv(cli.BUDGET_ENV)
+    code, out = run(capsys, "decide", "--point", "5,5,3,3")
+    assert code == 0 and json.loads(out)["tag"] == "choosable"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_budget_flag_beats_the_env(capsys, monkeypatch):
+    monkeypatch.setenv(cli.BUDGET_ENV, "abc")
+    code, out = run(capsys, "decide", "--point", "5,5,3,3", "--budget", "5")
+    assert code == 1 and json.loads(out)["nodesExplored"] == 6
 
 
 @pytest.mark.parametrize(
@@ -502,6 +518,18 @@ def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert cli.BUDGET_ENV in captured.err and "Traceback" not in captured.err
+
+
+def test_bad_budget_env_only_breaks_commands_with_a_budget(capsys, monkeypatch):
+    monkeypatch.setenv(cli.BUDGET_ENV, "abc")
+    code, out = run(capsys, "bounds", "--k", "3")
+    assert code == 0 and json.loads(out)["k"] == 3
+    assert cli.main(["decide", "--point", "5,5,3,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"choosekit: error: {cli.BUDGET_ENV} must be a non-negative integer, got 'abc'\n"
+    )
 
 
 def test_negative_budget_flag_is_usage_error(capsys):
