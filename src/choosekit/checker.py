@@ -362,6 +362,37 @@ def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
 _colors_of = functools.lru_cache(maxsize=1 << 14)(colors_of)
 
 
+def _list_packing_exceeds(masks, kb, left):
+    """Whether the greedy packing of masks takes more than left heads: take
+    the first, keep only the later masks sharing fewer than kb colors with it,
+    repeat."""
+    heads = 0
+    while masks and heads <= left:
+        masks = [m for m in masks[1:] if (masks[0] & m).bit_count() < kb]
+        heads += 1
+    return heads > left
+
+
+def _bitset_packing_exceeds(masks, kb, rows, unmet, left):
+    """_list_packing_exceeds on the masks in the bitset unmet, picking the
+    same heads.  rows caches each head's bitset of later masks sharing kb
+    colors with it, built the first time it is a head."""
+    heads = 0
+    while unmet:
+        i = (unmet & -unmet).bit_length() - 1
+        row = rows.get(i)
+        if row is None:
+            t = masks[i]
+            row = rows[i] = sum(
+                1 << j for j in range(i + 1, len(masks)) if (t & masks[j]).bit_count() >= kb
+            )
+        heads += 1
+        if heads > left:
+            return True
+        unmet &= ~row & (unmet - 1)  # (unmet - 1) clears the head itself
+    return False
+
+
 def _find_blocking_family(n, transversals, kb, max_sets, budget):
     """Search for at most max_sets distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
@@ -385,40 +416,21 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
     transversal, drop every transversal sharing kb colors with it, repeat.
     A search with more heads than sets left is pruned; the test runs at the
     root before any search state is built, and in every search call with at
-    least two sets left.  At the root it works on a shrinking list: take the
-    head, keep only the later transversals sharing fewer than kb colors with
-    it.  Below the root it works on bitsets over the same order, with each
-    head's row of later transversals sharing kb colors built the first time
-    it is a head; both pick the same heads.  Pruning never cuts off a family,
+    least two sets left.  At the root it works on a shrinking list
+    (_list_packing_exceeds), below the root on bitsets over the same order
+    (_bitset_packing_exceeds), which pick the same heads; the rows of the
+    bitset form are built only for candidates that reach the search.
+    Pruning never cuts off a family,
     so the first family found is the same as without the bound.  A
     candidate settled by the root test charges no node.
     """
     if any(t.bit_count() < kb for t in transversals):
         return None  # its maximal set meets every possible kb-subset
     masks = sorted(transversals, reverse=True)
-    unmet, heads = masks, 0
-    while unmet and heads <= max_sets:
-        unmet = [m for m in unmet[1:] if (unmet[0] & m).bit_count() < kb]
-        heads += 1
-    if heads > max_sets:
+    if _list_packing_exceeds(masks, kb, max_sets):
         return None  # this covers max_sets == 0, so every search has a set left
-    later_compatible = {}  # i -> the transversals after i sharing kb colors with it
-
-    def packing_exceeds(unmet, left):
-        heads = 0
-        while unmet:
-            i = (unmet & -unmet).bit_length() - 1
-            row = later_compatible.get(i)
-            if row is None:
-                t = masks[i]
-                row = later_compatible[i] = sum(
-                    1 << j for j in range(i + 1, len(masks)) if (t & masks[j]).bit_count() >= kb
-                )
-            heads += 1
-            if heads > left:
-                return True
-            unmet &= ~row & (unmet - 1)  # (unmet - 1) clears the head itself
-        return False
+    # i -> the transversals after i sharing kb colors with it
+    packing_exceeds = functools.partial(_bitset_packing_exceeds, masks, kb, {})
 
     everyone = (1 << len(masks)) - 1
     cols = [_colors_of(t) for t in masks]

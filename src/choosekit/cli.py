@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import math
 import os
@@ -291,11 +290,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    main call.  It holds nothing from the environment: --budget defaults to
-    None, and main reads CHOOSEKIT_BUDGET on each call."""
+    """The command-line parser.  It holds nothing from the environment:
+    --budget defaults to None, and main reads CHOOSEKIT_BUDGET after parsing,
+    so a bad value only breaks the commands that take a budget."""
     parser = argparse.ArgumentParser(
         prog="choosekit",
         description="Exact and probabilistic tools for asymmetric list coloring "

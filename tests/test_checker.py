@@ -942,6 +942,17 @@ def test_packing_bound_prunes_only_unblockable_roots():
     assert pruned > 0
 
 
+def test_list_and_bitset_packings_agree():
+    # the root runs the list form, every deeper search call the bitset form
+    for n, edge_masks, kb, max_sets, *_ in _random_blocking_cases():
+        masks = sorted(_minimal_transversals(edge_masks), reverse=True)
+        everyone = (1 << len(masks)) - 1
+        for left in range(max_sets + 1):
+            assert checker._list_packing_exceeds(masks, kb, left) == (
+                checker._bitset_packing_exceeds(masks, kb, {}, everyone, left)
+            ), (n, edge_masks, kb, left)
+
+
 def _naive_decide(point, max_colors=5):
     """Unreduced reference: systems with exactly delta_b distinct edges and
     exactly delta_a distinct kb-sets over every universe up to max_colors,
