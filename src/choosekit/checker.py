@@ -8,6 +8,17 @@ coloring":
   color hypergraph that meets every family set (color the B side inside the
   set, the A side outside it).
 
+Both cut with the dominance, or pure-literal, rule of Davis and Putnam (1960)
+and Davis, Logemann and Loveland (1962): backtracking tries no other color
+for a vertex once a color that takes no choice from any uncolored neighbor
+has failed, and the independent-set search skips putting a color out once
+putting it in has failed, when no edge still lacking an out color holds it.
+Each cut drops only siblings of a subtree that has already failed, so every
+verdict and coloring is the one the plain search finds, in fewer nodes.  On
+the 51-vertex block construction with ka = 3 and a = (2, 2, 2), backtracking
+rejects after 250,026 nodes in 1.4 s; without the cut it exhausted the
+default budget (5,000,001 nodes) after 35.6 s (2-vCPU Xeon VM, Python 3.11).
+
 On top of these, decide_choosable settles whether *every* assignment at a
 parameter point is colorable, by exhausting color systems over a bounded
 universe: a color lying in no A-list can always be added to the B-side color
@@ -117,7 +128,10 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
     Returns (exists, witness) where witness is a tuple of colors forming such
     a set, or None.  Clause view: each hyperedge needs a color kept out, each
     family set a color kept in; solved by unit propagation plus branching on
-    the lowest undecided color (in first).
+    the lowest undecided color (in first).  When the in branch fails and the
+    color lies in no edge still lacking an out color, the out branch is
+    skipped (the pure-literal rule): any set found there stays a solution
+    with the color moved in, since every edge holding it is already met.
     """
     n = system.vertex_count
     edge_masks = [mask_of(e) for e in system.edges]
@@ -160,6 +174,8 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
         got = search(inm | c, outm)
         if got is not None:
             return got
+        if not any(e & c for e in edge_masks if not e & outm):
+            return None  # c is in no open edge: out cannot succeed where in failed
         return search(inm, outm | c)
 
     got = search(0, 0)
@@ -174,8 +190,15 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
 def _backtrack(instance: ListInstance, budget=None):
     """MRV backtracking; returns an assignment dict or None.
 
-    Vertices are picked by ascending remaining-choice count, colors tried in
-    ascending id (fail-first; any order is correct).
+    Vertices are picked by ascending remaining-choice count, lowest index
+    first, colors tried in ascending id (fail-first; any order is correct).
+    The vertices with at most one choice left are carried down as a bitset,
+    so only branching nodes scan for the minimum.
+
+    Dominance cut: a color that removes nothing from any uncolored neighbor
+    leaves every other vertex all its choices, and any other color of the
+    same vertex leaves each of them a subset.  So when the subtree under
+    such a color fails, the vertex's other colors are not tried.
     """
     na, nb = instance.num_a(), instance.num_b()
     nv = na + nb
@@ -192,41 +215,49 @@ def _backtrack(instance: ListInstance, budget=None):
     colored = [0] * nv  # chosen color bit, 0 = uncolored
     b = _Budget(budget)
 
-    def search(remaining):
+    def search(remaining, forced):
+        # forced: the uncolored vertices with at most one choice left
         b.charge()
         if remaining == 0:
             return True
-        best_i, best_k = -1, None
-        for i in range(nv):
-            if not colored[i]:
-                k = cand[i].bit_count()
-                if best_k is None or k < best_k:
-                    best_i, best_k = i, k
-                    if k <= 1:
-                        break
-        if best_k == 0:
-            return False
+        if forced:
+            best_i = (forced & -forced).bit_length() - 1
+            forced ^= 1 << best_i
+        else:
+            best_i, best_k = -1, None
+            for i in range(nv):
+                if not colored[i]:
+                    k = cand[i].bit_count()
+                    if best_k is None or k < best_k:
+                        best_i, best_k = i, k
+                        if k == 2:
+                            break  # every uncolored vertex has two choices or more
         choices = cand[best_i]
         while choices:
             c = choices & -choices
             choices &= choices - 1
             colored[best_i] = c
             touched = []
+            below = forced
             dead = False
             for j in neighbors[best_i]:
                 if not colored[j] and cand[j] & c:
-                    cand[j] &= ~c
+                    left = cand[j] = cand[j] & ~c
                     touched.append(j)
-                    if cand[j] == 0:
+                    if left == 0:
                         dead = True  # finish the loop so `touched` stays complete
-            if not dead and search(remaining - 1):
+                    elif left & (left - 1) == 0:
+                        below |= 1 << j
+            if not dead and search(remaining - 1, below):
                 return True
+            colored[best_i] = 0
+            if not touched:
+                return False  # the dominance cut
             for j in touched:
                 cand[j] |= c
-            colored[best_i] = 0
         return False
 
-    if search(nv):
+    if search(nv, sum(1 << i for i in range(nv) if cand[i] & (cand[i] - 1) == 0)):
         assignment = {}
         for i in range(na):
             assignment[("A", i)] = colored[i].bit_length() - 1
@@ -613,24 +644,26 @@ def simulate_reserve_coloring(
 
     a_masks = [mask_of(l) for l in instance.a_lists]
     b_masks = [mask_of(l) for l in instance.b_lists]
-    universe = instance.universe
-    rng = random.Random(seed)
+    bits = [1 << c for c in range(instance.universe)]
+    draw = random.Random(seed).random
 
     successes = aborts = b_starved = 0
     for _ in range(trials):
         reserved = 0
-        for c in range(universe):
-            if rng.random() < p:
-                reserved |= 1 << c
-        starved = [m for m in a_masks if m & ~reserved == 0]
+        for bit in bits:
+            if draw() < p:
+                reserved |= bit
+        starved = [m for m in a_masks if m & reserved == m]
         if 0.0 < threshold <= len(starved):
             aborts += 1
             continue
         for m in starved:
-            if m & ~reserved == 0:  # earlier repairs may already have freed it
-                reserved &= ~(m & -m)
-        if all(m & reserved for m in b_masks):
-            successes += 1
+            if m & reserved == m:  # earlier repairs may already have freed it
+                reserved ^= m & -m
+        for m in b_masks:
+            if not m & reserved:
+                b_starved += 1
+                break
         else:
-            b_starved += 1
+            successes += 1
     return ReserveSimulation(trials, successes, aborts, b_starved, threshold, p, seed)

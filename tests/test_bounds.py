@@ -23,6 +23,7 @@ from choosekit.bounds import (
     xim_prime_lower,
     xim_prime_upper,
 )
+from choosekit.constructions import BlockSpec, construct_blocks
 from choosekit.model import ListInstance, RegimePoint
 
 # (root of phi, alpha) by k, frozen from 30-digit mpmath: the root of
@@ -693,12 +694,32 @@ def test_fixed_point_count_skips_brackets_into_nan(monkeypatch, where):
 FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
 
+def _certifies(inst, k, rule):
+    """inst has no colouring by either engine, and its xi is xim_bounds(k).hi,
+    which rule gives."""
+    for engine in ("backtracking", "transversal"):
+        assert checker.has_proper_coloring(inst, engine=engine) == (False, None), engine
+    hi = xim_bounds(k)
+    assert hi.hi_rule == rule
+    assert abs(xi(inst.point()) - hi.hi) < 1e-12
+
+
 def test_seven_seven_witness_certifies_the_ka_3_upper_bound():
     # xim_bounds(3).hi = 7 ln^2 7 / 27 is the xi of K_{7,7} with the Fano
     # plane's lines as both parts' lists; both engines find no colouring
-    inst = ListInstance.complete(7, 3, 3, FANO_LINES, FANO_LINES)
-    for engine in ("backtracking", "transversal"):
-        assert checker.has_proper_coloring(inst, engine=engine) == (False, None), engine
-    hi = xim_bounds(3)
-    assert hi.hi_rule == bounds.RULE_SEVEN
-    assert abs(xi(inst.point()) - hi.hi) < 1e-12
+    _certifies(ListInstance.complete(7, 3, 3, FANO_LINES, FANO_LINES), 3, bounds.RULE_SEVEN)
+
+
+@pytest.mark.parametrize("a", [(2,), (2, 2), (1, 1, 1)])
+def test_block_construction_certifies_the_ka_2_upper_bound(a):
+    # BlockSpec(k, (a,) * r) has delta_a = k^r, delta_b = r a^k and kb = r a,
+    # so its xi is (ln k)^(k-1) whatever a and r are: ln 2 at k = 2
+    _certifies(construct_blocks(BlockSpec(2, a)), 2, bounds.RULE_LOG_POWER)
+
+
+def test_composite_swap_certifies_the_ka_4_upper_bound():
+    # BlockSpec(4, (2, 2)) has delta_a = 16, delta_b = 32 and lists (4, 4);
+    # its list-swapped mirror has xi = 16 ln(32)^3 / 4^4
+    inst = construct_blocks(BlockSpec(4, (2, 2)))
+    mirror = ListInstance.complete(inst.universe, inst.kb, inst.ka, inst.b_lists, inst.a_lists)
+    _certifies(mirror, 4, bounds.RULE_COMPOSITE)

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from math import comb
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choosekit import bounds, checker
+from choosekit import amplify, bounds, checker
 from choosekit.checker import (
     CHOOSABLE,
     EXHAUSTED,
@@ -152,6 +153,257 @@ def test_transversal_sixteen_colors():
     system = ColorSystem.make(16, edges, family)
     got, _ = independent_transversal_exists(system)
     assert got == _bruteforce_transversal(system)
+
+
+# --- both engines against their reference -------------------------------------
+#
+# The engines as they were before their dominance cuts (the backtracking cut
+# on a color that touches no neighbor, the transversal engine's pure-literal
+# rule) and before forced vertices were carried as a bitset, together with
+# the reserve simulation's trial loop before its rewrite.  The cuts only drop
+# siblings of a subtree that has failed, so both engines must return the same
+# result as their reference, witness included, in at most as many nodes.
+
+
+def _reference_transversal(system, budget=None):
+    n = system.vertex_count
+    edge_masks = [mask_of(e) for e in system.edges]
+    fam_masks = [mask_of(f) for f in system.family]
+    if any(m == 0 for m in fam_masks):
+        return (False, None)
+    b = checker._Budget(budget)
+    full = (1 << n) - 1
+
+    def search(inm, outm):
+        b.charge()
+        while True:
+            progressed = False
+            for e in edge_masks:
+                if e & outm:
+                    continue
+                und = e & ~inm & ~outm
+                if und == 0:
+                    return None
+                if und & (und - 1) == 0:
+                    outm |= und
+                    progressed = True
+            for f in fam_masks:
+                if f & inm:
+                    continue
+                und = f & ~inm & ~outm
+                if und == 0:
+                    return None
+                if und & (und - 1) == 0:
+                    inm |= und
+                    progressed = True
+            if not progressed:
+                break
+        undecided = full & ~inm & ~outm
+        if undecided == 0:
+            return inm
+        if all(e & outm for e in edge_masks) and all(f & inm for f in fam_masks):
+            return inm
+        c = undecided & -undecided
+        got = search(inm | c, outm)
+        if got is not None:
+            return got
+        return search(inm, outm | c)
+
+    got = search(0, 0)
+    if got is None:
+        return (False, None)
+    return (True, tuple(c for c in range(n) if got >> c & 1))
+
+
+def _reference_backtrack(instance, budget=None):
+    na, nb = instance.num_a(), instance.num_b()
+    nv = na + nb
+    cand = [mask_of(l) for l in instance.a_lists] + [mask_of(l) for l in instance.b_lists]
+    if instance.is_complete:
+        neighbors = [list(range(na, nv)) for _ in range(na)] + [
+            list(range(na)) for _ in range(nb)
+        ]
+    else:
+        neighbors = [[] for _ in range(nv)]
+        for a, bidx in instance.adjacency:
+            neighbors[a].append(na + bidx)
+            neighbors[na + bidx].append(a)
+    colored = [0] * nv
+    b = checker._Budget(budget)
+
+    def search(remaining):
+        b.charge()
+        if remaining == 0:
+            return True
+        best_i, best_k = -1, None
+        for i in range(nv):
+            if not colored[i]:
+                k = cand[i].bit_count()
+                if best_k is None or k < best_k:
+                    best_i, best_k = i, k
+                    if k <= 1:
+                        break
+        if best_k == 0:
+            return False
+        choices = cand[best_i]
+        while choices:
+            c = choices & -choices
+            choices &= choices - 1
+            colored[best_i] = c
+            touched = []
+            dead = False
+            for j in neighbors[best_i]:
+                if not colored[j] and cand[j] & c:
+                    cand[j] &= ~c
+                    touched.append(j)
+                    if cand[j] == 0:
+                        dead = True
+            if not dead and search(remaining - 1):
+                return True
+            for j in touched:
+                cand[j] |= c
+            colored[best_i] = 0
+        return False
+
+    if search(nv):
+        assignment = {}
+        for i in range(na):
+            assignment[("A", i)] = colored[i].bit_length() - 1
+        for j in range(nb):
+            assignment[("B", j)] = colored[na + j].bit_length() - 1
+        return assignment
+    return None
+
+
+def _reference_simulation(instance, p, trials, seed, eps=0.1):
+    ka = instance.ka
+    res = bounds.alpha(ka)
+    fu = bounds.entropy_f(res.u_star)
+    ratio = res.u_star / fu if fu > 0 else math.inf
+    threshold = ratio * (1.0 + eps / ka) * math.log(instance.num_b())
+    if not math.isfinite(threshold):
+        threshold = math.inf
+    a_masks = [mask_of(l) for l in instance.a_lists]
+    b_masks = [mask_of(l) for l in instance.b_lists]
+    rng = random.Random(seed)
+    successes = aborts = b_starved = 0
+    for _ in range(trials):
+        reserved = 0
+        for c in range(instance.universe):
+            if rng.random() < p:
+                reserved |= 1 << c
+        starved = [m for m in a_masks if m & ~reserved == 0]
+        if 0.0 < threshold <= len(starved):
+            aborts += 1
+            continue
+        for m in starved:
+            if m & ~reserved == 0:
+                reserved &= ~(m & -m)
+        if all(m & reserved for m in b_masks):
+            successes += 1
+        else:
+            b_starved += 1
+    return checker.ReserveSimulation(trials, successes, aborts, b_starved, threshold, p, seed)
+
+
+def _engine_run(engine, *args):
+    """(result or EXHAUSTED, nodes) of one engine call, its nodes read off the
+    _Budget the call makes."""
+    made = []
+
+    class Counted(checker._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "_Budget", Counted)
+        try:
+            result = engine(*args)
+        except SearchBudgetExceeded as exc:
+            result = EXHAUSTED
+    (budget,) = made
+    return result, budget.nodes
+
+
+def _explicit(inst, edges):
+    return ListInstance.explicit(inst.universe, inst.ka, inst.kb, inst.a_lists, inst.b_lists, edges)
+
+
+@functools.cache
+def _engine_instances():
+    """Seeded complete instances, on the five shapes of the benchmark's check
+    workload and on small universes (ka = 1 included), each with an
+    explicit-adjacency copy missing about a fifth of its edges; then block
+    constructions, their blowups and expansions, each with an explicit copy
+    missing one edge (most of those become colorable)."""
+    rng = random.Random(41)
+    # (universe, ka, kb, A-vertices, B-vertices)
+    shapes = [(12, 2, 2, 20, 10), (12, 2, 3, 20, 25), (12, 2, 4, 20, 50),
+              (12, 3, 2, 20, 25), (8, 3, 3, 40, 25)] * 10
+    for _ in range(100):
+        universe = rng.randint(2, 9)
+        ka, kb = rng.randint(1, min(3, universe)), rng.randint(1, min(3, universe))
+        shapes.append((universe, ka, kb, rng.randint(1, 7), rng.randint(1, 7)))
+    out = []
+    for universe, ka, kb, na, nb in shapes:
+        inst = ListInstance.complete(
+            universe, ka, kb,
+            [rng.sample(range(universe), ka) for _ in range(na)],
+            [rng.sample(range(universe), kb) for _ in range(nb)],
+        )
+        out += [inst, _explicit(inst, [e for e in inst.edges() if rng.random() < 0.8])]
+    blocks = [
+        construct_blocks(BlockSpec(ka, a))
+        for ka, a in ((2, (1,)), (2, (2,)), (2, (1, 1)), (2, (1, 2)), (3, (1,)), (3, (2,)), (4, (1,)))
+    ]
+    # the expansions on 6 colors or more take the reference 21k-765k nodes
+    grown = [amplify.blowup(inst, 2) for inst in blocks]
+    grown += [amplify.expand(inst, 2) for inst in blocks if inst.universe < 6]
+    for inst in blocks + grown:
+        edges = list(inst.edges())
+        del edges[rng.randrange(len(edges))]
+        out += [inst, _explicit(inst, edges)]
+    return out
+
+
+def test_engines_match_their_reference():
+    rng = random.Random(43)
+    for inst in _engine_instances():
+        runs = [(checker._backtrack, _reference_backtrack, inst)]
+        if inst.is_complete:
+            system = to_color_system(inst)
+            runs.append((independent_transversal_exists, _reference_transversal, system))
+        for engine, reference, arg in runs:
+            whole = _engine_run(reference, arg)
+            got = _engine_run(engine, arg)
+            assert got[0] == whole[0], (engine.__name__, inst)
+            assert got[1] <= whole[1], (engine.__name__, inst)
+            budget = rng.randint(0, whole[1])
+            _assert_no_worse(
+                _engine_run(engine, arg, budget),
+                _engine_run(reference, arg, budget),
+                whole,
+                (engine.__name__, inst, budget),
+            )
+
+
+def test_reserve_simulation_matches_its_reference():
+    rng = random.Random(47)
+    for inst in _engine_instances():
+        if inst.is_complete:
+            p, seed = rng.random(), rng.randrange(1000)
+            got = simulate_reserve_coloring(inst, p, 50, seed)
+            assert got == _reference_simulation(inst, p, 50, seed), inst
+
+
+def test_dominance_cuts_pin_the_node_counts():
+    # the cuts take BlockSpec(2, (3, 3)) from 29,695 to 2,366 backtracking
+    # nodes and from 89 to 29 transversal nodes
+    inst = construct_blocks(BlockSpec(2, (3, 3)))
+    assert _engine_run(checker._backtrack, inst) == (None, 2366)
+    system = to_color_system(inst)
+    assert _engine_run(independent_transversal_exists, system) == ((False, None), 29)
 
 
 # --- decide_choosable ----------------------------------------------------------
