@@ -320,7 +320,7 @@ def _engine_run(engine, *args):
         mp.setattr(checker, "_Budget", Counted)
         try:
             result = engine(*args)
-        except SearchBudgetExceeded as exc:
+        except SearchBudgetExceeded:
             result = EXHAUSTED
     (budget,) = made
     return result, budget.nodes
