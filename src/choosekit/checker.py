@@ -34,7 +34,8 @@ blocked: its maximal independent set meets every kb-set.  The generator
 drops such candidates before their last Berge step, by a test on the
 prefix's short transversals that is exact (see _hypergraph_candidates), and
 the family search settles most of the rest at its root by a greedy packing
-bound, run on a list of transversals that shrinks with each head taken.
+bound.  The search and the bound both work on a list of transversals that
+shrinks with each family set tried or head taken.
 Neither shortcut changes a verdict, a witness or a node count.
 
 The two parts play symmetric roles.  A color set I serves the B side (meets
@@ -50,10 +51,8 @@ tie on both counts, such as (7, 7, 3, 3), run as given.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 from math import comb
@@ -389,11 +388,7 @@ def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
     yield from extend([], 0, [0])
 
 
-# the same transversals recur across candidates; their color tuples are cached
-_colors_of = functools.lru_cache(maxsize=1 << 14)(colors_of)
-
-
-def _list_packing_exceeds(masks, kb, left):
+def _packing_exceeds(masks, kb, left):
     """Whether the greedy packing of masks takes more than left heads: take
     the first, keep only the later masks sharing fewer than kb colors with it,
     repeat."""
@@ -404,27 +399,7 @@ def _list_packing_exceeds(masks, kb, left):
     return heads > left
 
 
-def _bitset_packing_exceeds(masks, kb, rows, unmet, left):
-    """_list_packing_exceeds on the masks in the bitset unmet, picking the
-    same heads.  rows caches each head's bitset of later masks sharing kb
-    colors with it, built the first time it is a head."""
-    heads = 0
-    while unmet:
-        i = (unmet & -unmet).bit_length() - 1
-        row = rows.get(i)
-        if row is None:
-            t = masks[i]
-            row = rows[i] = sum(
-                1 << j for j in range(i + 1, len(masks)) if (t & masks[j]).bit_count() >= kb
-            )
-        heads += 1
-        if heads > left:
-            return True
-        unmet &= ~row & (unmet - 1)  # (unmet - 1) clears the head itself
-    return False
-
-
-def _find_blocking_family(n, transversals, kb, max_sets, budget):
+def _find_blocking_family(transversals, kb, max_sets, budget):
     """Search for at most max_sets distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
 
@@ -433,75 +408,51 @@ def _find_blocking_family(n, transversals, kb, max_sets, budget):
     matching transversal.  Checking maximal sets only is exact: shrinking an
     independent set keeps it disjoint from the same family member.  The
     transversals are taken in descending order (the maximal sets ascending)
-    and the unmet ones kept as a bitset over that order.  The search branches
-    on the kb-subsets of the first unmet transversal, one node per family set
-    tried.  No candidate is already chosen: no chosen set lies inside an
-    unmet transversal.  With one set left to choose, a candidate blocks the
-    rest exactly when it lies in every unmet transversal; the first in
-    lexicographic order is the kb lowest colors of their intersection (it
-    depends on the unmet set alone, so it is computed once).
+    and the unmet ones kept as a list in that order, which each family set
+    tried shrinks to the transversals not containing it.  The search
+    branches on the kb-subsets of the first unmet transversal, one node per
+    family set tried.  No candidate is already chosen: no chosen set lies
+    inside an unmet transversal.  With one set left to choose, a candidate
+    blocks the rest exactly when it lies in every unmet transversal; the
+    first in lexicographic order is the kb lowest colors of their
+    intersection.
 
     A kb-set lies inside two transversals only if they share kb colors, so
     unmet transversals that pairwise share fewer need one family set each.
     A greedy packing gives such a set of heads: take the first unmet
     transversal, drop every transversal sharing kb colors with it, repeat.
     A search with more heads than sets left is pruned; the test runs at the
-    root before any search state is built, and in every search call with at
-    least two sets left.  At the root it works on a shrinking list
-    (_list_packing_exceeds), below the root on bitsets over the same order
-    (_bitset_packing_exceeds), which pick the same heads; the rows of the
-    bitset form are built only for candidates that reach the search.
-    Pruning never cuts off a family,
-    so the first family found is the same as without the bound.  A
-    candidate settled by the root test charges no node.
+    root, before the search begins, and in every search call below it with
+    at least two sets left.  Pruning never cuts off a family, so the first
+    family found is the same as without the bound.  A candidate settled by
+    the root test charges no node.
     """
     if any(t.bit_count() < kb for t in transversals):
         return None  # its maximal set meets every possible kb-subset
     masks = sorted(transversals, reverse=True)
-    if _list_packing_exceeds(masks, kb, max_sets):
+    if _packing_exceeds(masks, kb, max_sets):
         return None  # this covers max_sets == 0, so every search has a set left
-    # i -> the transversals after i sharing kb colors with it
-    packing_exceeds = functools.partial(_bitset_packing_exceeds, masks, kb, {})
-
-    everyone = (1 << len(masks)) - 1
-    cols = [_colors_of(t) for t in masks]
-    holding = [0] * n  # holding[c]: the transversals that contain color c
-    for i, cs in enumerate(cols):
-        for c in cs:
-            holding[c] |= 1 << i
-    branches = {}  # head -> [(kb-set, the transversals not containing it)]
-
-    @functools.cache
-    def last_set(unmet):
-        cs = cols[(unmet & -unmet).bit_length() - 1]
-        common = [c for c in cs if holding[c] & unmet == unmet][:kb]
-        return [mask_of(common)] if len(common) == kb else None
 
     def search(unmet, left):
         budget.charge()
         if not unmet:
             return []
         if left == 1:
-            return last_set(unmet)
-        if unmet != everyone and packing_exceeds(unmet, left):
+            common = unmet[0]
+            for t in unmet[1:]:
+                common &= t
+            cs = colors_of(common)[:kb]
+            return [mask_of(cs)] if len(cs) == kb else None
+        if unmet is not masks and _packing_exceeds(unmet, kb, left):
             return None  # the root was tested before the search began
-        head = (unmet & -unmet).bit_length() - 1
-        if head not in branches:
-            cs = cols[head]
-            branches[head] = [
-                (sum(bits), everyone ^ functools.reduce(operator.and_, holds))
-                for bits, holds in zip(
-                    itertools.combinations([1 << c for c in cs], kb),
-                    itertools.combinations([holding[c] for c in cs], kb),
-                )
-            ]
-        for f, rest in branches[head]:
-            got = search(unmet & rest, left - 1)
+        for cs in itertools.combinations(colors_of(unmet[0]), kb):
+            f = mask_of(cs)
+            got = search([t for t in unmet[1:] if t & f != f], left - 1)
             if got is not None:
                 return [f] + got
         return None
 
-    return search(everyone, max_sets)
+    return search(masks, max_sets)
 
 
 def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
@@ -556,7 +507,7 @@ def _decide_as_given(point: RegimePoint, budget) -> Verdict:
     try:
         for edges, ncolors, transversals in _hypergraph_candidates(ka, kb, db, ka * db, b):
             max_sets = min(da, comb(ncolors, kb))
-            fam = _find_blocking_family(ncolors, transversals, kb, max_sets, b)
+            fam = _find_blocking_family(transversals, kb, max_sets, b)
             if fam is not None:
                 witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
                 return Verdict(UNCHOOSABLE, witness, b.nodes, RULE_ENUMERATION)

@@ -625,7 +625,7 @@ def test_blocking_family_search_matches_bruteforce():
         max_sets = rng.randint(1, 3)
         edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(1, 5))}
         edge_masks = [mask_of(e) for e in edges]
-        got = _find_blocking_family(n, _minimal_transversals(edge_masks), kb, max_sets, _Budget(None))
+        got = _find_blocking_family(_minimal_transversals(edge_masks), kb, max_sets, _Budget(None))
 
         mis = _scan_maximal_independent_sets(n, edge_masks)
         all_sets = [mask_of(c) for c in itertools.combinations(range(n), kb)]
@@ -717,6 +717,18 @@ _PINNED_PUBLIC_DECISIONS = [
     ((2, 8, 2, 3), 49_842, CHOOSABLE, 9, None),
     ((3, 6, 2, 3), 1860, CHOOSABLE, 83, None),
     ((2, 5, 2, 3), 247, CHOOSABLE, 9, None),
+    # the decided point whose family search branches most below its root
+    (
+        (4, 9, 2, 4),
+        None,
+        UNCHOOSABLE,
+        6171,
+        (
+            8,
+            ((0, 1), (0, 6), (0, 7), (1, 6), (1, 7), (2, 4), (2, 5), (3, 4), (3, 5)),
+            ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 6, 7), (4, 5, 6, 7)),
+        ),
+    ),
 ]
 
 
@@ -1167,16 +1179,23 @@ def _random_blocking_cases():
 
 
 def test_blocking_family_search_matches_reference_kernel():
+    nodes = found = exhausted = 0
     for n, edge_masks, kb, max_sets, whole, random_budget in _random_blocking_cases():
         transversals = _minimal_transversals(edge_masks)
         for budget in (None, random_budget):
             got = _charged_run(
-                lambda b: checker._find_blocking_family(n, transversals, kb, max_sets, b), budget
+                lambda b: checker._find_blocking_family(transversals, kb, max_sets, b), budget
             )
             ref = _charged_run(
                 lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), budget
             )
             _assert_no_worse(got, ref, whole, (n, edge_masks, kb, max_sets, budget))
+            nodes += got[1]
+            exhausted += got[0] == EXHAUSTED
+            found += got[0] not in (None, EXHAUSTED)
+    # pinned totals: a search that prunes or orders its branches differently
+    # moves at least one of them, even where it stays within the reference
+    assert (nodes, found, exhausted) == (663, 121, 78)
 
 
 def test_packing_bound_prunes_only_unblockable_roots():
@@ -1186,23 +1205,12 @@ def test_packing_bound_prunes_only_unblockable_roots():
     for n, edge_masks, kb, max_sets, whole, _ in _random_blocking_cases():
         transversals = _minimal_transversals(edge_masks)
         got = _charged_run(
-            lambda b: checker._find_blocking_family(n, transversals, kb, max_sets, b), None
+            lambda b: checker._find_blocking_family(transversals, kb, max_sets, b), None
         )
         if got == (None, 0) and min(t.bit_count() for t in transversals) >= kb:
             pruned += 1
             assert whole[0] is None, (n, edge_masks, kb, max_sets)
     assert pruned > 0
-
-
-def test_list_and_bitset_packings_agree():
-    # the root runs the list form, every deeper search call the bitset form
-    for n, edge_masks, kb, max_sets, *_ in _random_blocking_cases():
-        masks = sorted(_minimal_transversals(edge_masks), reverse=True)
-        everyone = (1 << len(masks)) - 1
-        for left in range(max_sets + 1):
-            assert checker._list_packing_exceeds(masks, kb, left) == (
-                checker._bitset_packing_exceeds(masks, kb, {}, everyone, left)
-            ), (n, edge_masks, kb, left)
 
 
 def _naive_decide(point, max_colors=5):
