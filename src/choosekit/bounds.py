@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .model import RegimePoint
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -246,6 +244,8 @@ def verify_tedious(a, b, beta, gamma):
     arrays, which broadcast together and give a bool array; scalars give a
     bool.
     """
+    import numpy as np
+
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, beta, gamma)))
     a, b, beta, gamma = args
     if (
@@ -292,6 +292,8 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
     too.  A NaN bound or a tolerance of b (a*b beyond a float, or a
     subnormal step b / n) settles no block.
     """
+    import numpy as np
+
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not ((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)).all():
         raise ValueError("a and b must be positive and finite")
@@ -331,6 +333,8 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
 def _double_exp(x, a, b, ab):
     """g(g(x)) = b*exp(-a*b*exp(-a*x)) on the rows of x for columns a, b and
     ab = a*b, in one buffer and in a fixed operation order."""
+    import numpy as np
+
     # -a*b*exp(-a*x) would be -inf * 0 = NaN where a*b is inf and exp(-a*x)
     # underflows; -exp(ln a + ln b - a*x) goes to -inf there instead.
     wide = np.isinf(ab)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .model import ColorSystem, int_rows, require_keys
 
 
@@ -215,6 +213,8 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
     in stream order, so a (graph, trials, seed) gives the estimate one draw of
     all its rows gives, the same as before chunking or buffer reuse.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("need at least one trial")
     s, t = graph.s_size, graph.t_size

@@ -2,8 +2,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -330,15 +328,48 @@ def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via):
     assert json.loads(out) == {"tag": "exhausted", "nodesExplored": 1001}
 
 
-def test_python_dash_m_runs_the_cli():
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    done = subprocess.run(
-        [sys.executable, "-m", "choosekit", "classify", "--point", "3,9,2,1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+def test_python_dash_m_runs_the_cli(run_python):
+    done = run_python("-m", "choosekit", "classify", "--point", "3,9,2,1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdict"] == "unchoosable"
+
+
+def test_python_dash_m_reads_sys_argv(run_python, capsys):
+    # main(argv=None), as the console script calls it, parses sys.argv[1:]
+    argv = ["decide", "--point", "2,3,2,2"]
+    done = run_python("-m", "choosekit", *argv)
+    code, out = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+
+
+#: Help and usage errors of every command, each recorded as (exit code,
+#: stdout, stderr) from the parser that built all ten subcommands per call.
+_MESSAGES = json.loads(Path(__file__).with_name("cli_messages.json").read_text())
+
+
+@pytest.mark.parametrize("pinned", _MESSAGES, ids=lambda m: "_".join(m["argv"]) or "no-args")
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pinned):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = cli.main(list(pinned["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        pinned["code"], pinned["stdout"], pinned["stderr"]
+    )
+
+
+_COMMANDS = "check,decide,construct,amplify,bounds,classify,pblocked,frontier,simulate,selftest"
+
+
+@pytest.mark.parametrize("command", [None, "nope", "-h"])
+def test_build_parser_lists_every_subcommand(command):
+    assert f"{{{_COMMANDS}}}" in cli.build_parser(command).format_usage()
+
+
+def test_build_parser_builds_only_the_named_subcommand():
+    assert "{decide}" in cli.build_parser("decide").format_usage()
 
 
 def test_pblocked_mc_requires_seed(capsys):

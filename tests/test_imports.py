@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and a command
+imports numpy only if it uses it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,38 @@ def test_package_exports_the_documented_names():
         "counterexample_graph", "decide_choosable", "fancy_bound", "has_proper_coloring",
         "p_blocked_exact", "p_blocked_monte_carlo", "__version__",
     }
+
+
+def test_commands_that_need_no_numpy_do_not_import_it(run_python, tmp_path):
+    script = (
+        "import sys\n"
+        "import choosekit, choosekit.cli as cli\n"
+        "path = sys.argv[1]\n"
+        "cli.main(['construct', 'blocks', '--ka', '2', '--a', '1', '--out', path])\n"
+        "for argv in (['decide', '--point', '3,3,2,2'], ['classify', '--point', '3,3,2,2'],\n"
+        "             ['bounds', '--k', '3'], ['check', '--in', path],\n"
+        "             ['frontier', '--ka', '2', '--kb', '2', '--maxA', '2', '--maxB', '3']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = run_python("-c", script, str(tmp_path / "inst.json"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+# Every test module imports numpy before these run, so only a fresh
+# interpreter reaches the imports inside the functions that use it.
+@pytest.mark.parametrize(
+    "argv",
+    [["pblocked", "--counterexample", "--mc", "1000", "--seed", "5"], ["selftest", "--only", "9"]],
+    ids="_".join,
+)
+def test_numpy_commands_print_their_in_process_output(run_python, capsys, argv):
+    from choosekit import cli
+
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    done = run_python("-m", "choosekit", *argv)
+    timing = r" \[\d+\.\d\ds of \d+s allowed\]"  # selftest's wall-time bracket
+    assert (done.returncode, re.sub(timing, "", done.stdout)) == (code, re.sub(timing, "", out))
+    assert done.stderr == ""
