@@ -211,7 +211,10 @@ def criterion_9() -> CriterionResult:
                 f"tedious inequality failed at trial {first + i}: "
                 f"a={a} b={b} beta={beta} gamma={gamma}",
             )
-    for _ in range(40):  # 10^4 curves in blocks of 250: each temporary under 1 MB
+    # 10^4 curves in blocks of 250: the counter's widest level then holds
+    # 1,971 open blocks, so each (11, 1971) float temporary is 173 kB (one
+    # call on all 10^4 curves would reach 59,921 blocks, 5.3 MB each)
+    for _ in range(40):
         a, b = fuzz_curves(rng, 250).T
         counts = bounds.count_double_exp_fixed_points(a, b)
         if (counts > 3).any():

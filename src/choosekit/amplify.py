@@ -12,8 +12,7 @@ Both operators act on concrete list assignments over product colors
   l_ka; B keeps its neighborhoods with lists L(v) x [s].  Uncolorable input
   yields an output not colorable with B-lists of size s*kb.
 
-Parameter-level versions track the same growth on parameter points, plus
-the doubling/tripling chain that squares or cubes both degrees.
+Parameter-level versions track the same growth on parameter points.
 """
 
 from __future__ import annotations
@@ -109,27 +108,3 @@ def amplify_params(point: RegimePoint, kind: str, r: int) -> RegimePoint:
         return RegimePoint(point.delta_a, r**point.ka * point.delta_b, point.ka, r * point.kb)
     raise ValueError(f"unknown amplification kind {kind!r}")
 
-
-def _chain_step(point: RegimePoint, r: int) -> RegimePoint:
-    # An r-fold blowup of each part in turn reaches (r*da^r, r^r*db^r) for
-    # r in {2, 3}; both degrees are padded up to (6*d)^r / 6, which dominates
-    # those and makes the steps compose exactly: g_r . g_r' = g_(r*r').
-    da = (6 * point.delta_a) ** r // 6
-    db = (6 * point.delta_b) ** r // 6
-    return RegimePoint(da, db, r * point.ka, r * point.kb)
-
-
-def amplify_23_params(point: RegimePoint, a: int, b: int) -> RegimePoint:
-    """Chained doubling/tripling: with r = 2^a * 3^b, maps the point to
-    ((6*da)^r / 6, (6*db)^r / 6, r*ka, r*kb).
-
-    Implemented by composing the r=2 and r=3 steps, which is exact: the map
-    x -> (6x)^r / 6 satisfies g_r . g_r' = g_(r*r')."""
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be >= 0")
-    out = point
-    for _ in range(a):
-        out = _chain_step(out, 2)
-    for _ in range(b):
-        out = _chain_step(out, 3)
-    return out

@@ -134,6 +134,11 @@ def classify(point: RegimePoint) -> BoundReport:
     return BoundReport(point, x, UNKNOWN, RULE_NONE)
 
 
+#: Largest k that xim_bounds takes: its divisor scan runs up to sqrt(k), which
+#: takes about 70 ms at 10**12 on a 2-vCPU Xeon VM and grows as sqrt(k).
+XIM_MAX_K = 10**12
+
+
 @dataclass(frozen=True)
 class XimBounds:
     k: int
@@ -156,13 +161,16 @@ def xim_bounds(k: int) -> XimBounds:
     The best one is evaluated by its closed form, or as exp of its logarithm
     (within 1e-12 relative) where the closed form overflows on the way; hi
     is math.inf when the bound itself exceeds a float (first at k = 401).
+    A k above XIM_MAX_K raises ValueError rather than start the scan.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return XimBounds(1, 1.0, 1.0, RULE_SINGLETON_EXACT, RULE_SINGLETON_EXACT)
 
-    lo, lo_rule = alpha(k).alpha, RULE_XI_ALPHA
+    lo, lo_rule = alpha(k).alpha, RULE_XI_ALPHA  # alpha rejects k past float range
+    if k > XIM_MAX_K:
+        raise ValueError("k must be at most 10**12: the divisor scan grows as sqrt(k)")
     if k == 2 and 0.5 * math.log(3.0) > lo:
         lo, lo_rule = 0.5 * math.log(3.0), RULE_HALF_LOG3
 
@@ -226,15 +234,6 @@ def xim_prime_lower(k: int) -> float:
     return xim_bounds(k).lo * math.log(k)
 
 
-def reserve_probability(ka: int, kb: int, delta_a: int, eps: float = 0.1) -> float:
-    """Reservation probability p = (1 + eps/ka) * ln(delta_a) / (f(u0) * kb)
-    used by the randomized reserve-coloring procedure."""
-    if ka < 2:
-        raise ValueError("the reservation formula needs ka >= 2 (f(u0) vanishes at ka = 1)")
-    a = alpha(ka)
-    return (1.0 + eps / ka) * math.log(delta_a) / (entropy_f(a.u_star) * kb)
-
-
 def verify_tedious(a, b, beta, gamma):
     """Check (1 + beta*(g-a)/(g-b))^-(g-a) <= (1+beta)^-g * (1 + beta*a^2/b).
 
@@ -291,6 +290,17 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
     bound clears tol has one strict sign at every grid point as computed
     too.  A NaN bound or a tolerance of b (a*b beyond a float, or a
     subnormal step b / n) settles no block.
+
+    Each level holds its open blocks as columns: the grid index k, x and
+    g(g(x)) are (_FAN + 1, blocks) arrays, and a block's curve values (a,
+    b, a*b, step, tol) are 1-D arrays that broadcast along the rows, so
+    every NumPy pass runs along the long axis.  Columns are in no
+    particular curve order; only the final bincount ties them to curves.
+
+    Once the step falls below about tol / |h'| near a root, the computed h
+    is within rounding of 0 over many grid points, and the count includes
+    its sign changes there: curves with a, b uniform in [0.01, 10] give up
+    to 45 at resolution 2**-53, where 1e-4 and 1e-9 give 1 or 3.
     """
     import numpy as np
 
@@ -299,7 +309,7 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
         raise ValueError("a and b must be positive and finite")
     if not 2.0**-53 <= resolution < math.inf:  # else n is past 2**53, k * step inexact
         raise ValueError("resolution must be finite and at least 2**-53")
-    shape, a, b = a.shape, a.reshape(-1, 1), b.reshape(-1, 1)
+    shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
     n = max(int(round(1.0 / resolution)), 8)
     step = b / n
     with np.errstate(over="ignore"):
@@ -309,41 +319,49 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
     piece = 1
     while piece * _FAN < n:
         piece *= _FAN
-    rows, first = np.arange(a.size), np.zeros((a.size, 1))
+    rows, first = np.arange(a.size), np.zeros(a.size)
+    offsets = np.arange(_FAN + 1.0)[:, None]
     while True:
         # Grid point k is k * (b / n), and point n is b: np.linspace(0, b, n + 1),
         # bit for bit wherever b / n does not underflow to 0.
-        k = np.minimum(first + piece * np.arange(_FAN + 1.0), n)  # n repeats: no bracket
+        k = np.minimum(first + piece * offsets, n)  # n repeats: no bracket
         x = k * step[rows]
         np.copyto(x, b[rows], where=k == n)
         g = _double_exp(x, a[rows], b[rows], ab[rows])
         if piece == 1:
             break
-        settled = (g[:, :-1] - x[:, 1:] > tol[rows]) | (g[:, 1:] - x[:, :-1] < -tol[rows])
-        open_rows, blocks = np.nonzero(~settled & (x[:, :-1] < x[:, 1:]))  # else h is flat
-        rows, first, piece = rows[open_rows], k[open_rows, blocks, None], piece // _FAN
+        t = tol[rows]
+        settled = (g[:-1] - x[1:] > t) | (g[1:] - x[:-1] < -t)
+        pieces, columns = np.nonzero(~settled & (x[:-1] < x[1:]))  # else h is flat
+        rows, first, piece = rows[columns], k[pieces, columns], piece // _FAN
     g -= x
     # A + followed by 0 or -, or a - followed by 0 or +; never by NaN.
-    left, right = g[:, :-1], g[:, 1:]
+    left, right = g[:-1], g[1:]
     brackets = ((left > 0) & (right <= 0)) | ((left < 0) & (right >= 0))
-    counts = np.bincount(rows[np.nonzero(brackets)[0]], minlength=a.size).reshape(shape)
+    counts = np.bincount(rows[np.nonzero(brackets)[1]], minlength=a.size).reshape(shape)
     return counts if counts.ndim else int(counts)
 
 
 def _double_exp(x, a, b, ab):
-    """g(g(x)) = b*exp(-a*b*exp(-a*x)) on the rows of x for columns a, b and
-    ab = a*b, in one buffer and in a fixed operation order."""
+    """g(g(x)) = b*exp(-a*b*exp(-a*x)) elementwise, with a, b and ab = a*b
+    broadcast against x (in the counter, one value per column), in one
+    buffer and in a fixed operation order.  The masked log form runs only
+    when some a*b is inf, and gives the other elements the same bits."""
     import numpy as np
 
-    # -a*b*exp(-a*x) would be -inf * 0 = NaN where a*b is inf and exp(-a*x)
-    # underflows; -exp(ln a + ln b - a*x) goes to -inf there instead.
     wide = np.isinf(ab)
     with np.errstate(over="ignore"):  # only where a*b is inf
         g = np.multiply(x, -a)
-        np.add(g, np.log(a) + np.log(b), out=g, where=wide)
-        np.exp(g, out=g)
-    np.negative(g, out=g, where=wide)
-    np.multiply(g, -ab, out=g, where=~wide)
+        if wide.any():
+            # -a*b*exp(-a*x) would be -inf * 0 = NaN where a*b is inf and
+            # exp(-a*x) underflows; -exp(ln a + ln b - a*x) goes to -inf there.
+            np.add(g, np.log(a) + np.log(b), out=g, where=wide)
+            np.exp(g, out=g)
+            np.negative(g, out=g, where=wide)
+            np.multiply(g, -ab, out=g, where=~wide)
+        else:
+            np.exp(g, out=g)
+            np.multiply(g, -ab, out=g)
     np.exp(g, out=g)
     g *= b
     return g

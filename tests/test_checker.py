@@ -1312,10 +1312,13 @@ def test_simulate_success_implies_colorable():
 
 
 def test_simulate_with_formula_probability():
-    from choosekit.bounds import reserve_probability
+    from choosekit.bounds import alpha, entropy_f
 
     inst = ListInstance.complete(12, 2, 4, [(0, 1), (2, 3)], [(4, 5, 6, 7), (8, 9, 10, 11)])
-    p = reserve_probability(inst.ka, inst.kb, inst.num_b())
+    # the reservation probability (1 + eps/ka) ln(delta_a) / (f(u*) kb) at
+    # eps = 0.1 and delta_a = |B|, the formula test_bounds.py pins
+    ka, kb = inst.ka, inst.kb
+    p = (1 + 0.1 / ka) * math.log(inst.num_b()) / (entropy_f(alpha(ka).u_star) * kb)
     assert 0.0 < p < 1.0
     sim = simulate_reserve_coloring(inst, p, 4000, seed=2)
     # |B| = 2 makes the starvation cap less than 1, so any starved A-vertex

@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choosekit import cli
+from choosekit import bounds, cli
 from choosekit.indepset import STGraph
 from choosekit.model import load_instance, read_json
 
@@ -402,6 +403,22 @@ def test_bounds_k_beyond_float_range_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "choosekit: error: bounds: k must be >= 1 and fit a float\n"
+
+
+def test_bounds_k_past_the_divisor_scan_limit_is_usage_error(capsys):
+    # the scan up to sqrt(k) would run about 10^15 steps at k = 10^30
+    started = time.perf_counter()
+    code = cli.main(["bounds", "--k", str(10**30)])
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "choosekit: error: bounds: k must be at most 10**12: the divisor scan grows as sqrt(k)\n"
+    )
+    code, out = run(capsys, "bounds", "--k", str(bounds.XIM_MAX_K))
+    assert code == 0
+    assert json.loads(out)["k"] == 10**12
 
 
 def test_frontier_csv(tmp_path, capsys):

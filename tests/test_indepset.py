@@ -13,7 +13,6 @@ from choosekit.indepset import (
     MC_CHUNK_FLOATS,
     STGraph,
     counterexample_graph,
-    degree_functional_check,
     degree_profile,
     f_values,
     fancy_bound,
@@ -463,6 +462,18 @@ def test_product_bound_fails_on_counterexample():
 
 
 # --- degree functional ---------------------------------------------------------------
+
+def degree_functional_check(graph: STGraph):
+    """Evaluate sum_i d_i^2 / D_i over T and check it is at most |S|.
+
+    Returns (value, holds).  Every T-vertex must have degree >= 1.
+    """
+    prof = degree_profile(graph)
+    if any(d == 0 for d in prof.d):
+        raise ValueError("isolated T-vertex: the functional is undefined")
+    value = sum(Fraction(d * d, big) for d, big in zip(prof.d, prof.big_d))
+    return value, value <= graph.s_size
+
 
 def test_degree_functional_counterexample_equality():
     value, holds = degree_functional_check(counterexample_graph())
