@@ -168,11 +168,9 @@ def xim_bounds(k: int) -> XimBounds:
     if k == 1:
         return XimBounds(1, 1.0, 1.0, RULE_SINGLETON_EXACT, RULE_SINGLETON_EXACT)
 
-    lo, lo_rule = alpha(k).alpha, RULE_XI_ALPHA  # alpha rejects k past float range
+    lo, lo_rule = _xim_lower(k)  # alpha rejects k past float range
     if k > XIM_MAX_K:
-        raise ValueError("k must be at most 10**12: the divisor scan grows as sqrt(k)")
-    if k == 2 and 0.5 * math.log(3.0) > lo:
-        lo, lo_rule = 0.5 * math.log(3.0), RULE_HALF_LOG3
+        raise ValueError(f"k must be at most {XIM_MAX_K}: the divisor scan grows as sqrt(k)")
 
     log_k = math.log(k)
     seven = 7.0 * math.log(7.0) ** 2 / 27.0
@@ -208,6 +206,15 @@ def xim_bounds(k: int) -> XimBounds:
     return XimBounds(k, lo, hi, lo_rule, hi_rule)
 
 
+def _xim_lower(k: int) -> tuple[float, str]:
+    """xim_bounds' lower endpoint and its rule for k >= 2: alpha(k),
+    improved to ln(3)/2 at k = 2.  Needs no divisor scan."""
+    lo, lo_rule = alpha(k).alpha, RULE_XI_ALPHA
+    if k == 2 and 0.5 * math.log(3.0) > lo:
+        lo, lo_rule = 0.5 * math.log(3.0), RULE_HALF_LOG3
+    return lo, lo_rule
+
+
 def xim_prime_upper(k: int) -> float:
     """Upper bound on the variant infimum that carries exponent k on the log.
 
@@ -228,10 +235,12 @@ def xim_prime_upper(k: int) -> float:
 
 
 def xim_prime_lower(k: int) -> float:
-    """Lower bound on the same variant: (lower xi_m bound) * ln k."""
+    """Lower bound on the same variant: (lower xi_m bound) * ln k.  Takes
+    every k that alpha takes: the lower endpoint needs no divisor scan, so
+    XIM_MAX_K does not apply."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return xim_bounds(k).lo * math.log(k)
+    return _xim_lower(k)[0] * math.log(k)
 
 
 def verify_tedious(a, b, beta, gamma):
@@ -343,25 +352,28 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
 
 
 def _double_exp(x, a, b, ab):
-    """g(g(x)) = b*exp(-a*b*exp(-a*x)) elementwise, with a, b and ab = a*b
-    broadcast against x (in the counter, one value per column), in one
-    buffer and in a fixed operation order.  The masked log form runs only
-    when some a*b is inf, and gives the other elements the same bits."""
+    """g(g(x)) = b*exp(-a*b*exp(-a*x)) elementwise, with arrays a, b and
+    ab = a*b of one shape broadcast against x (in the counter, one value
+    per column), in one buffer and in a fixed operation order.
+
+    Where a*b is inf, -a*b*exp(-a*x) would be -inf * 0 = NaN once exp(-a*x)
+    underflows, so there the inner term is taken as -exp(ln a + ln b - a*x),
+    a number or -inf, never NaN.  Both forms run as one sequence: the shift is 0 and
+    the scale -a*b on finite columns, which leaves their bits as the plain
+    form's (x + 0 == x, and exp(-0) == exp(+0)); on inf columns the shift is
+    ln a + ln b and the scale -1, an exact negation."""
     import numpy as np
 
     wide = np.isinf(ab)
+    shift = np.zeros(wide.shape)
+    shift[wide] = np.log(a[wide]) + np.log(b[wide])
+    scale = -ab
+    scale[wide] = -1.0
     with np.errstate(over="ignore"):  # only where a*b is inf
         g = np.multiply(x, -a)
-        if wide.any():
-            # -a*b*exp(-a*x) would be -inf * 0 = NaN where a*b is inf and
-            # exp(-a*x) underflows; -exp(ln a + ln b - a*x) goes to -inf there.
-            np.add(g, np.log(a) + np.log(b), out=g, where=wide)
-            np.exp(g, out=g)
-            np.negative(g, out=g, where=wide)
-            np.multiply(g, -ab, out=g, where=~wide)
-        else:
-            np.exp(g, out=g)
-            np.multiply(g, -ab, out=g)
+        g += shift
+        np.exp(g, out=g)
+    g *= scale
     np.exp(g, out=g)
     g *= b
     return g

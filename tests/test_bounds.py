@@ -269,6 +269,13 @@ def test_xim_prime_upper_dominates_lower():
     assert abs(xim_prime_lower(2) - xim_bounds(2).lo * math.log(2)) < 1e-15
 
 
+def test_xim_prime_lower_takes_k_past_the_scan_limit():
+    k = 10**30
+    with pytest.raises(ValueError):
+        xim_bounds(k)
+    assert xim_prime_lower(k) == alpha(k).alpha * math.log(k)
+
+
 def test_xim_prime_slope_converges_slowly():
     # profile of ln(upper)/k toward ln 2 + ln ln 2 = 0.326634...
     target = math.log(2) + math.log(math.log(2))
@@ -582,8 +589,9 @@ def test_fixed_point_count_does_not_depend_on_the_batch():
 
 
 def test_double_exp_log_form_leaves_finite_columns_alone():
-    # One column with a*b = inf switches _double_exp to its masked log form;
-    # the other columns must get the bytes that the plain form gives them.
+    # A column with a*b = inf takes the log form's shift and scale; the other
+    # columns must get the bytes of the plain form b*exp(-ab*exp(-a*x)),
+    # whether or not such a column is mixed in.
     a = np.array([0.5, 3.0, 1e300, 7.0, 1e-3])
     b = np.array([2.0, 5.0, 1e10, 0.1, 9.0])
     with np.errstate(over="ignore"):
@@ -594,6 +602,8 @@ def test_double_exp_log_form_leaves_finite_columns_alone():
     assert not finite.all() and np.isfinite(mixed).all()
     alone = bounds._double_exp(x[:, finite].copy(), a[finite], b[finite], ab[finite])
     assert mixed[:, finite].tobytes() == alone.tobytes()
+    plain = np.exp(np.exp(x[:, finite] * -a[finite]) * -ab[finite]) * b[finite]
+    assert alone.tobytes() == plain.tobytes()
 
 
 def _limit_points(monkeypatch, limit):

@@ -414,11 +414,12 @@ def test_bounds_k_past_the_divisor_scan_limit_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "choosekit: error: bounds: k must be at most 10**12: the divisor scan grows as sqrt(k)\n"
+        f"choosekit: error: bounds: k must be at most {bounds.XIM_MAX_K}:"
+        " the divisor scan grows as sqrt(k)\n"
     )
     code, out = run(capsys, "bounds", "--k", str(bounds.XIM_MAX_K))
     assert code == 0
-    assert json.loads(out)["k"] == 10**12
+    assert json.loads(out)["k"] == bounds.XIM_MAX_K
 
 
 def test_frontier_csv(tmp_path, capsys):
