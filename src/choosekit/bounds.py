@@ -178,15 +178,16 @@ def xim_bounds(k: int) -> XimBounds:
     candidates = [((k - 1) * math.log(log_k), RULE_LOG_POWER, 0)]
     if k == 3:
         candidates.append((math.log(seven), RULE_SEVEN, 0))
-    for r in range(2, math.isqrt(k) + 1):
-        if k % r == 0:
-            # K_{delta_b, delta_a} with delta_b = a^k * r, delta_a = k^r
-            # (a = k / r) is unchoosable at list sizes (k, k); so is its
-            # part-swapped mirror, whose xi is
-            # delta_a * ln(delta_b)^(k-1) / k^k.
-            log_db = k * math.log(k // r) + math.log(r)
-            log_xi = r * log_k + (k - 1) * math.log(log_db) - k * log_k
-            candidates.append((log_xi, RULE_COMPOSITE, r))
+    # The scan stops at sqrt(k); each divisor's cofactor is a divisor too.
+    divisors = [r for r in range(2, math.isqrt(k) + 1) if k % r == 0]
+    for r in divisors + [k // r for r in divisors]:
+        # K_{delta_b, delta_a} with delta_b = a^k * r, delta_a = k^r
+        # (a = k / r) is unchoosable at list sizes (k, k); so is its
+        # part-swapped mirror, whose xi is
+        # delta_a * ln(delta_b)^(k-1) / k^k.
+        log_db = k * math.log(k // r) + math.log(r)
+        log_xi = r * log_k + (k - 1) * math.log(log_db) - k * log_k
+        candidates.append((log_xi, RULE_COMPOSITE, r))
     log_hi, hi_rule, r = min(candidates, key=lambda c: c[0])
     hi = math.inf
     if log_hi < _LOG_FLOAT_MAX:  # else the bound itself exceeds a float
@@ -273,67 +274,58 @@ def verify_tedious(a, b, beta, gamma):
     return holds if holds.ndim else bool(holds)
 
 
-#: Pieces that count_double_exp_fixed_points cuts each open block into.
+#: Pieces that count_double_exp_fixed_points cuts each open block into; its
+#: grid has _FAN**4 intervals, so every block at every level is whole.
 _FAN = 10
 
 
-def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
+def count_double_exp_fixed_points(a, b):
     """Count solutions of g(g(x)) = x for g(x) = b*exp(-a*x), a, b > 0 finite.
 
     Every solution lies in [0, b] since g maps the reals into (0, b].  The
-    interval is scanned at step resolution*b (at least 8 steps; resolution
-    is finite and at least 2**-53), and each grid interval over which h(x) =
-    g(g(x)) - x changes sign, or reaches 0 from a nonzero value, counts as
-    one root; no bisection follows, since the count is all that is returned.
-    Tangential (double) roots may be missed; the count of transversal roots
-    is what the at-most-three property constrains.  Elementwise on arrays,
-    which broadcast together and give an int array; scalars give an int.
+    interval is scanned on a grid of n = _FAN**4 = 10^4 intervals, and each
+    grid interval over which h(x) = g(g(x)) - x changes sign, or reaches 0
+    from a nonzero value, counts as one root; no bisection follows, since
+    the count is all that is returned.  Tangential (double) roots may be
+    missed; the count of transversal roots is what the at-most-three
+    property constrains.  Elementwise on arrays, which broadcast together
+    and give an int array; scalars give an int.
 
-    [0, b] is cut into up to _FAN blocks of a power of _FAN grid intervals
-    (the last may be shorter), then each block that can hold a bracket into
-    _FAN pieces, down to single intervals.  The count is a full scan's, sign
-    for sign: G = g(g(.)) is nondecreasing since g decreases, so on a block
-    [x_i, x_j] every grid point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The
-    computed G is within tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the
-    machine epsilon) from the rounding of the exponents, so a block whose
-    bound clears tol has one strict sign at every grid point as computed
-    too.  A NaN bound or a tolerance of b (a*b beyond a float, or a
-    subnormal step b / n) settles no block.
+    [0, b] is cut into _FAN blocks of n / _FAN grid intervals, then each
+    block that can hold a bracket into _FAN pieces, down to single
+    intervals.  The count is a full scan's, sign for sign: G = g(g(.)) is
+    nondecreasing since g decreases, so on a block [x_i, x_j] every grid
+    point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The computed G is within
+    tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the machine epsilon)
+    from the rounding of the exponents, so a block whose bound clears tol
+    has one strict sign at every grid point as computed too.  A NaN bound
+    or a tolerance of b (a*b beyond a float, or a subnormal step b / n)
+    settles no block, and such a curve costs a full scan plus 22 %.
 
     Each level holds its open blocks as columns: the grid index k, x and
     g(g(x)) are (_FAN + 1, blocks) arrays, and a block's curve values (a,
     b, a*b, step, tol) are 1-D arrays that broadcast along the rows, so
     every NumPy pass runs along the long axis.  Columns are in no
     particular curve order; only the final bincount ties them to curves.
-
-    Once the step falls below about tol / |h'| near a root, the computed h
-    is within rounding of 0 over many grid points, and the count includes
-    its sign changes there: curves with a, b uniform in [0.01, 10] give up
-    to 45 at resolution 2**-53, where 1e-4 and 1e-9 give 1 or 3.
     """
     import numpy as np
 
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not ((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)).all():
         raise ValueError("a and b must be positive and finite")
-    if not 2.0**-53 <= resolution < math.inf:  # else n is past 2**53, k * step inexact
-        raise ValueError("resolution must be finite and at least 2**-53")
     shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
-    n = max(int(round(1.0 / resolution)), 8)
+    n = _FAN**4
     step = b / n
     with np.errstate(over="ignore"):
         ab = a * b  # inf switches _double_exp to its log form
     tol = b * np.where(step < _TINY, 1.0, np.minimum(16 * _EPS * (1.0 + ab), 1.0))
 
-    piece = 1
-    while piece * _FAN < n:
-        piece *= _FAN
-    rows, first = np.arange(a.size), np.zeros(a.size)
+    rows, first, piece = np.arange(a.size), np.zeros(a.size), n // _FAN
     offsets = np.arange(_FAN + 1.0)[:, None]
     while True:
         # Grid point k is k * (b / n), and point n is b: np.linspace(0, b, n + 1),
         # bit for bit wherever b / n does not underflow to 0.
-        k = np.minimum(first + piece * offsets, n)  # n repeats: no bracket
+        k = first + piece * offsets
         x = k * step[rows]
         np.copyto(x, b[rows], where=k == n)
         g = _double_exp(x, a[rows], b[rows], ab[rows])
@@ -341,7 +333,7 @@ def count_double_exp_fixed_points(a, b, resolution: float = 1e-4):
             break
         t = tol[rows]
         settled = (g[:-1] - x[1:] > t) | (g[1:] - x[:-1] < -t)
-        pieces, columns = np.nonzero(~settled & (x[:-1] < x[1:]))  # else h is flat
+        pieces, columns = np.nonzero(~settled)
         rows, first, piece = rows[columns], k[pieces, columns], piece // _FAN
     g -= x
     # A + followed by 0 or -, or a - followed by 0 or +; never by NaN.

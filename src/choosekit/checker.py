@@ -426,9 +426,11 @@ def _find_blocking_family(transversals, kb, max_sets, budget):
     at least two sets left.  Pruning never cuts off a family, so the first
     family found is the same as without the bound.  A candidate settled by
     the root test charges no node.
+
+    Every transversal has at least kb colors, as _hypergraph_candidates
+    guarantees: a shorter one leaves no kb-subset inside it, so the search
+    would spend nodes to find no family.
     """
-    if any(t.bit_count() < kb for t in transversals):
-        return None  # its maximal set meets every possible kb-subset
     masks = sorted(transversals, reverse=True)
     if _packing_exceeds(masks, kb, max_sets):
         return None  # this covers max_sets == 0, so every search has a set left

@@ -251,7 +251,6 @@ def _cmd_frontier(args) -> int:
                 rows = list(pool.map(_frontier_cell, cells))
         else:
             rows = [_frontier_cell(c) for c in cells]
-        rows.sort(key=lambda r: (r[0], r[1]))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["deltaA", "deltaB", "kA", "kB", "xi", "verdict", "rule", "nodesExplored"]

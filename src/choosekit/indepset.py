@@ -77,23 +77,15 @@ class STGraph:
 @dataclass(frozen=True)
 class DegreeProfile:
     d: tuple        # degree of each T-vertex
-    big_d: tuple    # sum of S-neighbor degrees, per T-vertex
     delta_t: int    # max degree on the T side
     edge_count: int
 
 
 def degree_profile(graph: STGraph) -> DegreeProfile:
-    s_deg = [0] * graph.s_size
     t_deg = [0] * graph.t_size
-    for i, j in graph.edges:
-        s_deg[i] += 1
+    for _, j in graph.edges:
         t_deg[j] += 1
-    big = [0] * graph.t_size
-    for i, j in graph.edges:
-        big[j] += s_deg[i]
-    return DegreeProfile(
-        tuple(t_deg), tuple(big), max(t_deg, default=0), len(graph.edges)
-    )
+    return DegreeProfile(tuple(t_deg), max(t_deg, default=0), len(graph.edges))
 
 
 def counterexample_graph() -> STGraph:

@@ -1182,10 +1182,14 @@ def test_blocking_family_search_matches_reference_kernel():
     nodes = found = exhausted = 0
     for n, edge_masks, kb, max_sets, whole, random_budget in _random_blocking_cases():
         transversals = _minimal_transversals(edge_masks)
+        search = functools.partial(checker._find_blocking_family, transversals, kb, max_sets)
+        if min(t.bit_count() for t in transversals) < kb:
+            # outside the search's precondition, which decide always meets: no
+            # family, at a cost the reference's shortcut does not pay
+            assert whole[0] is None and _charged_run(search, None)[0] is None
+            continue
         for budget in (None, random_budget):
-            got = _charged_run(
-                lambda b: checker._find_blocking_family(transversals, kb, max_sets, b), budget
-            )
+            got = _charged_run(search, budget)
             ref = _charged_run(
                 lambda b: _reference_blocking_family(n, edge_masks, kb, max_sets, b), budget
             )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -471,7 +472,11 @@ def degree_functional_check(graph: STGraph):
     prof = degree_profile(graph)
     if any(d == 0 for d in prof.d):
         raise ValueError("isolated T-vertex: the functional is undefined")
-    value = sum(Fraction(d * d, big) for d, big in zip(prof.d, prof.big_d))
+    s_deg = Counter(i for i, _ in graph.edges)
+    big_d = [0] * graph.t_size  # D_i: the sum of T-vertex i's S-neighbors' degrees
+    for i, j in graph.edges:
+        big_d[j] += s_deg[i]
+    value = sum(Fraction(d * d, big) for d, big in zip(prof.d, big_d))
     return value, value <= graph.s_size
 
 
