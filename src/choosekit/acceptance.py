@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, shared by `choosekit selftest` and pytest.
 
-Each criterion returns a CriterionResult; run_criteria executes a selection
-and the callers render one pass/fail line per criterion.  Everything here is
-deterministic (fixed seeds).
+Each criterion_N() is a pure check returning (passed, detail).  SPECS holds
+each criterion's name and wall-time limit, in CRITERIA order; run_criteria
+runs a selection, numbers each result by its position, and builds the
+CriterionResult that callers render as one pass/fail line.  Everything here
+is deterministic (fixed seeds).
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from . import amplify, bounds, checker, constructions, indepset
 from .model import RegimePoint
 
 FUZZ_SEED = 20260809
-
-#: Wall-time limits (seconds) for the criteria that carry one.
-TIME_BUDGETS = {1: 10.0, 2: 60.0, 3: 5.0, 4: 30.0, 9: 20.0}
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def _compositions(total):
             yield (first,) + rest
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Every small block construction is uncolorable, by both engines."""
     checked = 0
     for ka in (2, 3):
@@ -54,18 +53,14 @@ def criterion_1() -> CriterionResult:
                 bt, _ = checker.has_proper_coloring(inst, engine="backtracking")
                 tv, _ = checker.has_proper_coloring(inst, engine="transversal")
                 if bt or tv:
-                    return CriterionResult(
-                        1, "block-construction exactness", False,
-                        f"ka={ka} a={a} admitted a coloring (backtracking={bt}, transversal={tv})",
+                    return False, (
+                        f"ka={ka} a={a} admitted a coloring (backtracking={bt}, transversal={tv})"
                     )
                 checked += 1
-    return CriterionResult(
-        1, "block-construction exactness", True,
-        f"{checked} block instances rejected by both engines",
-    )
+    return True, f"{checked} block instances rejected by both engines"
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """The (ka, kb) = (2, 2) frontier sits between delta_b = 3 and 4 at delta_a = 2."""
     v4 = checker.decide_choosable(RegimePoint(2, 4, 2, 2))
     v3 = checker.decide_choosable(RegimePoint(2, 3, 2, 2))
@@ -73,14 +68,13 @@ def criterion_2() -> CriterionResult:
     if ok:
         reject, _ = checker.has_proper_coloring(v4.witness)
         ok = not reject
-    return CriterionResult(
-        2, "exhaustive frontier point", ok,
+    return ok, (
         f"(2,4,2,2) -> {v4.tag} [{v4.nodes_explored} nodes], (2,3,2,2) -> {v3.tag} "
-        f"[{v3.nodes_explored} nodes]",
+        f"[{v3.nodes_explored} nodes]"
     )
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """Blowup and expansion of the smallest witness stay uncolorable with the
     predicted parameters."""
     base = constructions.construct_blocks(constructions.BlockSpec(2, (1,)))  # K_{1,2} witness
@@ -98,14 +92,13 @@ def criterion_3() -> CriterionResult:
             found, _ = checker.has_proper_coloring(inst, engine=engine)
             if found:
                 problems.append(f"{label} colorable via {engine}")
-    return CriterionResult(
-        3, "amplification soundness", not problems,
+    return not problems, (
         "; ".join(problems) if problems else
-        f"blowup -> {blown.point()}, expansion -> {expanded.point()}, both uncolorable",
+        f"blowup -> {blown.point()}, expansion -> {expanded.point()}, both uncolorable"
     )
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> tuple[bool, str]:
     """Blocking engine on the product-bound counterexample: recursion equals
     the oracle that counts all 9! blocking orders prefix set by prefix set,
     beats the false product bound, respects the true one, and Monte Carlo
@@ -124,15 +117,14 @@ def criterion_4() -> CriterionResult:
         "MC within 4 sigma": abs(mc.estimate - float(pe)) <= 4.0 * sigma,
     }
     failed = [k for k, v in checks.items() if not v]
-    return CriterionResult(
-        4, "blocking probability engine", not failed,
+    return not failed, (
         "; ".join(failed) if failed else
         f"p = {pe} = {float(pe):.6f}, product bound {prod:.8f}, "
-        f"MC {mc.estimate:.6f} (sigma {sigma:.6f})",
+        f"MC {mc.estimate:.6f} (sigma {sigma:.6f})"
     )
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> tuple[bool, str]:
     """Equality family: unions of identical complete bipartite blocks meet the
     degree bound with exact rational equality."""
     bad = []
@@ -146,38 +138,31 @@ def criterion_5() -> CriterionResult:
             fb = indepset.fancy_bound_fraction(g)
             if pe != fb or pe != Fraction(1, 2**j):
                 bad.append(f"a={a} j={j}: p={pe} bound={fb}")
-    return CriterionResult(
-        5, "degree-bound equality family", not bad,
-        "; ".join(bad) if bad else "p = bound = 2^-j on all unions (a <= 3, j <= 2)",
-    )
+    return not bad, "; ".join(bad) or "p = bound = 2^-j on all unions (a <= 3, j <= 2)"
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> tuple[bool, str]:
     """Interval for the smallest unchoosable xi at ka = 2."""
     xb = bounds.xim_bounds(2)
     a2 = bounds.alpha(2).alpha
     lo_ok = abs(xb.lo - 0.5 * math.log(3.0)) <= 1e-12
     hi_ok = abs(xb.hi - math.log(2.0)) <= 1e-12
     alpha_ok = a2 <= 0.5 * math.log(3.0)
-    ok = lo_ok and hi_ok and alpha_ok
-    return CriterionResult(
-        6, "ka=2 interval", ok,
-        f"[{xb.lo:.12f}, {xb.hi:.12f}] vs [ln(3)/2, ln 2], alpha(2) = {a2:.12f}",
+    return lo_ok and hi_ok and alpha_ok, (
+        f"[{xb.lo:.12f}, {xb.hi:.12f}] vs [ln(3)/2, ln 2], alpha(2) = {a2:.12f}"
     )
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> tuple[bool, str]:
     """ka=3 upper bound tightened by the 7-edge/7-set witness value."""
     seven = 7.0 * math.log(7.0) ** 2 / 27.0
     xb = bounds.xim_bounds(3)
-    ok = seven < math.log(3.0) ** 2 and abs(xb.hi - seven) <= 1e-12
-    return CriterionResult(
-        7, "ka=3 tightening", ok,
-        f"{seven:.5f} < {math.log(3.0) ** 2:.5f}, hi = {xb.hi:.5f} via {xb.hi_rule}",
+    return seven < math.log(3.0) ** 2 and abs(xb.hi - seven) <= 1e-12, (
+        f"{seven:.5f} < {math.log(3.0) ** 2:.5f}, hi = {xb.hi:.5f} via {xb.hi_rule}"
     )
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> tuple[bool, str]:
     """Log-slope of the xi' upper bound within 0.05 of its limit at k = 200.
 
     For the closed form of bounds.xim_prime_upper the slope exceeds the limit
@@ -188,15 +173,13 @@ def criterion_8() -> CriterionResult:
     """
     target = math.log(2.0) + math.log(math.log(2.0))
     slope = math.log(bounds.xim_prime_upper(200)) / 200
-    ok = abs(slope - target) <= 0.05
-    return CriterionResult(
-        8, "xi-prime slope at k=200", ok,
+    return abs(slope - target) <= 0.05, (
         f"measured {slope:.5f}, target {target:.5f}, |diff| = {abs(slope - target):.5f} "
-        f"(tolerance 0.05)",
+        f"(tolerance 0.05)"
     )
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     """Inequality fuzzers: the tedious inequality on 10^5 random points and
     the at-most-three fixed-point count on 10^4 random curves."""
     rng = np.random.RandomState([FUZZ_SEED])  # random.Random(FUZZ_SEED); see fuzz_points
@@ -206,10 +189,9 @@ def criterion_9() -> CriterionResult:
         if not holds.all():
             i = int(np.argmin(holds))
             a, b, beta, gamma = (float(v[i]) for v in points)
-            return CriterionResult(
-                9, "appendix fuzz", False,
+            return False, (
                 f"tedious inequality failed at trial {first + i}: "
-                f"a={a} b={b} beta={beta} gamma={gamma}",
+                f"a={a} b={b} beta={beta} gamma={gamma}"
             )
     # 10^4 curves in blocks of 250: the counter's widest level then holds
     # 1,971 open blocks, so each (11, 1971) float temporary is 173 kB (one
@@ -220,14 +202,8 @@ def criterion_9() -> CriterionResult:
         if (counts > 3).any():
             i = int(np.argmax(counts > 3))
             a, b = float(a[i]), float(b[i])
-            return CriterionResult(
-                9, "appendix fuzz", False,
-                f"{int(counts[i])} double-exponential fixed points at a={a} b={b}",
-            )
-    return CriterionResult(
-        9, "appendix fuzz", True,
-        "10^5 inequality samples hold; 10^4 fixed-point counts all <= 3",
-    )
+            return False, f"{int(counts[i])} double-exponential fixed points at a={a} b={b}"
+    return True, "10^5 inequality samples hold; 10^4 fixed-point counts all <= 3"
 
 
 def fuzz_points(rng, count):
@@ -254,7 +230,7 @@ def fuzz_curves(rng, count):
     return np.maximum(curves, 1e-9)
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> tuple[bool, str]:
     """Classifier never contradicts the exact decision on the small grid, and
     unchoosability is monotone in both degrees."""
     verdicts = {}
@@ -265,34 +241,23 @@ def criterion_10() -> CriterionResult:
                     point = RegimePoint(da, db, ka, kb)
                     v = checker.decide_choosable(point)
                     if v.tag == checker.EXHAUSTED:
-                        return CriterionResult(
-                            10, "classifier/oracle grid", False, f"budget exhausted at {point}"
-                        )
+                        return False, f"budget exhausted at {point}"
                     verdicts[(ka, kb, da, db)] = v.tag
                     report = bounds.classify(point)
-                    if report.verdict == bounds.CHOOSABLE and v.tag != checker.CHOOSABLE:
-                        return CriterionResult(
-                            10, "classifier/oracle grid", False,
-                            f"classifier says choosable, oracle disagrees at {point} ({report.rule})",
-                        )
-                    if report.verdict == bounds.UNCHOOSABLE and v.tag != checker.UNCHOOSABLE:
-                        return CriterionResult(
-                            10, "classifier/oracle grid", False,
-                            f"classifier says unchoosable, oracle disagrees at {point} ({report.rule})",
+                    if report.verdict not in (bounds.UNKNOWN, v.tag):
+                        return False, (
+                            f"classifier says {report.verdict}, oracle disagrees at {point} "
+                            f"({report.rule})"
                         )
     for (ka, kb, da, db), tag in verdicts.items():
         if tag != checker.UNCHOOSABLE:
             continue
         for nxt in ((ka, kb, da + 1, db), (ka, kb, da, db + 1)):
             if nxt in verdicts and verdicts[nxt] != checker.UNCHOOSABLE:
-                return CriterionResult(
-                    10, "classifier/oracle grid", False,
-                    f"monotonicity broken between {(ka, kb, da, db)} and {nxt}",
-                )
+                return False, f"monotonicity broken between {(ka, kb, da, db)} and {nxt}"
     unch = sum(1 for t in verdicts.values() if t == checker.UNCHOOSABLE)
-    return CriterionResult(
-        10, "classifier/oracle grid", True,
-        f"{len(verdicts)} cells decided ({unch} unchoosable); classifier consistent, monotone",
+    return True, (
+        f"{len(verdicts)} cells decided ({unch} unchoosable); classifier consistent, monotone"
     )
 
 
@@ -310,27 +275,40 @@ CRITERIA = (
 )
 
 
+#: (name, wall-time limit in seconds or None for no limit) of each
+#: criterion, in CRITERIA order.
+SPECS = (
+    ("block-construction exactness", 10.0),
+    ("exhaustive frontier point", 60.0),
+    ("amplification soundness", 5.0),
+    ("blocking probability engine", 30.0),
+    ("degree-bound equality family", None),
+    ("ka=2 interval", None),
+    ("ka=3 tightening", None),
+    ("xi-prime slope at k=200", None),
+    ("appendix fuzz", 20.0),
+    ("classifier/oracle grid", None),
+)
+
+
 def run_criteria(only=None):
-    """Run the selected criteria (1-based indices; None = all).
+    """Run the selected criteria (1-based positions in CRITERIA; None = all).
 
     Each result is stamped with its wall time; exceeding a criterion's time
-    budget fails it even when its checks hold.
+    limit fails it even when its checks hold.
     """
     results = []
-    for i, fn in enumerate(CRITERIA, start=1):
+    for i, (fn, (name, limit)) in enumerate(zip(CRITERIA, SPECS, strict=True), start=1):
         if only is not None and i not in only:
             continue
         start = time.perf_counter()
-        r = fn()
+        passed, detail = fn()
         elapsed = time.perf_counter() - start
-        budget = TIME_BUDGETS.get(i)
-        detail = f"{r.detail} [{elapsed:.2f}s"
-        passed = r.passed
-        if budget is not None:
-            detail += f" of {budget:.0f}s allowed"
-            if elapsed >= budget:
+        detail += f" [{elapsed:.2f}s"
+        if limit is not None:
+            detail += f" of {limit:.0f}s allowed"
+            if elapsed >= limit:
                 passed = False
                 detail += "; over budget"
-        detail += "]"
-        results.append(CriterionResult(r.index, r.name, passed, detail))
+        results.append(CriterionResult(i, name, passed, detail + "]"))
     return results

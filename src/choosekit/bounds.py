@@ -89,12 +89,31 @@ def xi(point: RegimePoint) -> float:
     """delta_b * ln(delta_a)^(ka-1) / kb^ka.
 
     For ka = 1 this is delta_b / kb (the log factor has exponent zero, even
-    at delta_a = 1); for ka >= 2 and delta_a = 1 it is 0.
+    at delta_a = 1); for ka >= 2 and delta_a = 1 it is 0.  Where the direct
+    form overflows on the way, xi is exp of its logarithm: 0.0 or math.inf
+    where xi itself leaves float range.
     """
-    log_da = math.log(point.delta_a)
-    if point.ka == 1:
-        return point.delta_b / point.kb
-    return point.delta_b * log_da ** (point.ka - 1) / point.kb ** point.ka
+    da, db, ka, kb = point.delta_a, point.delta_b, point.ka, point.kb
+    try:
+        return _finite(db / kb if ka == 1 else db * math.log(da) ** (ka - 1) / kb**ka)
+    except OverflowError:
+        log_x = _log_xi(point)
+        return math.exp(log_x) if log_x < _LOG_FLOAT_MAX else math.inf
+
+
+def _log_xi(point: RegimePoint) -> float:
+    """ln xi(point) from the parameters' logarithms, for integers of any size."""
+    if point.ka > 1 and point.delta_a == 1:
+        return -math.inf
+    log_log_da = math.log(math.log(point.delta_a) or 1.0)  # ln(1)^0 = 1 at ka = 1
+    return math.log(point.delta_b) + (point.ka - 1) * log_log_da - point.ka * math.log(point.kb)
+
+
+def _finite(x: float) -> float:
+    """x, or OverflowError where a float product overflowed to inf."""
+    if math.isinf(x):
+        raise OverflowError(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -124,13 +143,23 @@ def classify(point: RegimePoint) -> BoundReport:
         return BoundReport(point, x, CHOOSABLE, RULE_TRIVIAL)
     if x < alpha(ka).alpha:
         return BoundReport(point, x, CHOOSABLE, RULE_XI_ALPHA)
-    # General threshold; ln(1)^0 = 1 keeps the ka = 1 case meaningful.
-    log_da = math.log(da)
-    log_ka_pow = math.log(ka) ** (ka - 1) if ka >= 2 else 1.0
-    if db * log_da ** (ka - 1) > 2 ** (2 * ka - 1) * log_ka_pow * kb ** ka:
+    # General threshold; ln(1)^0 = 1 keeps the ka = 1 case meaningful.  Each
+    # test is taken on xi's logarithm where its direct form overflows.
+    log_da, log_ka = math.log(da), math.log(ka) or 1.0
+    try:
+        rhs = 2 ** (2 * ka - 1) * log_ka ** (ka - 1) * kb ** ka
+        general = _finite(db * log_da ** (ka - 1)) > _finite(rhs)
+    except OverflowError:
+        general = _log_xi(point) > (2 * ka - 1) * math.log(2.0) + (ka - 1) * math.log(log_ka)
+    if general:
         return BoundReport(point, x, UNCHOOSABLE, RULE_GENERAL_THRESHOLD)
-    if ka == 2 and db >= kb and db * log_da > 1.4 * kb * kb:
-        return BoundReport(point, x, UNCHOOSABLE, RULE_PAIR_THRESHOLD)
+    if ka == 2 and db >= kb:
+        try:
+            pair = _finite(db * log_da) > _finite(1.4 * kb * kb)
+        except OverflowError:
+            pair = _log_xi(point) > math.log(1.4)
+        if pair:
+            return BoundReport(point, x, UNCHOOSABLE, RULE_PAIR_THRESHOLD)
     return BoundReport(point, x, UNKNOWN, RULE_NONE)
 
 

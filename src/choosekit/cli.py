@@ -180,7 +180,7 @@ def _cmd_classify(args) -> int:
     _emit(
         {
             "point": [args.point.delta_a, args.point.delta_b, args.point.ka, args.point.kb],
-            "xi": report.xi,
+            "xi": _finite_or_inf(report.xi),
             "verdict": report.verdict,
             "rule": report.rule,
         }

@@ -74,18 +74,12 @@ class STGraph:
         return STGraph.make(d["s"], d["t"], d["edges"])
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    d: tuple        # degree of each T-vertex
-    delta_t: int    # max degree on the T side
-    edge_count: int
-
-
-def degree_profile(graph: STGraph) -> DegreeProfile:
+def t_degrees(graph: STGraph) -> tuple:
+    """The degree of each T-vertex."""
     t_deg = [0] * graph.t_size
     for _, j in graph.edges:
         t_deg[j] += 1
-    return DegreeProfile(tuple(t_deg), max(t_deg, default=0), len(graph.edges))
+    return tuple(t_deg)
 
 
 def counterexample_graph() -> STGraph:
@@ -247,21 +241,20 @@ def fancy_bound_params(s_size: int, delta_t, edge_count) -> float:
 
 def fancy_bound(graph: STGraph) -> float:
     """Degree-based upper bound on p(H_S); nondecreasing in Delta_T."""
-    prof = degree_profile(graph)
-    if prof.edge_count == 0:
+    if not graph.edges:
         raise ValueError("the bound needs at least one edge")
-    return fancy_bound_params(graph.s_size, prof.delta_t, prof.edge_count)
+    return fancy_bound_params(graph.s_size, max(t_degrees(graph)), len(graph.edges))
 
 
 def fancy_bound_fraction(graph: STGraph) -> Fraction:
     """Exact-rational fancy bound; defined when Delta_T divides |S|."""
-    prof = degree_profile(graph)
-    if prof.edge_count == 0:
+    if not graph.edges:
         raise ValueError("the bound needs at least one edge")
-    if graph.s_size % prof.delta_t:
+    delta_t = max(t_degrees(graph))
+    if graph.s_size % delta_t:
         raise ValueError("exact form needs an integral exponent |S|/Delta_T")
-    base = 1 + Fraction(graph.s_size * prof.delta_t, prof.edge_count)
-    return base ** -(graph.s_size // prof.delta_t)
+    base = 1 + Fraction(graph.s_size * delta_t, len(graph.edges))
+    return base ** -(graph.s_size // delta_t)
 
 
 def f_values(graph: STGraph) -> tuple:
@@ -282,10 +275,8 @@ def local_product_bound(graph: STGraph) -> float:
     A would-be refinement of the degree bound; p_blocked_exact of the
     counterexample graph exceeds it, so it is *not* a valid bound.
     """
-    prof = degree_profile(graph)
-    fs = f_values(graph)
     out = 1.0
-    for fi, di in zip(fs, prof.d):
+    for fi, di in zip(f_values(graph), t_degrees(graph)):
         if di == 0:
             continue
         out *= (1.0 + float(fi)) ** (-float(fi) / di)

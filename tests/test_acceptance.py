@@ -112,6 +112,45 @@ def test_criterion_4_detail_is_pinned():
     )
 
 
+@pytest.mark.parametrize("seconds", [4.0, 100.0])
+def test_run_criteria_applies_each_time_limit(monkeypatch, seconds):
+    # every criterion passes its checks and takes `seconds` by the clock;
+    # the limits are 5 to 60 s, so at 4 s none and at 100 s all are over
+    monkeypatch.setattr(acceptance, "CRITERIA", (lambda: (True, "checks hold"),) * 10)
+    ticks = iter(range(1000))
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: seconds * next(ticks))
+    for result, (name, limit) in zip(acceptance.run_criteria(), acceptance.SPECS, strict=True):
+        assert result.name == name
+        if limit is None:
+            assert result.passed and result.detail == f"checks hold [{seconds:.2f}s]"
+        elif seconds < limit:
+            assert result.passed
+            assert result.detail == f"checks hold [{seconds:.2f}s of {limit:.0f}s allowed]"
+        else:
+            assert result.passed is False
+            assert result.detail == (
+                f"checks hold [{seconds:.2f}s of {limit:.0f}s allowed; over budget]"
+            )
+
+
+def test_run_criteria_numbers_and_names_by_position(monkeypatch):
+    # bench/workloads.py swaps CRITERIA for closures that carry no attributes
+    expected = [(r.index, r.name, r.passed) for r in acceptance.run_criteria({6, 7, 8})]
+    ran = []
+
+    def plain(fn):
+        def timed():
+            ran.append(fn.__name__)
+            return fn()
+        return timed
+
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(plain, acceptance.CRITERIA)))
+    got = acceptance.run_criteria({6, 7, 8})
+    assert [(r.index, r.name, r.passed) for r in got] == expected
+    assert [r.index for r in acceptance.run_criteria({3, 9})] == [3, 9]
+    assert ran == ["criterion_6", "criterion_7", "criterion_8", "criterion_3", "criterion_9"]
+
+
 @functools.cache
 def _scalar_fuzz_stream():
     """Criterion 9's samples as a scalar loop draws them from
@@ -156,8 +195,8 @@ def _record(monkeypatch, name, fail_at=None, failure=None):
 def test_criterion_9_checks_the_scalar_stream(monkeypatch):
     points_seen = _record(monkeypatch, "verify_tedious")
     curves_seen = _record(monkeypatch, "count_double_exp_fixed_points")
-    result = acceptance.criterion_9()
-    assert result.passed, result.line()
+    passed, detail = acceptance.criterion_9()
+    assert passed, detail
     points, curves = _scalar_fuzz_stream()
     drawn = np.column_stack([np.concatenate(v) for v in zip(*points_seen)])
     assert drawn.tobytes() == np.array(points).tobytes()  # bit for bit
@@ -174,13 +213,13 @@ def _fail_elements(holds, i):
 @pytest.mark.parametrize("trial", [0, 12345, 99990])
 def test_criterion_9_reports_the_first_failing_point(monkeypatch, trial):
     _record(monkeypatch, "verify_tedious", fail_at=trial, failure=_fail_elements)
-    result = acceptance.criterion_9()
+    passed, detail = acceptance.criterion_9()
     a, b, beta, gamma = _scalar_fuzz_stream()[0][trial]
-    assert not result.passed
-    assert result.detail == (
+    assert not passed
+    assert detail == (
         f"tedious inequality failed at trial {trial}: a={a} b={b} beta={beta} gamma={gamma}"
     )
-    assert "np." not in result.detail and "float64" not in result.detail
+    assert "np." not in detail and "float64" not in detail
 
 
 def _four_fixed_points(counts, i):
@@ -195,7 +234,7 @@ def test_criterion_9_reports_a_curve_with_too_many_fixed_points(monkeypatch):
         with monkeypatch.context() as patch:
             _record(patch, "count_double_exp_fixed_points", fail_at=curve,
                     failure=_four_fixed_points)
-            result = acceptance.criterion_9()
+            passed, detail = acceptance.criterion_9()
         a, b = _scalar_fuzz_stream()[1][curve]
-        assert not result.passed
-        assert result.detail == f"4 double-exponential fixed points at a={a} b={b}"
+        assert not passed
+        assert detail == f"4 double-exponential fixed points at a={a} b={b}"

@@ -107,6 +107,38 @@ def test_xi_values():
     assert xi(RegimePoint(1, 5, 2, 1)) == 0.0  # ln(1) kills ka >= 2
 
 
+def test_xi_beyond_float_range():
+    # the direct form overflows on the way; xi is exp of its logarithm
+    assert xi(RegimePoint(400, 400, 400, 400)) == 0.0  # about e^-1676
+    assert bounds._log_xi(RegimePoint(400, 400, 400, 400)) == pytest.approx(-1676, abs=1)
+    assert xi(RegimePoint(3, 10**400, 2, 2)) == math.inf
+    assert xi(RegimePoint(1, 10**400, 1, 2)) == math.inf
+    assert xi(RegimePoint(1, 10**400, 3, 2)) == 0.0  # ln(1) kills ka >= 2
+    assert xi(RegimePoint(1000, 1, 300, 300)) == 0.0
+    # 10^300 * ln(10^6)^9 overflows, though xi = ln(10^6)^9 fits a float
+    x = xi(RegimePoint(10**6, 10**300, 10, 10**30))
+    assert x == pytest.approx(math.log(1e6) ** 9, rel=1e-12)
+
+
+@pytest.mark.parametrize("point", [(3, 9, 2, 1), (3, 3, 2, 1), (2, 10, 2, 10), (2, 3, 2, 2),
+                                   (5, 3, 1, 2), (7, 7, 3, 3)])
+def test_classify_is_invariant_under_scaling_past_float_range(point):
+    # delta_b * c^ka and kb * c leave xi, and so every rule's test, unchanged;
+    # at c = 10^400 each threshold's direct form overflows and logarithms decide
+    da, db, ka, kb = point
+    c = 10**400
+    small, large = classify(RegimePoint(*point)), classify(RegimePoint(da, db * c**ka, ka, kb * c))
+    assert (large.verdict, large.rule) == (small.verdict, small.rule)
+    assert large.xi == pytest.approx(small.xi, rel=1e-11)
+
+
+def test_classify_threshold_where_both_sides_overflow():
+    # both sides of the general threshold overflow a float: xi = 1.8e10
+    # against 2^19 ln(10)^9 = 9.4e8, so the rule fires
+    report = classify(RegimePoint(10**6, 10**300, 10, 10**30))
+    assert (report.verdict, report.rule) == (UNCHOOSABLE, bounds.RULE_GENERAL_THRESHOLD)
+
+
 def test_classify_unchoosable_via_general_threshold():
     report = classify(RegimePoint(3, 9, 2, 1))
     assert report.verdict == UNCHOOSABLE
@@ -597,7 +629,8 @@ def test_fixed_point_count_work_on_criterion_9_curves(monkeypatch):
     # full scan needs 10^4 * 10,001.  The ceiling leaves 1 % for other
     # roundings of exp near a block's bound.
     _limit_points(monkeypatch, 1_700_000)
-    assert acceptance.criterion_9().passed
+    passed, detail = acceptance.criterion_9()
+    assert passed, detail
 
 
 @pytest.mark.parametrize("a, b", [(1e300, 1e10), (1.0, 1e-320)])

@@ -97,14 +97,15 @@ def test_bounds_output(capsys):
     assert abs(payload["alpha"] - 0.1018160943972684) < 1e-9
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 @pytest.mark.parametrize("k", [118, 200, 400, 2055, 10**6])
 def test_bounds_output_beyond_float_range(capsys, k):
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
     code, out = run(capsys, "bounds", "--k", str(k))
     assert code == 0
-    payload = json.loads(out, parse_constant=reject)
+    payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["k"] == k
     for key in ("ximHi", "ximPrimeUpper"):
         assert payload[key] == "inf" or isinstance(payload[key], float)
@@ -117,6 +118,26 @@ def test_classify_output(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "unchoosable"
     assert payload["rule"] == "block-threshold"
+
+
+@pytest.mark.parametrize("point, xi, verdict", [
+    ("400,400,400,400", 0.0, "choosable"),
+    (f"3,{10**400},2,2", "inf", "unchoosable"),
+])
+def test_classify_beyond_float_range(capsys, point, xi, verdict):
+    code, out = run(capsys, "classify", "--point", point)
+    assert code == 0
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert (payload["xi"], payload["verdict"]) == (xi, verdict)
+
+
+def test_frontier_beyond_float_range(capsys):
+    code, out = run(capsys, "frontier", "--ka", "300", "--kb", "300", "--maxA", "1000", "--maxB", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1001
+    assert lines[1:] == [f"{da},1,300,300,0,choosable,trivial-degrees,0" for da in range(1, 1001)]
 
 
 def test_pblocked_counterexample_exact(capsys):

@@ -14,7 +14,6 @@ from choosekit.indepset import (
     MC_CHUNK_FLOATS,
     STGraph,
     counterexample_graph,
-    degree_profile,
     f_values,
     fancy_bound,
     fancy_bound_fraction,
@@ -26,6 +25,7 @@ from choosekit.indepset import (
     p_blocked_exact,
     p_blocked_monte_carlo,
     random_transversal_search,
+    t_degrees,
 )
 from choosekit.model import ColorSystem
 
@@ -92,9 +92,9 @@ def test_counterexample_shape():
     g = counterexample_graph()
     assert g.s_size == 4 and g.t_size == 5
     assert len(g.edges) == 8
-    prof = degree_profile(g)
-    assert sorted(prof.d) == [1, 1, 1, 1, 4]
-    assert prof.delta_t == 4 and prof.edge_count == 8
+    d = t_degrees(g)
+    assert sorted(d) == [1, 1, 1, 1, 4]
+    assert max(d) == 4
 
 
 def test_counterexample_f_values():
@@ -274,7 +274,7 @@ def _reference_graphs():
 def test_p_blocked_matches_full_mask_recursion():
     graphs = _reference_graphs()
     assert len(graphs) >= 200
-    assert any(0 in degree_profile(g).d for g in graphs if g.t_size)  # isolated T
+    assert any(0 in t_degrees(g) for g in graphs if g.t_size)  # isolated T
     for g in graphs:
         got = p_blocked_exact(g)
         assert got == _p_blocked_full_mask(g), g
@@ -420,8 +420,7 @@ def test_fancy_bound_dominates_exact():
     checked = 0
     for _ in range(60):
         g = _random_stgraph(rng)
-        prof = degree_profile(g)
-        if prof.edge_count == 0:
+        if not g.edges:
             continue
         sdeg = [0] * g.s_size
         for i, _ in g.edges:
@@ -469,14 +468,14 @@ def degree_functional_check(graph: STGraph):
 
     Returns (value, holds).  Every T-vertex must have degree >= 1.
     """
-    prof = degree_profile(graph)
-    if any(d == 0 for d in prof.d):
+    d_t = t_degrees(graph)
+    if any(d == 0 for d in d_t):
         raise ValueError("isolated T-vertex: the functional is undefined")
     s_deg = Counter(i for i, _ in graph.edges)
     big_d = [0] * graph.t_size  # D_i: the sum of T-vertex i's S-neighbors' degrees
     for i, j in graph.edges:
         big_d[j] += s_deg[i]
-    value = sum(Fraction(d * d, big) for d, big in zip(prof.d, big_d))
+    value = sum(Fraction(d * d, big) for d, big in zip(d_t, big_d))
     return value, value <= graph.s_size
 
 
