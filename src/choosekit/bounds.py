@@ -20,6 +20,7 @@ from functools import lru_cache
 from .model import RegimePoint
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = -1075 * math.log(2.0)  # math.exp is 0.0 at and below it
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # the smallest normal float
 
@@ -89,16 +90,15 @@ def xi(point: RegimePoint) -> float:
     """delta_b * ln(delta_a)^(ka-1) / kb^ka.
 
     For ka = 1 this is delta_b / kb (the log factor has exponent zero, even
-    at delta_a = 1); for ka >= 2 and delta_a = 1 it is 0.  Where the direct
-    form overflows on the way, xi is exp of its logarithm: 0.0 or math.inf
-    where xi itself leaves float range.
+    at delta_a = 1); for ka >= 2 and delta_a = 1 it is 0.  Evaluated
+    log-first (_from_log): 0.0 or math.inf only where xi itself leaves
+    float range, and for a ka past float range, 0.0 or math.inf by the sign
+    of ln ln(delta_a) - ln kb.
     """
     da, db, ka, kb = point.delta_a, point.delta_b, point.ka, point.kb
-    try:
-        return _finite(db / kb if ka == 1 else db * math.log(da) ** (ka - 1) / kb**ka)
-    except OverflowError:
-        log_x = _log_xi(point)
-        return math.exp(log_x) if log_x < _LOG_FLOAT_MAX else math.inf
+    return _from_log(
+        _log_xi(point), lambda: db / kb if ka == 1 else db * math.log(da) ** (ka - 1) / kb**ka
+    )
 
 
 def _log_xi(point: RegimePoint) -> float:
@@ -106,14 +106,28 @@ def _log_xi(point: RegimePoint) -> float:
     if point.ka > 1 and point.delta_a == 1:
         return -math.inf
     log_log_da = math.log(math.log(point.delta_a) or 1.0)  # ln(1)^0 = 1 at ka = 1
+    if point.ka > sys.float_info.max:  # (ka - 1) * ... would not convert to a float
+        return math.inf if log_log_da > math.log(point.kb) else -math.inf
     return math.log(point.delta_b) + (point.ka - 1) * log_log_da - point.ka * math.log(point.kb)
 
 
-def _finite(x: float) -> float:
-    """x, or OverflowError where a float product overflowed to inf."""
-    if math.isinf(x):
-        raise OverflowError(x)
-    return x
+def _from_log(log_value: float, direct) -> float:
+    """A positive value, given its natural logarithm and a direct form.
+
+    Where log_value puts the value past float range, math.inf or 0.0,
+    without calling direct (which may build huge integers on the way).
+    Otherwise direct(), unless it overflows (OverflowError, inf or NaN) or
+    underflows to 0.0 on the way; then exp(log_value).
+    """
+    if log_value >= _LOG_FLOAT_MAX:
+        return math.inf
+    if log_value < _LOG_FLOAT_MIN:
+        return 0.0
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    return value if 0.0 < value < math.inf else math.exp(log_value)
 
 
 @dataclass(frozen=True)
@@ -144,21 +158,15 @@ def classify(point: RegimePoint) -> BoundReport:
     if x < alpha(ka).alpha:
         return BoundReport(point, x, CHOOSABLE, RULE_XI_ALPHA)
     # General threshold; ln(1)^0 = 1 keeps the ka = 1 case meaningful.  Each
-    # test is taken on xi's logarithm where its direct form overflows.
-    log_da, log_ka = math.log(da), math.log(ka) or 1.0
-    try:
-        rhs = 2 ** (2 * ka - 1) * log_ka ** (ka - 1) * kb ** ka
-        general = _finite(db * log_da ** (ka - 1)) > _finite(rhs)
-    except OverflowError:
-        general = _log_xi(point) > (2 * ka - 1) * math.log(2.0) + (ka - 1) * math.log(log_ka)
-    if general:
+    # test compares the ratio of its two sides with 1: for finite positive
+    # floats fl(lhs / rhs) > 1 exactly when lhs > rhs.
+    log_xi, log_da, log_ka = _log_xi(point), math.log(da), math.log(ka) or 1.0
+    log_rhs = (2 * ka - 1) * math.log(2.0) + (ka - 1) * math.log(log_ka)
+    ratio = lambda: db * log_da ** (ka - 1) / (2 ** (2 * ka - 1) * log_ka ** (ka - 1) * kb**ka)
+    if _from_log(log_xi - log_rhs, ratio) > 1.0:
         return BoundReport(point, x, UNCHOOSABLE, RULE_GENERAL_THRESHOLD)
     if ka == 2 and db >= kb:
-        try:
-            pair = _finite(db * log_da) > _finite(1.4 * kb * kb)
-        except OverflowError:
-            pair = _log_xi(point) > math.log(1.4)
-        if pair:
+        if _from_log(log_xi - math.log(1.4), lambda: db * log_da / (1.4 * kb * kb)) > 1.0:
             return BoundReport(point, x, UNCHOOSABLE, RULE_PAIR_THRESHOLD)
     return BoundReport(point, x, UNKNOWN, RULE_NONE)
 
@@ -218,21 +226,14 @@ def xim_bounds(k: int) -> XimBounds:
         log_xi = r * log_k + (k - 1) * math.log(log_db) - k * log_k
         candidates.append((log_xi, RULE_COMPOSITE, r))
     log_hi, hi_rule, r = min(candidates, key=lambda c: c[0])
-    hi = math.inf
-    if log_hi < _LOG_FLOAT_MAX:  # else the bound itself exceeds a float
-        try:
-            if hi_rule == RULE_COMPOSITE:
-                # The exp fallback below takes the log from the integers,
-                # which are small wherever the bound fits a float.
-                delta_b, delta_a = (k // r) ** k * r, k**r
-                log_hi = math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * log_k
-                hi = delta_a * math.log(delta_b) ** (k - 1) / float(k) ** k
-            else:
-                hi = seven if hi_rule == RULE_SEVEN else log_k ** (k - 1)
-        except OverflowError:
-            pass
-    if math.isinf(hi) and log_hi < _LOG_FLOAT_MAX:
-        hi = math.exp(log_hi)  # only an intermediate of the closed form overflowed
+    direct = lambda: seven if hi_rule == RULE_SEVEN else log_k ** (k - 1)
+    if hi_rule == RULE_COMPOSITE and log_hi < _LOG_FLOAT_MAX:
+        # The integers are small wherever the bound fits a float; the
+        # fallback's logarithm is taken from them.
+        delta_b, delta_a = (k // r) ** k * r, k**r
+        log_hi = math.log(delta_a) + (k - 1) * math.log(math.log(delta_b)) - k * log_k
+        direct = lambda: delta_a * math.log(delta_b) ** (k - 1) / float(k) ** k
+    hi = _from_log(log_hi, direct)
     return XimBounds(k, lo, hi, lo_rule, hi_rule)
 
 
@@ -258,10 +259,8 @@ def xim_prime_upper(k: int) -> float:
     if k < 2:
         raise ValueError("k must be >= 2")
     inner = ((k + 1) * math.log(2.0) + 2.0 * math.log(k)) / k
-    try:
-        return math.ldexp(k * k * (2.0 * inner) ** k, 1)
-    except OverflowError:
-        return math.inf
+    log_value = math.log(2.0) + 2.0 * math.log(k) + k * math.log(2.0 * inner)
+    return _from_log(log_value, lambda: math.ldexp(k * k * (2.0 * inner) ** k, 1))
 
 
 def xim_prime_lower(k: int) -> float:

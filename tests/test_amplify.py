@@ -239,3 +239,14 @@ def test_chain_huge_values_exact():
     assert out.delta_a == 12**r // 6
     assert out.ka == r * 2
     assert math.log2(out.delta_a) > 60  # past any fixed-width range
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: blowup(k12_witness(), 0), "r must be >= 1"),
+    (lambda: expand(k12_witness(), 0), "s must be >= 1"),
+    (lambda: amplify_params(RegimePoint(2, 2, 2, 2), BLOWUP, 0), "r must be >= 1"),
+    (lambda: amplify_params(RegimePoint(2, 2, 2, 2), "twist", 2), "unknown amplification kind"),
+], ids=["blowup", "expand", "params-r", "params-kind"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

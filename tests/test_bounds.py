@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,25 @@ def test_xi_beyond_float_range():
     # 10^300 * ln(10^6)^9 overflows, though xi = ln(10^6)^9 fits a float
     x = xi(RegimePoint(10**6, 10**300, 10, 10**30))
     assert x == pytest.approx(math.log(1e6) ** 9, rel=1e-12)
+    # ka past float range: 0.0 or inf by the sign of ln ln(delta_a) - ln kb
+    assert xi(RegimePoint(3, 3, 10**400, 2)) == 0.0
+    assert xi(RegimePoint(3, 3, 10**400, 1)) == math.inf
+    assert xi(RegimePoint(1, 3, 10**400, 1)) == 0.0  # ln(1) kills ka >= 2
+
+
+def test_xi_is_zero_only_past_float_range():
+    # ln(2)^2099 underflows to 0.0, though xi = e^-78.5 fits a float
+    point = RegimePoint(2, 10**300, 2100, 1)
+    assert bounds._log_xi(point) == pytest.approx(-78.5, abs=0.1)
+    assert xi(point) == pytest.approx(math.exp(bounds._log_xi(point)), rel=1e-12, abs=0.0)
+
+
+def test_classify_is_fast_where_kb_to_the_ka_is_huge():
+    # the logarithm puts xi below float range, so kb**ka is never built
+    start = time.perf_counter()
+    report = classify(RegimePoint(2, 2, 10**7, 3))
+    assert time.perf_counter() - start < 0.5
+    assert (report.xi, report.verdict, report.rule) == (0.0, CHOOSABLE, bounds.RULE_TRIVIAL)
 
 
 @pytest.mark.parametrize("point", [(3, 9, 2, 1), (3, 3, 2, 1), (2, 10, 2, 10), (2, 3, 2, 2),
@@ -179,6 +199,14 @@ def test_classify_open_band_is_unknown():
     report = classify(RegimePoint(2, 3, 2, 2))
     assert report.verdict in (UNKNOWN, CHOOSABLE)
     assert report.verdict != UNCHOOSABLE  # the point is exactly choosable
+
+
+@pytest.mark.parametrize("point", [(10, 5 * 10**19, 10, 25), (100, 10**20, 10, 50)])
+def test_classify_exact_tie_with_the_general_threshold(point):
+    # xi equals the general threshold 2^19 ln(10)^9 exactly at both points,
+    # and the strict test leaves a tie unknown
+    report = classify(RegimePoint(*point))
+    assert (report.verdict, report.rule) == (UNKNOWN, bounds.RULE_NONE)
 
 
 def test_xim_bounds_k1_exact():
@@ -762,3 +790,13 @@ def test_composite_swap_certifies_the_ka_4_upper_bound():
     inst = construct_blocks(BlockSpec(4, (2, 2)))
     mirror = ListInstance.complete(inst.universe, inst.kb, inst.ka, inst.b_lists, inst.a_lists)
     _certifies(mirror, 4, bounds.RULE_COMPOSITE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: xim_bounds(0), "k must be >= 1"),
+    (lambda: xim_prime_upper(1), "k must be >= 2"),
+    (lambda: xim_prime_lower(1), "k must be >= 2"),
+], ids=["xim_bounds", "xim_prime_upper", "xim_prime_lower"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

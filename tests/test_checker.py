@@ -1330,3 +1330,19 @@ def test_simulate_with_formula_probability():
     assert 0.0 < sim.threshold < 1.0
     assert sim.success_rate > 0.4
     assert sim.successes + sim.aborts + sim.b_starved == sim.trials
+
+
+_K12 = construct_blocks(BlockSpec(2, (1,)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: has_proper_coloring(_K12, engine="x"), "unknown engine 'x'"),
+    (lambda: simulate_reserve_coloring(_K12, 0.5, 0, 1), "need at least one trial"),
+], ids=["engine", "trials"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_family_set_is_never_met():
+    assert independent_transversal_exists(ColorSystem.make(2, [(0, 1)], [()])) == (False, None)

@@ -123,6 +123,8 @@ def test_classify_output(capsys):
 @pytest.mark.parametrize("point, xi, verdict", [
     ("400,400,400,400", 0.0, "choosable"),
     (f"3,{10**400},2,2", "inf", "unchoosable"),
+    (f"3,3,{10**400},2", 0.0, "choosable"),
+    (f"3,3,{10**400},1", "inf", "choosable"),
 ])
 def test_classify_beyond_float_range(capsys, point, xi, verdict):
     code, out = run(capsys, "classify", "--point", point)
@@ -138,6 +140,24 @@ def test_frontier_beyond_float_range(capsys):
     lines = out.splitlines()
     assert len(lines) == 1001
     assert lines[1:] == [f"{da},1,300,300,0,choosable,trivial-degrees,0" for da in range(1, 1001)]
+
+
+def test_classify_nontrivial_ka_beyond_float_range_is_usage_error(capsys):
+    big = 10**400
+    code = cli.main(["classify", "--point", f"{big},2,{big},2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "choosekit: error: classify: k must be >= 1 and fit a float\n"
+
+
+def test_frontier_ka_beyond_float_range(capsys):
+    big = 10**400
+    code, out = run(capsys, "frontier", "--ka", str(big), "--kb", "2", "--maxA", "2", "--maxB", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        f"{da},{db},{big},2,0,choosable,trivial-degrees,0" for da in (1, 2) for db in (1, 2)
+    ]
 
 
 def test_pblocked_counterexample_exact(capsys):
@@ -354,6 +374,14 @@ def test_python_dash_m_runs_the_cli(run_python):
     done = run_python("-m", "choosekit", "classify", "--point", "3,9,2,1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdict"] == "unchoosable"
+
+
+def test_classify_at_a_huge_ka_answers_without_building_kb_to_the_ka(run_python):
+    # kb**ka = 3**(10**9) would take far longer than the fixture's timeout
+    done = run_python("-m", "choosekit", "classify", "--point", "2,2,1000000000,3")
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert (payload["xi"], payload["rule"]) == (0.0, "trivial-degrees")
 
 
 def test_python_dash_m_reads_sys_argv(run_python, capsys):

@@ -118,3 +118,9 @@ def test_byte_stable_layout():
         "aLists": [[0, 2], [0, 3], [1, 2], [1, 3]],
         "bLists": [[0, 1], [2, 3]],
     }
+
+
+@pytest.mark.parametrize("a, r", [(0, 1), (1, 0)])
+def test_construct_simple_input_checks(a, r):
+    with pytest.raises(ValueError, match="a and r must be >= 1"):
+        construct_simple(2, a, r)

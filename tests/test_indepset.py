@@ -599,3 +599,19 @@ def test_random_search_requires_two_uniform():
     system = ColorSystem.make(4, [(0, 1, 2)], [(3,)])
     with pytest.raises(ValueError):
         random_transversal_search(system, restarts=1, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: p_blocked_monte_carlo(counterexample_graph(), 0, 1), "need at least one trial"),
+    (lambda: fancy_bound_params(3, 0, 0), "need a nonempty graph"),
+    # Delta_T = 2 does not divide |S| = 3
+    (lambda: fancy_bound_fraction(STGraph.make(3, 1, [(0, 0), (1, 0)])), "integral exponent"),
+    (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be >= 1"),
+    (lambda: max_degree_deletion(3, [(1, 1)], 1), "2-sets of distinct vertices"),
+    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1)], []), 1, 0),
+     "needs a nonempty family"),
+], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",
+        "transversal-family"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -195,3 +195,15 @@ def test_point_requires_complete_adjacency():
     inst = ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
     with pytest.raises(ValueError):
         inst.point()
+
+
+@pytest.mark.parametrize("problems, message", [
+    (lambda: validate(ListInstance.complete(-1, 1, 1, [], [])), "universe size is negative"),
+    (lambda: validate(ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0), (0, 0)])),
+     "edge (0,0) repeated"),
+    (lambda: validate_coloring(ListInstance.complete(2, 1, 1, [(0,)], [(1,)]),
+                               Coloring.make({("A", 0): 1, ("B", 0): 1})),
+     "vertex ('A', 0) colored outside its list"),
+], ids=["negative-universe", "repeated-edge", "color-outside-list"])
+def test_validation_reports(problems, message):
+    assert message in problems()
