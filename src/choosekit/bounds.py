@@ -93,12 +93,18 @@ def xi(point: RegimePoint) -> float:
     at delta_a = 1); for ka >= 2 and delta_a = 1 it is 0.  Evaluated
     log-first (_from_log): 0.0 or math.inf only where xi itself leaves
     float range, and for a ka past float range, 0.0 or math.inf by the sign
-    of ln ln(delta_a) - ln kb.
+    of ln ln(delta_a) - ln kb.  Where ln(delta_a)^(ka-1) is subnormal it has
+    lost digits that the product would show, so xi is exp of its logarithm.
     """
     da, db, ka, kb = point.delta_a, point.delta_b, point.ka, point.kb
-    return _from_log(
-        _log_xi(point), lambda: db / kb if ka == 1 else db * math.log(da) ** (ka - 1) / kb**ka
-    )
+
+    def direct():
+        if ka == 1:
+            return db / kb
+        factor = math.log(da) ** (ka - 1)
+        return db * factor / kb**ka if factor >= _TINY else 0.0  # 0.0: exp of the log
+
+    return _from_log(_log_xi(point), direct)
 
 
 def _log_xi(point: RegimePoint) -> float:

@@ -27,15 +27,17 @@ met; a witness therefore exists iff one exists on the covered colors alone,
 and those number at most ka * delta_b.  The maximal independent sets are
 the complements of the minimal transversals, which the candidate generator
 carries down its search by incremental Berge dualization, one step per added
-edge.
+edge.  It walks the prefixes on an explicit stack and takes each prefix's
+next edges from tables of edges by color count, shared across calls.
 
 A hypergraph with a minimal transversal of fewer than kb colors can never be
 blocked: its maximal independent set meets every kb-set.  The generator
 drops such candidates before their last Berge step, by a test on the
 prefix's short transversals that is exact (see _hypergraph_candidates), and
 the family search settles most of the rest at its root by a greedy packing
-bound.  The search and the bound both work on a list of transversals that
-shrinks with each family set tried or head taken.
+bound.  The search works on a list of transversals that shrinks with each
+family set tried, and the bound scans the same list once, stopping as soon
+as it has more heads than sets left.
 Neither shortcut changes a verdict, a witness or a node count.
 
 The two parts play symmetric roles.  A color set I serves the B side (meets
@@ -54,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -75,12 +78,12 @@ RULE_ENUMERATION = "enumeration"
 
 #: Default search budget, in explored nodes (not wall time, for
 #: reproducibility).  Overridable per call and via CHOOSEKIT_BUDGET in the CLI.
-#: One node is one call of a recursive search: a branching step of either
-#: colorability engine, or in decide_choosable one step of the candidate
-#: generator or of the blocking-family search.  A node's wall time depends on
-#: the point: on a 2-vCPU Xeon VM under Python 3.11, (6,6,3,3) decides in
-#: 372,304 nodes and about 6 s (15 us per node), and (7,7,3,3) exhausts this
-#: budget in about 124 s (25 us per node).
+#: One node is one step of a search: a branching step of either colorability
+#: engine, or in decide_choosable one prefix or leaf of the candidate walk or
+#: one call of the blocking-family search.  A node's wall time depends on
+#: the point: on a 2-vCPU Xeon VM under Python 3.11 (one run each), (6,6,3,3)
+#: decides in 372,304 nodes and 3.7 s (10 us per node), and (7,7,3,3)
+#: exhausts this budget in 55 s (11 us per node).
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -354,49 +357,98 @@ def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
     outside t, so |t| < kb - 1.  A skipped leaf still charges its node, so
     the budget runs out at the same node as without the rule; kb = 1 skips
     nothing.  The rule acts on the last edge, so num_edges is at least 1.
-    """
 
-    def extend(edges, ncolors, transversals):
-        budget.charge()
-        if len(edges) == num_edges:
-            yield tuple(edges), ncolors, transversals
-            return
-        last = edges[-1] if edges else None
-        short = 0  # U, on the last level: every leaf meeting it is skipped
-        if len(edges) == num_edges - 1:
-            for t in transversals:
-                size = t.bit_count()
-                if size < kb - 1:
-                    short = -1  # meets every edge: the whole level is skipped
-                    break
-                if size < kb:
-                    short |= t
-        for fresh in range(ka + 1):
-            if ncolors + fresh > max_colors:
+    The walk is a depth-first search on an explicit stack, one frame per
+    prefix short of num_edges edges, and one node charged per prefix and per
+    leaf in preorder.  A node's children come from the shared edge table of
+    its color count (_edge_table): the blocks that max_colors allows, each
+    cut by bisection to the edges after the prefix's last one.
+    """
+    budget.charge()  # the empty prefix
+    stack = [((), [0], iter(_child_rows(ka, 0, max_colors, ())))]
+    while stack:
+        edges, transversals, rows = stack[-1]
+        if len(edges) < num_edges - 1:
+            for e, m, nc in rows:
+                budget.charge()
+                child = _berge_step(transversals, m)
+                stack.append((edges + (e,), child, iter(_child_rows(ka, nc, max_colors, e))))
                 break
+            else:
+                stack.pop()
+            continue
+        stack.pop()  # the last level: its leaves are walked here in one go
+        short = 0  # U: every leaf meeting it is skipped
+        for t in transversals:
+            size = t.bit_count()
+            if size < kb - 1:
+                short = -1  # meets every edge: the whole level is skipped
+                break
+            if size < kb:
+                short |= t
+        for e, m, nc in rows:
+            budget.charge()  # a skipped leaf charges its node as if it were dualized
+            if not m & short:
+                yield edges + (e,), nc, _berge_step(transversals, m)
+
+
+#: Edge tables shared across calls, keyed by (ka, ncolors); see _edge_table.
+#: A table depends on its key alone, so sharing it changes no result.
+_EDGE_TABLES = {}
+#: Rows the shared tables hold at most in all (a few megabytes).
+_EDGE_TABLE_ROWS = 1 << 15
+
+
+def _edge_table(ka, ncolors):
+    """The ka-edges a prefix covering ncolors colors may append, as rows
+    (edge, mask, colors covered after it) in generation order, the edges
+    alone, and the start of each block: block f takes ka - f old colors, in
+    combinations order, and the f next ids, so each block is
+    lexicographically increasing.  The tables are kept across calls; a table
+    that would take them past _EDGE_TABLE_ROWS rows drops the others first."""
+    table = _EDGE_TABLES.get((ka, ncolors))
+    if table is None:
+        rows, starts = [], []
+        for fresh in range(ka + 1):
+            starts.append(len(rows))
             new_cols = tuple(range(ncolors, ncolors + fresh))
             for olds in itertools.combinations(range(ncolors), ka - fresh):
                 e = olds + new_cols
-                if last is not None and e <= last:
-                    continue
-                m = mask_of(e)
-                if m & short:
-                    budget.charge()  # the leaf's node, as if it were dualized
-                    continue
-                yield from extend(edges + [e], ncolors + fresh, _berge_step(transversals, m))
+                rows.append((e, mask_of(e), ncolors + fresh))
+        starts.append(len(rows))
+        if sum(len(t[0]) for t in _EDGE_TABLES.values()) + len(rows) > _EDGE_TABLE_ROWS:
+            _EDGE_TABLES.clear()
+        table = _EDGE_TABLES[ka, ncolors] = (rows, [r[0] for r in rows], starts)
+    return table
 
-    yield from extend([], 0, [0])
+
+def _child_rows(ka, ncolors, max_colors, last):
+    """The rows of a prefix covering ncolors colors whose last edge is last:
+    the blocks adding at most max_colors - ncolors fresh colors, each from
+    its first edge after last on."""
+    rows, edges, starts = _edge_table(ka, ncolors)
+    out = []
+    for f in range(min(ka, max_colors - ncolors) + 1):
+        end = starts[f + 1]
+        out += rows[bisect_right(edges, last, starts[f], end):end]
+    return out
 
 
 def _packing_exceeds(masks, kb, left):
-    """Whether the greedy packing of masks takes more than left heads: take
-    the first, keep only the later masks sharing fewer than kb colors with it,
-    repeat."""
-    heads = 0
-    while masks and heads <= left:
-        masks = [m for m in masks[1:] if (masks[0] & m).bit_count() < kb]
-        heads += 1
-    return heads > left
+    """Whether the greedy packing of masks takes more than left heads: a
+    mask is a head when it shares fewer than kb colors with every earlier
+    head, and the scan stops at the (left + 1)-th."""
+    heads = []
+    for m in masks:
+        for h in heads:
+            if (h & m).bit_count() >= kb:
+                break
+        else:
+            if not left:
+                return True
+            left -= 1
+            heads.append(m)
+    return False
 
 
 def _find_blocking_family(transversals, kb, max_sets, budget):
@@ -420,7 +472,8 @@ def _find_blocking_family(transversals, kb, max_sets, budget):
     A kb-set lies inside two transversals only if they share kb colors, so
     unmet transversals that pairwise share fewer need one family set each.
     A greedy packing gives such a set of heads: take the first unmet
-    transversal, drop every transversal sharing kb colors with it, repeat.
+    transversal, drop every transversal sharing kb colors with it, repeat
+    (_packing_exceeds finds the same heads in one scan).
     A search with more heads than sets left is pruned; the test runs at the
     root, before the search begins, and in every search call below it with
     at least two sets left.  Pruning never cuts off a family, so the first

@@ -132,6 +132,22 @@ def test_xi_is_zero_only_past_float_range():
     assert xi(point) == pytest.approx(math.exp(bounds._log_xi(point)), rel=1e-12, abs=0.0)
 
 
+# xi(2, 10^300, ka, 1) = 10^300 * ln(2)^(ka-1), from 40-digit mpmath; from
+# ka = 1934 on the factor ln(2)^(ka-1) is subnormal while xi is a normal float
+_XI_SUBNORMAL_FACTOR = {
+    1950: 5.8725074576892351365e-11,
+    2000: 6.4579790116471211105e-19,
+    2020: 4.2325865753070224719e-22,
+    2030: 1.0835787027567522416e-23,
+}
+
+
+@pytest.mark.parametrize("ka", sorted(_XI_SUBNORMAL_FACTOR))
+def test_xi_where_the_log_factor_is_subnormal(ka):
+    got = xi(RegimePoint(2, 10**300, ka, 1))
+    assert got == pytest.approx(_XI_SUBNORMAL_FACTOR[ka], rel=1e-12, abs=0.0)
+
+
 def test_classify_is_fast_where_kb_to_the_ka_is_huge():
     # the logarithm puts xi below float range, so kb**ka is never built
     start = time.perf_counter()

@@ -581,6 +581,110 @@ def test_leaf_rule_drops_exactly_the_candidates_with_a_short_transversal():
     assert skipped > 0
 
 
+# The earlier forms of two kernel pieces, kept as oracles: the packing test as
+# a list that each head shrinks, and the candidate walk as a recursion that
+# enumerates each prefix's edges with itertools.  The current forms must give
+# the same answers, the same candidates and the same node counts.
+
+
+def _reference_packing_exceeds(masks, kb, left):
+    heads = 0
+    while masks and heads <= left:
+        masks = [m for m in masks[1:] if (masks[0] & m).bit_count() < kb]
+        heads += 1
+    return heads > left
+
+
+def _reference_hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
+    def extend(edges, ncolors, transversals):
+        budget.charge()
+        if len(edges) == num_edges:
+            yield tuple(edges), ncolors, transversals
+            return
+        last = edges[-1] if edges else None
+        short = 0
+        if len(edges) == num_edges - 1:
+            for t in transversals:
+                size = t.bit_count()
+                if size < kb - 1:
+                    short = -1
+                    break
+                if size < kb:
+                    short |= t
+        for fresh in range(ka + 1):
+            if ncolors + fresh > max_colors:
+                break
+            new_cols = tuple(range(ncolors, ncolors + fresh))
+            for olds in itertools.combinations(range(ncolors), ka - fresh):
+                e = olds + new_cols
+                if last is not None and e <= last:
+                    continue
+                m = mask_of(e)
+                if m & short:
+                    budget.charge()
+                    continue
+                yield from extend(
+                    edges + [e], ncolors + fresh, checker._berge_step(transversals, m)
+                )
+
+    yield from extend([], 0, [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # masks over six colors, with the low ones drawn often enough to repeat
+    masks=st.lists(st.one_of(st.integers(0, 7), st.integers(0, 63)), max_size=16),
+    kb=st.integers(1, 4),
+    left=st.integers(0, 8),
+)
+def test_packing_scan_matches_its_reference(masks, kb, left):
+    assert checker._packing_exceeds(masks, kb, left) == _reference_packing_exceeds(masks, kb, left)
+
+
+def _candidate_stream(generate, ka, kb, num_edges, max_colors, limit=None):
+    """Every candidate with the node count when it came out, then the count
+    at the end: the budget's when the walk finished, the exception's when it
+    ran out."""
+    budget, got = checker._Budget(limit), []
+    try:
+        for edges, nc, ts in generate(ka, kb, num_edges, max_colors, budget):
+            got.append((edges, nc, ts, budget.nodes))
+    except SearchBudgetExceeded as exc:
+        return got, ("exhausted", exc.nodes)
+    return got, ("done", budget.nodes)
+
+
+_CANDIDATE_GRID = [
+    (ka, kb, num_edges, max_colors)
+    for ka in (2, 3)
+    for kb in (1, 2, 3, 4)
+    for num_edges in (1, 2, 3, 4)
+    for max_colors in (ka, ka + 1, 2 * ka, ka * num_edges)
+]
+
+
+def test_candidate_walk_matches_its_reference():
+    yielded = 0
+    for params in _CANDIDATE_GRID:
+        got = _candidate_stream(checker._hypergraph_candidates, *params)
+        assert got == _candidate_stream(_reference_hypergraph_candidates, *params), params
+        yielded += len(got[0])
+    assert yielded > 1000
+
+
+def test_candidate_walk_runs_out_where_its_reference_does():
+    rng = random.Random(17)
+    ran_out = 0
+    for params in _CANDIDATE_GRID:
+        total = _candidate_stream(_reference_hypergraph_candidates, *params)[1][1]
+        for limit in {0, total - 1, *(rng.randint(0, total) for _ in range(4))}:
+            got = _candidate_stream(checker._hypergraph_candidates, *params, limit)
+            ref = _candidate_stream(_reference_hypergraph_candidates, *params, limit)
+            assert got == ref, (params, limit)
+            ran_out += got[1][0] == "exhausted"
+    assert ran_out > 100
+
+
 def _scan_maximal_independent_sets(n, edge_masks):
     """Reference: every subset of the n colors, ascending, kept when it holds
     no edge and adding any further color would complete one."""

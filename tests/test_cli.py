@@ -486,6 +486,75 @@ def test_frontier_csv(tmp_path, capsys):
     assert rows[("2", "4")][5] == "unchoosable"
 
 
+# `frontier` on the two grids the benchmark runs, at its budget; recorded from
+# the kernel before the one-pass packing scan and the flat candidate walk, so
+# any change to a verdict, a rule or a node count shows here
+_PINNED_FRONTIER_CSV = {
+    ("2", "3", "3", "8"): (
+        'deltaA,deltaB,kA,kB,xi,verdict,rule,nodesExplored\n'
+        '1,1,2,3,0,choosable,trivial-degrees,0\n'
+        '1,2,2,3,0,choosable,trivial-degrees,0\n'
+        '1,3,2,3,0,choosable,trivial-degrees,0\n'
+        '1,4,2,3,0,choosable,trivial-degrees,0\n'
+        '1,5,2,3,0,choosable,trivial-degrees,0\n'
+        '1,6,2,3,0,choosable,trivial-degrees,0\n'
+        '1,7,2,3,0,choosable,trivial-degrees,0\n'
+        '1,8,2,3,0,choosable,trivial-degrees,0\n'
+        '2,1,2,3,0.0770163533955,choosable,trivial-degrees,0\n'
+        '2,2,2,3,0.154032706791,choosable,trivial-degrees,0\n'
+        '2,3,2,3,0.231049060187,choosable,enumeration,9\n'
+        '2,4,2,3,0.308065413582,choosable,enumeration,9\n'
+        '2,5,2,3,0.385081766978,choosable,enumeration,9\n'
+        '2,6,2,3,0.462098120373,choosable,enumeration,9\n'
+        '2,7,2,3,0.539114473769,choosable,enumeration,9\n'
+        '2,8,2,3,0.616130827164,choosable,enumeration,9\n'
+        '3,1,2,3,0.122068032074,choosable,trivial-degrees,0\n'
+        '3,2,2,3,0.244136064148,choosable,trivial-degrees,0\n'
+        '3,3,2,3,0.366204096223,choosable,enumeration,16\n'
+        '3,4,2,3,0.488272128297,choosable,enumeration,60\n'
+        '3,5,2,3,0.610340160371,choosable,enumeration,83\n'
+        '3,6,2,3,0.732408192445,choosable,enumeration,83\n'
+        '3,7,2,3,0.85447622452,unchoosable,enumeration,18\n'
+        '3,8,2,3,0.976544256594,unchoosable,enumeration,19\n'
+    ),
+    ("3", "2", "5", "4"): (
+        'deltaA,deltaB,kA,kB,xi,verdict,rule,nodesExplored\n'
+        '1,1,3,2,0,choosable,trivial-degrees,0\n'
+        '1,2,3,2,0,choosable,trivial-degrees,0\n'
+        '1,3,3,2,0,choosable,trivial-degrees,0\n'
+        '1,4,3,2,0,choosable,trivial-degrees,0\n'
+        '2,1,3,2,0.0600566267398,choosable,trivial-degrees,0\n'
+        '2,2,3,2,0.12011325348,choosable,trivial-degrees,0\n'
+        '2,3,3,2,0.180169880219,choosable,trivial-degrees,0\n'
+        '2,4,3,2,0.240226506959,choosable,trivial-degrees,0\n'
+        '3,1,3,2,0.150868620102,choosable,trivial-degrees,0\n'
+        '3,2,3,2,0.301737240203,choosable,enumeration,9\n'
+        '3,3,3,2,0.452605860305,choosable,enumeration,16\n'
+        '3,4,3,2,0.603474480406,choosable,enumeration,16\n'
+        '4,1,3,2,0.240226506959,choosable,trivial-degrees,0\n'
+        '4,2,3,2,0.480453013918,choosable,enumeration,9\n'
+        '4,3,3,2,0.720679520877,choosable,enumeration,60\n'
+        '4,4,3,2,0.960906027836,choosable,enumeration,60\n'
+        '5,1,3,2,0.323786299248,choosable,trivial-degrees,0\n'
+        '5,2,3,2,0.647572598495,choosable,enumeration,9\n'
+        '5,3,3,2,0.971358897743,choosable,enumeration,83\n'
+        '5,4,3,2,1.29514519699,unchoosable,enumeration,96\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_PINNED_FRONTIER_CSV))
+def test_frontier_csv_of_the_benchmark_grids_is_pinned(tmp_path, capsys, grid):
+    out_path = tmp_path / "grid.csv"
+    ka, kb, max_a, max_b = grid
+    code, _ = run(
+        capsys, "frontier", "--ka", ka, "--kb", kb, "--maxA", max_a, "--maxB", max_b,
+        "--budget", "5000000", "--jobs", "1", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_bytes() == _PINNED_FRONTIER_CSV[grid].encode()
+
+
 def test_frontier_exhausted_exit_code(tmp_path, capsys):
     out_path = str(tmp_path / "grid.csv")
     code, _ = run(
