@@ -325,6 +325,11 @@ def count_double_exp_fixed_points(a, b):
     property constrains.  Elementwise on arrays, which broadcast together
     and give an int array; scalars give an int.
 
+    Valid for a*b up to about 745, where g(b) = b*exp(-a*b) stays above 0:
+    there the count is 1 + 2*(a*b > e), as tests check against that closed
+    form.  Beyond it g(b) underflows, h(0) reads 0.0 and the root near 0 is
+    lost: (1, 800) gives 2 and (1, 1e6) gives 1.
+
     [0, b] is cut into _FAN blocks of n / _FAN grid intervals, then each
     block that can hold a bracket into _FAN pieces, down to single
     intervals.  The count is a full scan's, sign for sign: G = g(g(.)) is

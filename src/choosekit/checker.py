@@ -83,7 +83,10 @@ RULE_ENUMERATION = "enumeration"
 #: one call of the blocking-family search.  A node's wall time depends on
 #: the point: on a 2-vCPU Xeon VM under Python 3.11 (one run each), (6,6,3,3)
 #: decides in 372,304 nodes and 3.7 s (10 us per node), and (7,7,3,3)
-#: exhausts this budget in 55 s (11 us per node).
+#: exhausts this budget in 55 s (11 us per node).  At large symmetric
+#: degrees it does not bound wall time: a Berge step is one node but is
+#: quadratic in a transversal list that quadruples every 10 steps, so
+#: (70,70,2,2) takes 75 nodes and 26 s (README gives more points).
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -183,8 +186,7 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
     got = search(0, 0)
     if got is None:
         return (False, None)
-    witness = tuple(c for c in range(n) if got >> c & 1)
-    return (True, witness)
+    return (True, colors_of(got))
 
 
 # --- engine (i): backtracking over vertex colorings -------------------------
@@ -517,7 +519,7 @@ def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
     kb-subsets of the covered colors (extra constraints keep the instance
     unchoosable), then with repeats once the universe runs out of subsets.
     """
-    fam = [tuple(c for c in range(ncolors) if m >> c & 1) for m in family_masks]
+    fam = [colors_of(m) for m in family_masks]
     have = set(fam)
     if len(fam) < delta_a:
         for combo in itertools.combinations(range(ncolors), kb):

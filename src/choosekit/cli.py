@@ -5,8 +5,9 @@ frontier, simulate, selftest.  All output is machine-readable (JSON lines or
 CSV); identical arguments and seeds produce byte-identical output.  Exit
 codes: 0 success, 1 exhausted search or failed selftest, 2 usage error
 (bad arguments, an input file that cannot be read or used, or an output
-file that cannot be written).  A call builds the parser of its own
-subcommand only, and numpy is imported only by selftest and pblocked --mc.
+file that cannot be written).  One parser with every subcommand is built
+on the first call and reused by later calls in the same process; numpy is
+imported only by selftest and pblocked --mc.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -57,11 +59,6 @@ def _parse_criteria(text) -> set:
     count = len(CRITERIA)
     number = _number_in(int, 1, count, f"comma-separated criterion numbers in 1-{count}")
     return {number(x) for x in text.split(",")}
-
-
-def _default_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    return _parse_budget(raw) if raw else checker.DEFAULT_NODE_BUDGET
 
 
 def _parse_point(text) -> RegimePoint:
@@ -290,13 +287,12 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand when command is None
-    or names none, else with that one only (main parses with it and skips
-    building nine); a top-level error still prints the usage line of all
-    ten.  It holds nothing from the environment: --budget defaults to None,
-    and main reads CHOOSEKIT_BUDGET after parsing, so a bad value only
-    breaks the commands that take a budget."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand, built on first use
+    and shared by every later call.  It holds nothing from the environment:
+    --budget defaults to None, and main reads CHOOSEKIT_BUDGET after
+    parsing, so a bad value only breaks the commands that take a budget."""
     parser = argparse.ArgumentParser(
         prog="choosekit",
         description="Exact and probabilistic tools for asymmetric list coloring "
@@ -304,99 +300,93 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, text):
-        return sub.add_parser(name, help=text) if command in (None, name) else None
+    p = sub.add_parser("check", help="decide whether a list assignment admits a proper coloring")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--engine", choices=("auto", "backtracking", "transversal"), default="auto")
+    p.add_argument("--budget", type=_parse_budget)
+    p.set_defaults(func=_cmd_check)
 
-    if p := add("check", "decide whether a list assignment admits a proper coloring"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--engine", choices=("auto", "backtracking", "transversal"), default="auto")
-        p.add_argument("--budget", type=_parse_budget)
-        p.set_defaults(func=_cmd_check)
+    p = sub.add_parser("decide", help="decide choosability at a parameter point")
+    p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
+    p.add_argument("--budget", type=_parse_budget)
+    p.add_argument("--witness-out", dest="witness_out")
+    p.set_defaults(func=_cmd_decide)
 
-    if p := add("decide", "decide choosability at a parameter point"):
-        p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
-        p.add_argument("--budget", type=_parse_budget)
-        p.add_argument("--witness-out", dest="witness_out")
-        p.set_defaults(func=_cmd_decide)
+    p = sub.add_parser("construct", help="emit an uncolorable block-construction instance")
+    gen = p.add_subparsers(dest="generator", required=True)
+    pb = gen.add_parser("blocks")
+    pb.add_argument("--ka", type=_positive_int, required=True)
+    pb.add_argument(
+        "--a", type=_parse_sizes, required=True, help="comma-separated block sizes, e.g. 2,2"
+    )
+    pb.add_argument("--out")
+    pb.add_argument("--verify", action="store_true")
+    pb.set_defaults(func=_cmd_construct)
+    ps = gen.add_parser("simple")
+    ps.add_argument("--ka", type=_positive_int, required=True)
+    ps.add_argument("--a", dest="a_uniform", type=_positive_int, required=True)
+    ps.add_argument("--r", type=_positive_int, required=True)
+    ps.add_argument("--out")
+    ps.add_argument("--verify", action="store_true")
+    ps.set_defaults(func=_cmd_construct)
 
-    if p := add("construct", "emit an uncolorable block-construction instance"):
-        gen = p.add_subparsers(dest="generator", required=True)
-        pb = gen.add_parser("blocks")
-        pb.add_argument("--ka", type=_positive_int, required=True)
-        pb.add_argument(
-            "--a", type=_parse_sizes, required=True, help="comma-separated block sizes, e.g. 2,2"
-        )
-        pb.add_argument("--out")
-        pb.add_argument("--verify", action="store_true")
-        pb.set_defaults(func=_cmd_construct)
-        ps = gen.add_parser("simple")
-        ps.add_argument("--ka", type=_positive_int, required=True)
-        ps.add_argument("--a", dest="a_uniform", type=_positive_int, required=True)
-        ps.add_argument("--r", type=_positive_int, required=True)
-        ps.add_argument("--out")
-        ps.add_argument("--verify", action="store_true")
-        ps.set_defaults(func=_cmd_construct)
+    p = sub.add_parser("amplify", help="blow up or expand an instance")
+    p.add_argument("--kind", choices=("blowup", "expand"), required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out")
+    p.add_argument("--verify", action="store_true")
+    p.set_defaults(func=_cmd_amplify)
 
-    if p := add("amplify", "blow up or expand an instance"):
-        p.add_argument("--kind", choices=("blowup", "expand"), required=True)
-        p.add_argument("--r", type=_positive_int, required=True)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out")
-        p.add_argument("--verify", action="store_true")
-        p.set_defaults(func=_cmd_amplify)
+    p = sub.add_parser("bounds", help="print threshold values for a list size k")
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.set_defaults(func=_cmd_bounds)
 
-    if p := add("bounds", "print threshold values for a list size k"):
-        p.add_argument("--k", type=_positive_int, required=True)
-        p.set_defaults(func=_cmd_bounds)
+    p = sub.add_parser("classify", help="sufficient-condition verdict for a parameter point")
+    p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
+    p.set_defaults(func=_cmd_classify)
 
-    if p := add("classify", "sufficient-condition verdict for a parameter point"):
-        p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
-        p.set_defaults(func=_cmd_classify)
+    p = sub.add_parser("pblocked", help="blocking probability of an S/T graph")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--in", dest="infile")
+    src.add_argument("--counterexample", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--mc", type=_positive_int, metavar="TRIALS")
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=_cmd_pblocked)
 
-    if p := add("pblocked", "blocking probability of an S/T graph"):
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--in", dest="infile")
-        src.add_argument("--counterexample", action="store_true")
-        mode = p.add_mutually_exclusive_group(required=True)
-        mode.add_argument("--exact", action="store_true")
-        mode.add_argument("--mc", type=_positive_int, metavar="TRIALS")
-        p.add_argument("--seed", type=int)
-        p.set_defaults(func=_cmd_pblocked)
+    p = sub.add_parser("frontier", help="sweep decide over a degree grid, emit CSV")
+    p.add_argument("--ka", type=_positive_int, required=True)
+    p.add_argument("--kb", type=_positive_int, required=True)
+    p.add_argument("--maxA", dest="max_a", type=_positive_int, required=True)
+    p.add_argument("--maxB", dest="max_b", type=_positive_int, required=True)
+    p.add_argument("--budget", type=_parse_budget)
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_frontier)
 
-    if p := add("frontier", "sweep decide over a degree grid, emit CSV"):
-        p.add_argument("--ka", type=_positive_int, required=True)
-        p.add_argument("--kb", type=_positive_int, required=True)
-        p.add_argument("--maxA", dest="max_a", type=_positive_int, required=True)
-        p.add_argument("--maxB", dest="max_b", type=_positive_int, required=True)
-        p.add_argument("--budget", type=_parse_budget)
-        p.add_argument("--jobs", type=_positive_int, default=1)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_frontier)
+    p = sub.add_parser("simulate", help="run the randomized reserve-coloring procedure")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--p", type=_parse_probability, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--eps", type=_parse_eps, default=0.1)
+    p.set_defaults(func=_cmd_simulate)
 
-    if p := add("simulate", "run the randomized reserve-coloring procedure"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--p", type=_parse_probability, required=True)
-        p.add_argument("--trials", type=_positive_int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--eps", type=_parse_eps, default=0.1)
-        p.set_defaults(func=_cmd_simulate)
-
-    if p := add("selftest", "run the acceptance criteria"):
-        p.add_argument("--only", type=_parse_criteria, help="comma-separated criterion numbers")
-        p.set_defaults(func=_cmd_selftest)
-
-    if command is not None:  # the full parser reports a top-level error
-        parser.error = lambda message: build_parser().error(message)
-    return parser if sub.choices else build_parser()  # command named none
+    p = sub.add_parser("selftest", help="run the acceptance criteria")
+    p.add_argument("--only", type=_parse_criteria, help="comma-separated criterion numbers")
+    p.set_defaults(func=_cmd_selftest)
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "budget") and args.budget is None:  # no --budget flag given
+        raw = os.environ.get(BUDGET_ENV)
         try:
-            args.budget = _default_budget()
+            args.budget = _parse_budget(raw) if raw else checker.DEFAULT_NODE_BUDGET
         except argparse.ArgumentTypeError as exc:
             print(f"choosekit: error: {BUDGET_ENV} {exc}", file=sys.stderr)
             return 2

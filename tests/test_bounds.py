@@ -613,10 +613,18 @@ def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
         assert count == _reference_fixed_point_count(a, b)
 
 
+def _closed_form_fixed_point_count(a, b):
+    """g(x) = b e^(-a x) has one fixed point x*, with a x* = W(ab) and
+    g'(x*) = -W(ab); W(ab) > 1 exactly when ab > e, and then x* repels and
+    g(g(x)) = x gains a 2-cycle: three solutions, else one."""
+    return 1 + 2 * (np.asarray(a) * np.asarray(b) > math.e)
+
+
 def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
     curves = _criterion_9_curves()
     got = count_double_exp_fixed_points(curves[:, 0], curves[:, 1])
     assert got.shape == (10**4,)
+    assert np.array_equal(got, _closed_form_fixed_point_count(curves[:, 0], curves[:, 1]))
     counts = set()
     for (a, b), count in zip(curves.tolist(), got.tolist()):
         # the grid is np.linspace's, bit for bit
@@ -627,6 +635,20 @@ def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
         assert count == expected, (a, b)
         counts.add(expected)
     assert counts >= {1, 3}
+
+
+def test_fixed_point_count_matches_closed_form_on_log_uniform_curves():
+    # a, b log-uniform in [1e-3, 1e3]; ab < 700 keeps g(b) = b e^(-ab) in
+    # float range, where the docstring says the count holds
+    rng = np.random.default_rng(7)
+    a, b = 10.0 ** rng.uniform(-3.0, 3.0, (2, 40_000))
+    keep = a * b < 700
+    a, b = a[keep][:20_000], b[keep][:20_000]
+    assert a.size == 20_000
+    got = np.concatenate(
+        [count_double_exp_fixed_points(a[i:i + 1000], b[i:i + 1000]) for i in range(0, a.size, 1000)]
+    )
+    assert np.array_equal(got, _closed_form_fixed_point_count(a, b))
 
 
 def test_fixed_point_count_does_not_depend_on_the_batch():

@@ -392,6 +392,16 @@ def test_python_dash_m_reads_sys_argv(run_python, capsys):
     assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 #: Help and usage errors of every command, each recorded as (exit code,
 #: stdout, stderr) from the parser that built all ten subcommands per call.
 _MESSAGES = json.loads(Path(__file__).with_name("cli_messages.json").read_text())
@@ -400,26 +410,42 @@ _MESSAGES = json.loads(Path(__file__).with_name("cli_messages.json").read_text()
 @pytest.mark.parametrize("pinned", _MESSAGES, ids=lambda m: "_".join(m["argv"]) or "no-args")
 def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pinned):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    try:
-        code = cli.main(list(pinned["argv"]))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (
-        pinned["code"], pinned["stdout"], pinned["stderr"]
-    )
+    assert _call(capsys, pinned["argv"]) == (pinned["code"], pinned["stdout"], pinned["stderr"])
 
 
 _COMMANDS = "check,decide,construct,amplify,bounds,classify,pblocked,frontier,simulate,selftest"
 
 
-@pytest.mark.parametrize("command", [None, "nope", "-h"])
-def test_build_parser_lists_every_subcommand(command):
-    assert f"{{{_COMMANDS}}}" in cli.build_parser(command).format_usage()
+def test_build_parser_lists_every_subcommand():
+    assert f"{{{_COMMANDS}}}" in cli.build_parser().format_usage()
 
 
-def test_build_parser_builds_only_the_named_subcommand():
-    assert "{decide}" in cli.build_parser("decide").format_usage()
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_POINT = ["--point", "2,4,2,2"]  # unchoosable in 9 nodes
+
+
+@pytest.mark.parametrize(
+    ("calls", "codes"),
+    [
+        ([["decide", "--point", "2,4"], ["decide", *_POINT]], [2, 0]),
+        ([["decide", *_POINT, "--budget", "3"], ["decide", *_POINT]], [1, 0]),
+        ([["decide", *_POINT], ["classify", *_POINT]], [0, 0]),
+    ],
+    ids=["usage-error-then-good", "budget-then-default", "decide-then-classify"],
+)
+def test_back_to_back_calls_share_no_state(monkeypatch, capsys, calls, codes):
+    # in a run of calls, each answers as it does on a freshly built parser
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(_call(capsys, argv))
+    in_a_row = [_call(capsys, argv) for argv in calls]
+    assert in_a_row == alone
+    assert [code for code, _, _ in in_a_row] == codes
 
 
 def test_pblocked_mc_requires_seed(capsys):
