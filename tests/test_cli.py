@@ -416,8 +416,14 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, pinned):
 _COMMANDS = "check,decide,construct,amplify,bounds,classify,pblocked,frontier,simulate,selftest"
 
 
-def test_build_parser_lists_every_subcommand():
+@pytest.mark.parametrize("command", [None, "nope", "-h"])
+def test_build_parser_lists_every_subcommand(monkeypatch, capsys, command):
+    # no command, an unknown one and -h all answer from the one full parser
+    monkeypatch.setenv("COLUMNS", "80")
     assert f"{{{_COMMANDS}}}" in cli.build_parser().format_usage()
+    code, out, err = _call(capsys, [] if command is None else [command])
+    assert code == (0 if command == "-h" else 2)
+    assert f"{{{_COMMANDS}}}" in out + err
 
 
 def test_build_parser_is_built_once():
