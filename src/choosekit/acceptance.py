@@ -233,22 +233,21 @@ def fuzz_curves(rng, count):
 def criterion_10() -> tuple[bool, str]:
     """Classifier never contradicts the exact decision on the small grid, and
     unchoosability is monotone in both degrees."""
+    grid = [RegimePoint(da, db, ka, kb)
+            for ka in (1, 2) for kb in (1, 2) for da in range(1, 4) for db in range(1, 6)]
+    sweep = checker.Sweep(grid)
     verdicts = {}
-    for ka in (1, 2):
-        for kb in (1, 2):
-            for da in range(1, 4):
-                for db in range(1, 6):
-                    point = RegimePoint(da, db, ka, kb)
-                    v = checker.decide_choosable(point)
-                    if v.tag == checker.EXHAUSTED:
-                        return False, f"budget exhausted at {point}"
-                    verdicts[(ka, kb, da, db)] = v.tag
-                    report = bounds.classify(point)
-                    if report.verdict not in (bounds.UNKNOWN, v.tag):
-                        return False, (
-                            f"classifier says {report.verdict}, oracle disagrees at {point} "
-                            f"({report.rule})"
-                        )
+    for point in grid:
+        v = checker.decide_choosable(point, sweep=sweep)
+        if v.tag == checker.EXHAUSTED:
+            return False, f"budget exhausted at {point}"
+        verdicts[(point.ka, point.kb, point.delta_a, point.delta_b)] = v.tag
+        report = bounds.classify(point)
+        if report.verdict not in (bounds.UNKNOWN, v.tag):
+            return False, (
+                f"classifier says {report.verdict}, oracle disagrees at {point} "
+                f"({report.rule})"
+            )
     for (ka, kb, da, db), tag in verdicts.items():
         if tag != checker.UNCHOOSABLE:
             continue

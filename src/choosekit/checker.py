@@ -40,6 +40,14 @@ family set tried, and the bound scans the same list once, stopping as soon
 as it has more heads than sets left.
 Neither shortcut changes a verdict, a witness or a node count.
 
+The points of a column share ka, kb and delta_b, so they walk the same
+candidates and differ only in the family size they may use, min(delta_a,
+C(covered, kb)), and _decide_column walks a column once.  A candidate's
+packing heads, counted up to one more than the largest size still open,
+settle at the root every point allowed fewer sets; the others search on
+their own.  A point counts the walk's nodes plus its own search nodes, as
+if it ran alone, and runs out once that sum passes the budget.
+
 The two parts play symmetric roles.  A color set I serves the B side (meets
 every B-list, holds no A-list) iff its complement serves the A side, so the
 point (delta_a, delta_b, ka, kb) and its mirror (delta_b, delta_a, kb, ka)
@@ -53,6 +61,7 @@ tie on both counts, such as (7, 7, 3, 3), run as given.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -113,16 +122,19 @@ class Verdict:
 
 
 class _Budget:
-    __slots__ = ("limit", "nodes")
+    __slots__ = ("limit", "nodes", "overrun")
 
-    def __init__(self, limit):
+    def __init__(self, limit, overrun=None):
         self.limit = limit
         self.nodes = 0
+        self.overrun = overrun  # called past the limit, if given, instead of raising
 
     def charge(self):
         self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
-            raise SearchBudgetExceeded(self.nodes)
+            if self.overrun is None:
+                raise SearchBudgetExceeded(self.nodes)
+            self.overrun()
 
 
 # --- engine (ii): independent transversal search ----------------------------
@@ -436,21 +448,19 @@ def _child_rows(ka, ncolors, max_colors, last):
     return out
 
 
-def _packing_exceeds(masks, kb, left):
-    """Whether the greedy packing of masks takes more than left heads: a
-    mask is a head when it shares fewer than kb colors with every earlier
-    head, and the scan stops at the (left + 1)-th."""
+def _packing_heads(masks, kb, most):
+    """Heads in the greedy packing of masks, counted up to most (at least 1):
+    a mask is a head when it shares fewer than kb colors with every earlier one."""
     heads = []
     for m in masks:
         for h in heads:
             if (h & m).bit_count() >= kb:
                 break
         else:
-            if not left:
-                return True
-            left -= 1
             heads.append(m)
-    return False
+            if len(heads) == most:
+                break
+    return len(heads)
 
 
 def _find_blocking_family(transversals, kb, max_sets, budget):
@@ -464,52 +474,52 @@ def _find_blocking_family(transversals, kb, max_sets, budget):
     transversals are taken in descending order (the maximal sets ascending)
     and the unmet ones kept as a list in that order, which each family set
     tried shrinks to the transversals not containing it.  The search
-    branches on the kb-subsets of the first unmet transversal, one node per
-    family set tried.  No candidate is already chosen: no chosen set lies
-    inside an unmet transversal.  With one set left to choose, a candidate
-    blocks the rest exactly when it lies in every unmet transversal; the
-    first in lexicographic order is the kb lowest colors of their
-    intersection.
+    (_family_search) branches on the kb-subsets of the first unmet
+    transversal, one node per family set tried.  No candidate is already
+    chosen: no chosen set lies inside an unmet transversal.  With one set
+    left to choose, a candidate blocks the rest exactly when it lies in every
+    unmet transversal; the first in lexicographic order is the kb lowest
+    colors of their intersection.
 
     A kb-set lies inside two transversals only if they share kb colors, so
     unmet transversals that pairwise share fewer need one family set each.
     A greedy packing gives such a set of heads: take the first unmet
     transversal, drop every transversal sharing kb colors with it, repeat
-    (_packing_exceeds finds the same heads in one scan).
-    A search with more heads than sets left is pruned; the test runs at the
-    root, before the search begins, and in every search call below it with
-    at least two sets left.  Pruning never cuts off a family, so the first
-    family found is the same as without the bound.  A candidate settled by
-    the root test charges no node.
+    (_packing_heads finds the same heads in one scan).  A search with more
+    heads than sets left is pruned; the test runs at the root, before the
+    search begins, and in every search call below it with at least two sets
+    left.  Pruning never cuts off a family, so the first family found is the
+    same as without the bound.  A root-settled candidate charges no node.
 
     Every transversal has at least kb colors, as _hypergraph_candidates
     guarantees: a shorter one leaves no kb-subset inside it, so the search
     would spend nodes to find no family.
     """
     masks = sorted(transversals, reverse=True)
-    if _packing_exceeds(masks, kb, max_sets):
+    if _packing_heads(masks, kb, max_sets + 1) > max_sets:
         return None  # this covers max_sets == 0, so every search has a set left
+    return _family_search(masks, kb, max_sets, budget)
 
-    def search(unmet, left):
-        budget.charge()
-        if not unmet:
-            return []
-        if left == 1:
-            common = unmet[0]
-            for t in unmet[1:]:
-                common &= t
-            cs = colors_of(common)[:kb]
-            return [mask_of(cs)] if len(cs) == kb else None
-        if unmet is not masks and _packing_exceeds(unmet, kb, left):
-            return None  # the root was tested before the search began
-        for cs in itertools.combinations(colors_of(unmet[0]), kb):
-            f = mask_of(cs)
-            got = search([t for t in unmet[1:] if t & f != f], left - 1)
-            if got is not None:
-                return [f] + got
-        return None
 
-    return search(masks, max_sets)
+def _family_search(unmet, kb, left, budget, root=True):
+    """_find_blocking_family's search below its root test, with left sets to choose."""
+    budget.charge()
+    if not unmet:
+        return []
+    if left == 1:
+        common = unmet[0]
+        for t in unmet[1:]:
+            common &= t
+        cs = colors_of(common)[:kb]
+        return [mask_of(cs)] if len(cs) == kb else None
+    if not root and _packing_heads(unmet, kb, left + 1) > left:
+        return None  # the root was tested before the search began
+    for cs in itertools.combinations(colors_of(unmet[0]), kb):
+        f = mask_of(cs)
+        got = _family_search([t for t in unmet[1:] if t & f != f], kb, left - 1, budget, False)
+        if got is not None:
+            return [f] + got
+    return None
 
 
 def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
@@ -533,18 +543,10 @@ def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
     return ListInstance.complete(ncolors, ka, kb, sorted(edges), sorted(fam))
 
 
-def _singleton_witness(point: RegimePoint) -> ListInstance:
-    """Unchoosable assignment for ka = 1, delta_b >= kb: singleton A-lists
-    covering {0..kb-1}, every B-list equal to {0..kb-1}."""
-    kb = point.kb
-    a_lists = [(i % kb,) for i in range(point.delta_b)]
-    b_lists = [tuple(range(kb))] * point.delta_a
-    return ListInstance.complete(kb, 1, kb, a_lists, b_lists)
-
-
-def _decide_as_given(point: RegimePoint, budget) -> Verdict:
-    """decide_choosable's kernel, run on the point as given: it enumerates
-    the A-lists whichever side is cheaper.
+def _decide_column(ka, kb, db, das, budget) -> dict:
+    """decide_choosable's kernel, run as given on the points (da, db, ka, kb)
+    for da in das in one walk (see the module docstring): their verdicts by
+    da.  It enumerates the A-lists whichever side is cheaper.
 
     ka = 1 is exactly unchoosable iff delta_b >= kb.  Otherwise color
     systems with delta_b distinct edges over at most ka * delta_b colors are
@@ -554,26 +556,77 @@ def _decide_as_given(point: RegimePoint, budget) -> Verdict:
     never un-blocks it).  First witness in canonical order wins.  Both
     degrees must be at least their list sizes.
     """
-    ka, kb = point.ka, point.kb
-    da, db = point.delta_a, point.delta_b
-    if ka == 1:
-        # db >= kb here, so a blocking assignment always exists.
-        return Verdict(UNCHOOSABLE, _singleton_witness(point), 0, RULE_SINGLETON_EXACT)
+    if ka == 1:  # db >= kb: singleton A-lists covering {0..kb-1}, every B-list equal to it
+        a_lists, b_list = [(i % kb,) for i in range(db)], tuple(range(kb))
+        return {da: Verdict(UNCHOOSABLE, ListInstance.complete(kb, 1, kb, a_lists, [b_list] * da),
+                            0, RULE_SINGLETON_EXACT) for da in das}
+    done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
 
-    b = _Budget(budget)
-    try:
+    def close(da, tag, witness=None):
+        done[da] = Verdict(tag, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
+
+    def overrun():  # close every point past the budget; go on while one is open
+        for da in [da for da, n in own.items() if b.nodes + n > budget]:
+            close(da, EXHAUSTED)
+        if not own:
+            raise SearchBudgetExceeded(b.nodes)
+        b.limit = budget - max(own.values())
+
+    b = _Budget(budget, overrun)  # the walk's nodes, which every point counts
+    with contextlib.suppress(SearchBudgetExceeded):  # raised once no point is open
         for edges, ncolors, transversals in _hypergraph_candidates(ka, kb, db, ka * db, b):
-            max_sets = min(da, comb(ncolors, kb))
-            fam = _find_blocking_family(transversals, kb, max_sets, b)
-            if fam is not None:
-                witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
-                return Verdict(UNCHOOSABLE, witness, b.nodes, RULE_ENUMERATION)
-    except SearchBudgetExceeded as exc:
-        return Verdict(EXHAUSTED, None, exc.nodes, RULE_ENUMERATION)
-    return Verdict(CHOOSABLE, None, b.nodes, RULE_ENUMERATION)
+            masks = sorted(transversals, reverse=True)
+            subsets = comb(ncolors, kb)
+            cap = min(max(own), subsets)  # the most sets an open point may use
+            heads = _packing_heads(masks, kb, cap + 1)
+            if heads > cap:
+                continue  # settled at the root for every open point
+            for da in [da for da in own if min(da, subsets) >= heads]:
+                search, fam = _Budget(None if budget is None else budget - b.nodes - own[da]), None
+                with contextlib.suppress(SearchBudgetExceeded):  # own[da] then passes the budget
+                    fam = _family_search(masks, kb, min(da, subsets), search)
+                own[da] += search.nodes
+                if fam is not None:
+                    close(da, UNCHOOSABLE, _witness_instance(ka, kb, da, db, ncolors, edges, fam))
+            if not own:
+                break
+            if budget is not None:
+                overrun()  # closes the points whose search ran out, and moves the limit
+    for da in list(own):
+        close(da, CHOOSABLE)
+    return done
 
 
-def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
+def _decide_as_given(point: RegimePoint, budget) -> Verdict:  # a column of one
+    return _decide_column(point.ka, point.kb, point.delta_b, [point.delta_a], budget)[point.delta_a]
+
+
+def _side(point: RegimePoint) -> tuple:
+    """(ka, kb, delta_b, delta_a) of the side the kernel runs on: the point's or its mirror's."""
+    ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
+    return (kb, ka, da, db) if (kb * da, da) < (ka * db, db) else (ka, kb, db, da)
+
+
+class Sweep:
+    """Points decide_choosable will be asked about, by the column the kernel
+    walks for each.  The first call at a budget walks a column once; later
+    calls read their verdicts.  An outside point joins its column, walked again."""
+
+    def __init__(self, points):
+        self.columns, self.verdicts = {}, {}
+        for ka, kb, db, da in (_side(p) for p in points if not trivial_degrees(p)):
+            self.columns.setdefault((ka, kb, db), set()).add(da)
+
+    def verdict(self, side: tuple, budget) -> Verdict:
+        """The kernel's verdict on a side (ka, kb, delta_b, delta_a)."""
+        column, da = side[:3], side[3]
+        if da not in self.verdicts.get((column, budget), ()):
+            das = self.columns.get(column, set()) | {da}
+            self.verdicts[column, budget] = _decide_column(*column, das, budget)
+        return self.verdicts[column, budget][da]
+
+
+def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET, sweep=None) -> Verdict:
     """Is every list assignment at this parameter point colorable?
 
     A part with degree below its list size is always colorable.  Otherwise
@@ -582,17 +635,17 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET) -> Verdict:
     mirror (delta_b, delta_a, kb, ka), and a witness it finds has its two
     list families swapped back.  Every witness is checked once, by the
     transversal engine at the point as given.  nodesExplored and the rule
-    are the kernel's on the side it ran.
+    are the kernel's on the side it ran.  A sweep (a Sweep holding the
+    point) gives the same verdict, from a walk its column shares.
     """
     if trivial_degrees(point):
         return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
-    ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
-    mirror = (kb * da, da) < (ka * db, db)
-    verdict = _decide_as_given(RegimePoint(db, da, kb, ka) if mirror else point, budget)
+    ka, kb, side = point.ka, point.kb, _side(point)
+    verdict = (sweep or Sweep([point])).verdict(side, budget)
     witness = verdict.witness
     if witness is None:
         return verdict
-    if mirror:
+    if side != (ka, kb, point.delta_b, point.delta_a):  # the kernel ran on the mirror
         witness = ListInstance.complete(witness.universe, ka, kb, witness.b_lists, witness.a_lists)
     if has_proper_coloring(witness, engine="transversal")[0]:
         raise RuntimeError("internal error: witness admits a coloring")

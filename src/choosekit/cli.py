@@ -214,15 +214,14 @@ def _cmd_pblocked(args) -> int:
     return 0
 
 
-def _frontier_cell(cell):
-    ka, kb, da, db, budget = cell
-    point = RegimePoint(da, db, ka, kb)
-    verdict = checker.decide_choosable(point, budget=budget)
+def _frontier_cell(cell, sweep=None):
+    point, budget = cell
+    verdict = checker.decide_choosable(point, budget=budget, sweep=sweep)
     return (
-        da,
-        db,
-        ka,
-        kb,
+        point.delta_a,
+        point.delta_b,
+        point.ka,
+        point.kb,
         format(bounds.xi(point), ".12g"),
         verdict.tag,
         verdict.rule,
@@ -232,7 +231,7 @@ def _frontier_cell(cell):
 
 def _cmd_frontier(args) -> int:
     cells = [
-        (args.ka, args.kb, da, db, args.budget)
+        (RegimePoint(da, db, args.ka, args.kb), args.budget)
         for da in range(1, args.max_a + 1)
         for db in range(1, args.max_b + 1)
     ]
@@ -247,7 +246,8 @@ def _cmd_frontier(args) -> int:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_frontier_cell, cells))
         else:
-            rows = [_frontier_cell(c) for c in cells]
+            sweep = checker.Sweep([point for point, _ in cells])
+            rows = [_frontier_cell(c, sweep) for c in cells]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["deltaA", "deltaB", "kA", "kB", "xi", "verdict", "rule", "nodesExplored"]
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and probabilistic tools for asymmetric list coloring "
         "of complete bipartite graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="choosekit")
 
     p = sub.add_parser("check", help="decide whether a list assignment admits a proper coloring")
     p.add_argument("--in", dest="infile", required=True)
@@ -346,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_parse_point, required=True, metavar="dA,dB,kA,kB")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("pblocked", help="blocking probability of an S/T graph")
+    p = sub.add_parser("pblocked", help="blocking probability of an S/T graph", usage=(
+        "%(prog)s [-h] (--in INFILE | --counterexample)\n" + " " * 26
+        + "(--exact | --mc TRIALS) [--seed SEED]"))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile")
     src.add_argument("--counterexample", action="store_true")
@@ -377,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--only", type=_parse_criteria, help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_selftest)
+    # written out: Python 3.13 wraps this usage and pblocked's unlike 3.10-3.12
+    indent = "\n" + " " * len("usage: choosekit ")
+    parser.usage = f"%(prog)s [-h]{indent}{{{','.join(sub.choices)}}}{indent}..."
     return parser
 
 

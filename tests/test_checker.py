@@ -28,8 +28,9 @@ from choosekit.model import (
     RegimePoint,
     mask_of,
     to_color_system,
-    validate_coloring,
 )
+
+from colorings import validate_coloring
 
 
 # --- has_proper_coloring ------------------------------------------------------
@@ -587,12 +588,12 @@ def test_leaf_rule_drops_exactly_the_candidates_with_a_short_transversal():
 # the same answers, the same candidates and the same node counts.
 
 
-def _reference_packing_exceeds(masks, kb, left):
+def _reference_packing_heads(masks, kb):
     heads = 0
-    while masks and heads <= left:
+    while masks:
         masks = [m for m in masks[1:] if (masks[0] & m).bit_count() < kb]
         heads += 1
-    return heads > left
+    return heads
 
 
 def _reference_hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
@@ -638,7 +639,9 @@ def _reference_hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
     left=st.integers(0, 8),
 )
 def test_packing_scan_matches_its_reference(masks, kb, left):
-    assert checker._packing_exceeds(masks, kb, left) == _reference_packing_exceeds(masks, kb, left)
+    # the count stops at left + 1, so it exceeds left exactly when the packing does
+    got = checker._packing_heads(masks, kb, left + 1)
+    assert got == min(_reference_packing_heads(masks, kb), left + 1)
 
 
 def _candidate_stream(generate, ka, kb, num_edges, max_colors, limit=None):
@@ -1045,6 +1048,84 @@ def test_decide_matches_reference_kernel_on_frontier_grids():
                 _assert_no_worse(_outcome(cut), ref, whole, cell)
     assert as_given_tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
     assert tags == {CHOOSABLE, UNCHOOSABLE}  # every cell decides on its cheaper side
+
+
+# --- the column kernel ---------------------------------------------------------
+#
+# A sweep walks each column (oriented ka, kb, delta_b) once for all its cells.
+# Every cell must get exactly the verdict, witness and node count it gets when
+# decided alone, under every budget: the cheap budgets below give all three
+# outcomes, and cells of one column that run out at different candidates.
+
+_SWEEP_GRIDS = {
+    "frontier": _FRONTIER_CELLS,
+    "grid-180": [
+        (da, db, ka, kb)
+        for ka in (2, 3)
+        for kb in (2, 3, 4)
+        for da in range(2, 7)
+        for db in range(2, 8)
+    ],
+    "ka-1": [(da, db, ka, kb) for ka in (1, 2) for kb in (1, 2, 3) for da in (1, 2, 3) for db in (1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_SWEEP_GRIDS))
+def test_a_sweep_decides_each_point_as_alone(grid):
+    points = [RegimePoint(*cell) for cell in _SWEEP_GRIDS[grid]]
+    sweep = checker.Sweep(points)
+    tags = set()
+    for budget in (50, 200, 1_000, 5_000):
+        for point in points:
+            got = decide_choosable(point, budget, sweep=sweep).to_dict()
+            assert got == decide_choosable(point, budget).to_dict(), (point, budget)
+            tags.add(got["tag"])
+    assert tags == ({CHOOSABLE, UNCHOOSABLE} if grid == "ka-1" else {CHOOSABLE, UNCHOOSABLE, EXHAUSTED})
+
+
+def test_a_sweep_keeps_the_verdicts_of_each_budget_apart():
+    points = [RegimePoint(*cell) for cell in _FRONTIER_CELLS]
+    alone = {b: [decide_choosable(p, b).to_dict() for p in points] for b in (20, 5_000)}
+    assert alone[20] != alone[5_000]  # seven cells run out at 20
+    sweep = checker.Sweep(points)
+    for budget in (20, 5_000, 20, 5_000):
+        assert [decide_choosable(p, budget, sweep=sweep).to_dict() for p in points] == alone[budget]
+
+
+# The column (ka, kb, delta_b) = (2, 3, 6), as given: delta_a = 2 is choosable
+# in 1105 nodes, delta_a = 3 in 1861, most of them its own family searches,
+# and delta_a = 4 unchoosable in 12.  Between the two counts delta_a = 3 runs
+# out, inside a search from a candidate's root at some budgets and in the
+# walk at others, while delta_a = 2 walks on to its verdict.
+@pytest.mark.parametrize(
+    "budget,in_search",
+    [(1155, True), (1190, False), (1503, True), (1848, True), (1860, False)],
+)
+def test_a_point_that_runs_out_leaves_the_rest_of_its_column_open(monkeypatch, budget, in_search):
+    ran_out = []
+    search = checker._family_search
+
+    def watched(unmet, kb, left, budget, root=True):
+        try:
+            return search(unmet, kb, left, budget, root)
+        except SearchBudgetExceeded:
+            ran_out.append(root)
+            raise
+
+    monkeypatch.setattr(checker, "_family_search", watched)
+    got = checker._decide_column(2, 3, 6, [2, 3, 4], budget)
+    assert (True in ran_out) == in_search
+    assert got[3] == checker.Verdict(EXHAUSTED, None, budget + 1, checker.RULE_ENUMERATION)
+    assert (got[2].tag, got[2].nodes_explored, got[4].tag) == (CHOOSABLE, 1105, UNCHOOSABLE)
+    for da in (2, 3, 4):
+        assert got[da] == checker._decide_as_given(RegimePoint(da, 6, 2, 3), budget)
+
+
+def test_a_point_outside_the_sweep_is_decided_as_alone():
+    sweep = checker.Sweep([RegimePoint(da, 4, 3, 2) for da in (3, 5)])
+    for da in (3, 4, 5, 6):
+        point = RegimePoint(da, 4, 3, 2)
+        assert decide_choosable(point, 300, sweep=sweep) == decide_choosable(point, 300)
 
 
 # points whose whole search takes at most about 40 000 nodes, choosable and

@@ -587,6 +587,30 @@ def test_frontier_csv_of_the_benchmark_grids_is_pinned(tmp_path, capsys, grid):
     assert out_path.read_bytes() == _PINNED_FRONTIER_CSV[grid].encode()
 
 
+def test_frontier_decides_each_cell_through_decide_choosable_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's traced run wraps checker.decide_choosable to check every
+    # witness, so a serial sweep must still call it once per cell
+    calls = []
+    real = cli.checker.decide_choosable
+
+    def counting(point, **kwargs):
+        calls.append((point.delta_a, point.delta_b, point.ka, point.kb, kwargs["sweep"]))
+        return real(point, **kwargs)
+
+    monkeypatch.setattr(cli.checker, "decide_choosable", counting)
+    out_path = tmp_path / "grid.csv"
+    code, _ = run(
+        capsys, "frontier", "--ka", "2", "--kb", "3", "--maxA", "3", "--maxB", "8",
+        "--budget", "5000000", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_bytes() == _PINNED_FRONTIER_CSV["2", "3", "3", "8"].encode()
+    cells = [(da, db, 2, 3) for da in range(1, 4) for db in range(1, 9)]
+    assert [call[:4] for call in calls] == cells
+    (sweep,) = {call[4] for call in calls}  # one sweep serves every cell
+    assert isinstance(sweep, cli.checker.Sweep)
+
+
 def test_frontier_exhausted_exit_code(tmp_path, capsys):
     out_path = str(tmp_path / "grid.csv")
     code, _ = run(

@@ -18,8 +18,9 @@ from choosekit.model import (
     mask_of,
     to_color_system,
     validate,
-    validate_coloring,
 )
+
+from colorings import validate_coloring
 
 
 @st.composite
