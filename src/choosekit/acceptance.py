@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .model import RegimePoint
 FUZZ_SEED = 20260809
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool

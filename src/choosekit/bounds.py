@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .model import RegimePoint
 
@@ -52,8 +52,7 @@ def entropy_f(u: float) -> float:
     return 1.0 - u + u * math.log(u)
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     k: int
     alpha: float
     u_star: float
@@ -136,8 +135,7 @@ def _from_log(log_value: float, direct) -> float:
     return value if 0.0 < value < math.inf else math.exp(log_value)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     point: RegimePoint
     xi: float
     verdict: str
@@ -182,8 +180,7 @@ def classify(point: RegimePoint) -> BoundReport:
 XIM_MAX_K = 10**12
 
 
-@dataclass(frozen=True)
-class XimBounds:
+class XimBounds(NamedTuple):
     k: int
     lo: float
     hi: float

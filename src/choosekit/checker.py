@@ -66,8 +66,8 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 from . import bounds
 from .bounds import CHOOSABLE, RULE_SINGLETON_EXACT, RULE_TRIVIAL, UNCHOOSABLE, trivial_degrees
@@ -107,8 +107,7 @@ class SearchBudgetExceeded(Exception):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     tag: str  # choosable | unchoosable | exhausted
     witness: object  # ListInstance for unchoosable, else None
     nodes_explored: int
@@ -463,18 +462,17 @@ def _packing_heads(masks, kb, most):
     return len(heads)
 
 
-def _find_blocking_family(transversals, kb, max_sets, budget):
-    """Search for at most max_sets distinct kb-color sets such that every
+def _family_search(unmet, kb, left, budget, root=True):
+    """Search for at most left distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
 
     The maximal independent sets are the complements of the minimal
     transversals, so a set misses one exactly when it lies inside the
     matching transversal.  Checking maximal sets only is exact: shrinking an
-    independent set keeps it disjoint from the same family member.  The
-    transversals are taken in descending order (the maximal sets ascending)
-    and the unmet ones kept as a list in that order, which each family set
-    tried shrinks to the transversals not containing it.  The search
-    (_family_search) branches on the kb-subsets of the first unmet
+    independent set keeps it disjoint from the same family member.  unmet
+    holds the transversals in descending order (the maximal sets ascending),
+    a list that each family set tried shrinks to the transversals not
+    containing it.  The search branches on the kb-subsets of the first unmet
     transversal, one node per family set tried.  No candidate is already
     chosen: no chosen set lies inside an unmet transversal.  With one set
     left to choose, a candidate blocks the rest exactly when it lies in every
@@ -486,23 +484,16 @@ def _find_blocking_family(transversals, kb, max_sets, budget):
     A greedy packing gives such a set of heads: take the first unmet
     transversal, drop every transversal sharing kb colors with it, repeat
     (_packing_heads finds the same heads in one scan).  A search with more
-    heads than sets left is pruned; the test runs at the root, before the
-    search begins, and in every search call below it with at least two sets
-    left.  Pruning never cuts off a family, so the first family found is the
-    same as without the bound.  A root-settled candidate charges no node.
+    heads than sets left is pruned.  The caller runs the test at the root
+    (_decide_column, where a root-settled candidate charges no node, so at
+    least one set is left here); the search runs it in every call below with
+    at least two sets left.  Pruning never cuts off a family, so the first
+    family found is the same as without the bound.
 
     Every transversal has at least kb colors, as _hypergraph_candidates
     guarantees: a shorter one leaves no kb-subset inside it, so the search
     would spend nodes to find no family.
     """
-    masks = sorted(transversals, reverse=True)
-    if _packing_heads(masks, kb, max_sets + 1) > max_sets:
-        return None  # this covers max_sets == 0, so every search has a set left
-    return _family_search(masks, kb, max_sets, budget)
-
-
-def _family_search(unmet, kb, left, budget, root=True):
-    """_find_blocking_family's search below its root test, with left sets to choose."""
     budget.charge()
     if not unmet:
         return []
@@ -597,10 +588,6 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     return done
 
 
-def _decide_as_given(point: RegimePoint, budget) -> Verdict:  # a column of one
-    return _decide_column(point.ka, point.kb, point.delta_b, [point.delta_a], budget)[point.delta_a]
-
-
 def _side(point: RegimePoint) -> tuple:
     """(ka, kb, delta_b, delta_a) of the side the kernel runs on: the point's or its mirror's."""
     ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
@@ -624,6 +611,15 @@ class Sweep:
             das = self.columns.get(column, set()) | {da}
             self.verdicts[column, budget] = _decide_column(*column, das, budget)
         return self.verdicts[column, budget][da]
+
+    def walk(self, budget, mapper):
+        """Walk every column at this budget now, through mapper, a map such as
+        a process pool's, which walks the columns side by side.  Later calls
+        read the verdicts."""
+        columns = list(self.columns)
+        das = [self.columns[c] for c in columns]
+        walks = mapper(_decide_column, *zip(*columns), das, [budget] * len(columns))  # ka, kb, db
+        self.verdicts.update(((c, budget), v) for c, v in zip(columns, walks))
 
 
 def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET, sweep=None) -> Verdict:
@@ -649,13 +645,12 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET, sweep=None)
         witness = ListInstance.complete(witness.universe, ka, kb, witness.b_lists, witness.a_lists)
     if has_proper_coloring(witness, engine="transversal")[0]:
         raise RuntimeError("internal error: witness admits a coloring")
-    return replace(verdict, witness=witness)
+    return verdict._replace(witness=witness)
 
 
 # --- randomized reserve-coloring simulation ----------------------------------
 
-@dataclass(frozen=True)
-class ReserveSimulation:
+class ReserveSimulation(NamedTuple):
     trials: int
     successes: int
     aborts: int          # too many A-vertices starved after reservation

@@ -214,8 +214,7 @@ def _cmd_pblocked(args) -> int:
     return 0
 
 
-def _frontier_cell(cell, sweep=None):
-    point, budget = cell
+def _frontier_row(point, budget, sweep):
     verdict = checker.decide_choosable(point, budget=budget, sweep=sweep)
     return (
         point.delta_a,
@@ -230,24 +229,23 @@ def _frontier_cell(cell, sweep=None):
 
 
 def _cmd_frontier(args) -> int:
-    cells = [
-        (RegimePoint(da, db, args.ka, args.kb), args.budget)
+    points = [
+        RegimePoint(da, db, args.ka, args.kb)
         for da in range(1, args.max_a + 1)
         for db in range(1, args.max_b + 1)
     ]
     # opened before the sweep, so an unwritable path fails before any work
     target = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with target as out:
+        sweep = checker.Sweep(points)
         # the pool forks all its workers up front, so never more than can be busy
-        workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+        workers = min(args.jobs, len(sweep.columns), os.cpu_count() or 1)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_frontier_cell, cells))
-        else:
-            sweep = checker.Sweep([point for point, _ in cells])
-            rows = [_frontier_cell(c, sweep) for c in cells]
+                sweep.walk(args.budget, pool.map)
+        rows = [_frontier_row(point, args.budget, sweep) for point in points]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["deltaA", "deltaB", "kA", "kB", "xi", "verdict", "rule", "nodesExplored"]

@@ -13,22 +13,26 @@ delta_b = sum(a_i^ka), kb = sum(a_i), and no proper coloring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ListInstance
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class _BlockSpec(NamedTuple):
     ka: int
     a: tuple  # positive block sizes a_1..a_r, r >= 1
 
-    def __post_init__(self):
-        if self.ka < 1:
+
+class BlockSpec(_BlockSpec):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, ka, a):
+        if ka < 1:
             raise ValueError("ka must be >= 1")
-        if len(self.a) < 1 or any(x < 1 for x in self.a):
+        if len(a) < 1 or any(x < 1 for x in a):
             raise ValueError("a must be a nonempty tuple of positive integers")
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        return super().__new__(cls, ka, tuple(int(x) for x in a))
 
     @property
     def r(self) -> int:

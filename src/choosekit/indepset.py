@@ -25,23 +25,28 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .model import ColorSystem, int_rows, require_keys
 
 
-@dataclass(frozen=True)
-class STGraph:
-    """Bipartite blocking graph: S-indices 0..s_size-1, T-indices 0..t_size-1,
-    edges as (s_index, t_index) pairs without repeats."""
-
+class _STGraph(NamedTuple):
     s_size: int
     t_size: int
     edges: tuple
 
-    def __post_init__(self):
+
+class STGraph(_STGraph):
+    """Bipartite blocking graph: S-indices 0..s_size-1, T-indices 0..t_size-1,
+    edges as (s_index, t_index) pairs without repeats."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.s_size < 0 or self.t_size < 0:
             raise ValueError(
                 f"negative part size in ({self.s_size}, {self.t_size}):"
@@ -55,6 +60,7 @@ class STGraph:
             if (i, j) in seen:
                 raise ValueError(f"parallel edge {e}")
             seen.add((i, j))
+        return self
 
     @staticmethod
     def make(s_size, t_size, edges) -> "STGraph":
@@ -178,8 +184,7 @@ def p_blocked_bruteforce(graph: STGraph) -> Fraction:
     return Fraction(orders[-1], factorial(n))
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     estimate: float
     std_error: float
     successes: int
@@ -285,8 +290,7 @@ def local_product_bound(graph: STGraph) -> float:
 
 # --- max-degree deletion schedule ---------------------------------------------
 
-@dataclass(frozen=True)
-class DeletionResult:
+class DeletionResult(NamedTuple):
     deleted_count: int
     deleted: tuple          # vertices in deletion order
     remaining_edges: tuple  # surviving edges, sorted

@@ -1,21 +1,26 @@
 """Core data model: colors, list assignments, parameter points, serialization.
 
 Colors are dense integer ids: a universe of size n uses exactly {0..n-1}.
-All model values are immutable after construction and safe to share across
-threads.
+All model values are named tuples: immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 COMPLETE = "complete"
 
 
-@dataclass(frozen=True)
-class RegimePoint:
+class _RegimePoint(NamedTuple):
+    delta_a: int
+    delta_b: int
+    ka: int
+    kb: int
+
+
+class RegimePoint(_RegimePoint):
     """A point (delta_a, delta_b, ka, kb) of the parameter space.
 
     delta_a is the maximum degree on the A side (= |B| for a complete
@@ -23,20 +28,18 @@ class RegimePoint:
     ka and kb are the list sizes of the A and B parts.
     """
 
-    delta_a: int
-    delta_b: int
-    ka: int
-    kb: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for name in ("delta_a", "delta_b", "ka", "kb"):
-            v = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ListInstance:
+class ListInstance(NamedTuple):
     """A bipartite graph with per-vertex color lists.
 
     a_lists[i] is the color list of the i-th A-vertex (size ka each),
@@ -101,8 +104,7 @@ class ListInstance:
         return RegimePoint(self.num_b(), self.num_a(), self.ka, self.kb)
 
 
-@dataclass(frozen=True)
-class ColorSystem:
+class ColorSystem(NamedTuple):
     """A ka-uniform hypergraph on colors plus a family of kb-subsets.
 
     The image of a deduplicated complete-bipartite ListInstance: edges are
@@ -121,8 +123,7 @@ class ColorSystem:
         return ColorSystem(vertex_count, e, f)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A total color assignment, keyed by ('A'|'B', vertex index)."""
 
     assignment: tuple  # sorted tuple of ((side, index), color)

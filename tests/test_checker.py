@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import itertools
 import math
@@ -31,6 +30,24 @@ from choosekit.model import (
 )
 
 from colorings import validate_coloring
+
+
+# --- the kernel's entry points for one point and one candidate -------------
+
+def _decide_as_given(point, budget):
+    """The column kernel on a column of one: decide_choosable's kernel on the
+    point as given, with no orientation and no witness check."""
+    column = checker._decide_column(point.ka, point.kb, point.delta_b, [point.delta_a], budget)
+    return column[point.delta_a]
+
+
+def _find_blocking_family(transversals, kb, max_sets, budget):
+    """The blocking-family search _decide_column runs for one candidate and
+    one point: the root packing test (no node charged), then _family_search."""
+    masks = sorted(transversals, reverse=True)
+    if checker._packing_heads(masks, kb, max_sets + 1) > max_sets:
+        return None  # this covers max_sets == 0, so every search has a set left
+    return checker._family_search(masks, kb, max_sets, budget)
 
 
 # --- has_proper_coloring ------------------------------------------------------
@@ -722,7 +739,7 @@ def test_maximal_independent_sets_match_subset_scan():
 
 
 def test_blocking_family_search_matches_bruteforce():
-    from choosekit.checker import _Budget, _find_blocking_family
+    from choosekit.checker import _Budget
 
     rng = random.Random(41)
     for _ in range(300):
@@ -858,7 +875,7 @@ def _pinned_ids(rows):
     "point,budget,tag,nodes,witness", _PINNED_DECISIONS, ids=_pinned_ids(_PINNED_DECISIONS)
 )
 def test_decide_pinned_verdicts(point, budget, tag, nodes, witness):
-    _check_pinned(checker._decide_as_given, point, budget, tag, nodes, witness)
+    _check_pinned(_decide_as_given, point, budget, tag, nodes, witness)
 
 
 @pytest.mark.parametrize(
@@ -1015,7 +1032,7 @@ def _oriented_reference(point, budget):
     if (kb * da, da) >= (ka * db, db):
         return _reference_decide(point, budget)
     v = _reference_decide(_mirror(point), budget)
-    return v if v.witness is None else dataclasses.replace(v, witness=_swap_lists(v.witness))
+    return v if v.witness is None else v._replace(witness=_swap_lists(v.witness))
 
 
 # the two grids of `frontier --ka 2 --kb 3 --maxA 3 --maxB 8` and
@@ -1035,14 +1052,14 @@ def test_decide_matches_reference_kernel_on_frontier_grids():
         if got.rule == checker.RULE_ENUMERATION:
             whole = _outcome(_oriented_reference(point, 5_000_000))
             _assert_no_worse(_outcome(got), whole, whole, cell)
-            as_given = checker._decide_as_given(point, 5_000_000)
+            as_given = _decide_as_given(point, 5_000_000)
             as_given_tags.add(as_given.tag)
             whole = _outcome(_reference_decide(point, 5_000_000))
             _assert_no_worse(_outcome(as_given), whole, whole, cell)
             if as_given.nodes_explored > 5_000:
                 # the as-given kernel decides every cell at the frontier
                 # budget; this one cuts (2,7,2,3) and (2,8,2,3) short
-                cut = checker._decide_as_given(point, 5_000)
+                cut = _decide_as_given(point, 5_000)
                 as_given_tags.add(cut.tag)
                 ref = _outcome(_reference_decide(point, 5_000))
                 _assert_no_worse(_outcome(cut), ref, whole, cell)
@@ -1076,9 +1093,12 @@ def test_a_sweep_decides_each_point_as_alone(grid):
     sweep = checker.Sweep(points)
     tags = set()
     for budget in (50, 200, 1_000, 5_000):
+        walked = checker.Sweep(points)
+        walked.walk(budget, map)  # every column up front, as a pooled frontier does
         for point in points:
             got = decide_choosable(point, budget, sweep=sweep).to_dict()
             assert got == decide_choosable(point, budget).to_dict(), (point, budget)
+            assert got == decide_choosable(point, budget, sweep=walked).to_dict(), (point, budget)
             tags.add(got["tag"])
     assert tags == ({CHOOSABLE, UNCHOOSABLE} if grid == "ka-1" else {CHOOSABLE, UNCHOOSABLE, EXHAUSTED})
 
@@ -1118,7 +1138,7 @@ def test_a_point_that_runs_out_leaves_the_rest_of_its_column_open(monkeypatch, b
     assert got[3] == checker.Verdict(EXHAUSTED, None, budget + 1, checker.RULE_ENUMERATION)
     assert (got[2].tag, got[2].nodes_explored, got[4].tag) == (CHOOSABLE, 1105, UNCHOOSABLE)
     for da in (2, 3, 4):
-        assert got[da] == checker._decide_as_given(RegimePoint(da, 6, 2, 3), budget)
+        assert got[da] == _decide_as_given(RegimePoint(da, 6, 2, 3), budget)
 
 
 def test_a_point_outside_the_sweep_is_decided_as_alone():
@@ -1141,7 +1161,7 @@ def test_decide_matches_reference_kernel_under_random_budgets(cell):
     point = RegimePoint(*cell)
     rng = random.Random(repr(cell))
     for decide, reference in (
-        (checker._decide_as_given, _reference_decide),
+        (_decide_as_given, _reference_decide),
         (decide_choosable, _oriented_reference),
     ):
         whole = reference(point, None)
@@ -1186,8 +1206,8 @@ def test_decide_agrees_with_its_mirror():
         if point.delta_a < point.ka or point.delta_b < point.kb:
             continue
         # the symmetry itself, on the kernel that ignores it
-        a = checker._decide_as_given(point, 200_000)
-        b = checker._decide_as_given(_mirror(point), 200_000)
+        a = _decide_as_given(point, 200_000)
+        b = _decide_as_given(_mirror(point), 200_000)
         if EXHAUSTED not in (a.tag, b.tag):
             assert a.tag == b.tag == v.tag, cell
         for w, at in ((a.witness, point), (b.witness, _mirror(point))):
@@ -1221,7 +1241,7 @@ def test_decide_checks_each_witness_once(monkeypatch, cell, tag, mirrored):
 
     monkeypatch.setattr(checker, "has_proper_coloring", counting)
     budget = 100 if tag == EXHAUSTED else checker.DEFAULT_NODE_BUDGET
-    checker._decide_as_given(_mirror(point) if mirrored else point, budget)
+    _decide_as_given(_mirror(point) if mirrored else point, budget)
     assert calls == []
     v = decide_choosable(point, budget)
     assert v.tag == tag
@@ -1367,7 +1387,7 @@ def test_blocking_family_search_matches_reference_kernel():
     nodes = found = exhausted = 0
     for n, edge_masks, kb, max_sets, whole, random_budget in _random_blocking_cases():
         transversals = _minimal_transversals(edge_masks)
-        search = functools.partial(checker._find_blocking_family, transversals, kb, max_sets)
+        search = functools.partial(_find_blocking_family, transversals, kb, max_sets)
         if min(t.bit_count() for t in transversals) < kb:
             # outside the search's precondition, which decide always meets: no
             # family, at a cost the reference's shortcut does not pay
@@ -1394,7 +1414,7 @@ def test_packing_bound_prunes_only_unblockable_roots():
     for n, edge_masks, kb, max_sets, whole, _ in _random_blocking_cases():
         transversals = _minimal_transversals(edge_masks)
         got = _charged_run(
-            lambda b: checker._find_blocking_family(transversals, kb, max_sets, b), None
+            lambda b: _find_blocking_family(transversals, kb, max_sets, b), None
         )
         if got == (None, 0) and min(t.bit_count() for t in transversals) >= kb:
             pruned += 1

@@ -655,8 +655,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("cpus,expected", [(64, [4]), (3, [3]), (1, []), (None, [])])
@@ -666,13 +666,48 @@ def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    grid = ["frontier", "--ka", "2", "--kb", "2", "--maxA", "1", "--maxB", "4"]
+    # 25 cells, 16 of them past the trivial degrees, in 4 columns (2, 2, delta_b 2-5)
+    grid = ["frontier", "--ka", "2", "--kb", "2", "--maxA", "5", "--maxB", "5"]
     serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
     run(capsys, *grid, "--out", serial)
     assert _RecordingPool.sizes == []
     run(capsys, *grid, "--out", pooled, "--jobs", "1000000")
     assert _RecordingPool.sizes == expected
     assert open(serial, "rb").read() == open(pooled, "rb").read()
+
+
+@pytest.mark.parametrize("grid", sorted(_PINNED_FRONTIER_CSV))
+def test_a_pooled_frontier_walks_each_column_once(tmp_path, capsys, monkeypatch, grid):
+    import concurrent.futures
+
+    pooled = []  # the columns walked through the pool's map
+
+    class Pool(_RecordingPool):
+        def map(self, fn, *iterables):
+            return [pooled.append(args[:3]) or fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    walked, real = [], cli.checker._decide_column
+
+    def walking(ka, kb, db, das, budget):
+        walked.append((ka, kb, db))
+        return real(ka, kb, db, das, budget)
+
+    monkeypatch.setattr(cli.checker, "_decide_column", walking)
+    ka, kb, max_a, max_b = grid
+    out_path = tmp_path / "grid.csv"
+    code, _ = run(
+        capsys, "frontier", "--ka", ka, "--kb", kb, "--maxA", max_a, "--maxB", max_b,
+        "--budget", "5000000", "--jobs", "64", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_bytes() == _PINNED_FRONTIER_CSV[grid].encode()
+    # one worker per column, each column walked once in the pool, and
+    # building the rows walks nothing again
+    assert walked == pooled and len(set(walked)) == len(walked) > 1
+    assert _RecordingPool.sizes == [len(walked)]
 
 
 def test_budget_env_override(capsys, monkeypatch):

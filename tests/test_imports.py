@@ -84,6 +84,20 @@ def test_commands_that_need_no_numpy_do_not_import_it(run_python, tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect(run_python):
+    # the value types are named tuples, which need neither module; -S keeps
+    # site hooks of the interpreter's own packages from loading either first
+    script = (
+        "import sys\n"
+        "import choosekit, choosekit.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = run_python("-S", "-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert [p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()] == []
+
+
 # Every test module imports numpy before these run, so only a fresh
 # interpreter reaches the imports inside the functions that use it.
 @pytest.mark.parametrize(
