@@ -322,10 +322,12 @@ def count_double_exp_fixed_points(a, b):
     property constrains.  Elementwise on arrays, which broadcast together
     and give an int array; scalars give an int.
 
-    Valid for a*b up to about 745, where g(b) = b*exp(-a*b) stays above 0:
-    there the count is 1 + 2*(a*b > e), as tests check against that closed
-    form.  Beyond it g(b) underflows, h(0) reads 0.0 and the root near 0 is
-    lost: (1, 800) gives 2 and (1, 1e6) gives 1.
+    Raises ValueError unless every curve's h(0) = g(b) = b*exp(-a*b), as
+    computed, is above 0: a*b up to about 745, a little less where b < 1.
+    Beyond it h(0) reads 0.0 and the root near 0 is lost, and from a*b near
+    9.2e4 on the grid's first interval holds two roots, so no evaluation of
+    h could give the count.  Where it answers, the count is 1 + 2*(a*b > e),
+    as tests check against that closed form.
 
     [0, b] is cut into _FAN blocks of n / _FAN grid intervals, then each
     block that can hold a bracket into _FAN pieces, down to single
@@ -334,9 +336,9 @@ def count_double_exp_fixed_points(a, b):
     point has G(x_i) - x_j <= h <= G(x_j) - x_i.  The computed G is within
     tol / 2 of G, with tol = 16 eps b (1 + a b) (eps the machine epsilon)
     from the rounding of the exponents, so a block whose bound clears tol
-    has one strict sign at every grid point as computed too.  A NaN bound
-    or a tolerance of b (a*b beyond a float, or a subnormal step b / n)
-    settles no block, and such a curve costs a full scan plus 22 %.
+    has one strict sign at every grid point as computed too.  A subnormal
+    step b / n sets tol = b, so no block settles, and such a curve costs a
+    full scan plus 22 %.
 
     Each level holds its open blocks as columns: the grid index k, x and
     g(g(x)) are (_FAN + 1, blocks) arrays, and a block's curve values (a,
@@ -350,11 +352,13 @@ def count_double_exp_fixed_points(a, b):
     if not ((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)).all():
         raise ValueError("a and b must be positive and finite")
     shape, a, b = a.shape, a.reshape(-1), b.reshape(-1)
+    with np.errstate(over="ignore"):
+        ab = a * b
+    if not (np.exp(-ab) * b > 0).all():  # h(0) in _double_exp's operation order
+        raise ValueError("need b*exp(-a*b) > 0, so a*b up to about 745")
     n = _FAN**4
     step = b / n
-    with np.errstate(over="ignore"):
-        ab = a * b  # inf switches _double_exp to its log form
-    tol = b * np.where(step < _TINY, 1.0, np.minimum(16 * _EPS * (1.0 + ab), 1.0))
+    tol = b * np.where(step < _TINY, 1.0, 16 * _EPS * (1.0 + ab))
 
     rows, first, piece = np.arange(a.size), np.zeros(a.size), n // _FAN
     offsets = np.arange(_FAN + 1.0)[:, None]
@@ -382,26 +386,12 @@ def count_double_exp_fixed_points(a, b):
 def _double_exp(x, a, b, ab):
     """g(g(x)) = b*exp(-a*b*exp(-a*x)) elementwise, with arrays a, b and
     ab = a*b of one shape broadcast against x (in the counter, one value
-    per column), in one buffer and in a fixed operation order.
-
-    Where a*b is inf, -a*b*exp(-a*x) would be -inf * 0 = NaN once exp(-a*x)
-    underflows, so there the inner term is taken as -exp(ln a + ln b - a*x),
-    a number or -inf, never NaN.  Both forms run as one sequence: the shift is 0 and
-    the scale -a*b on finite columns, which leaves their bits as the plain
-    form's (x + 0 == x, and exp(-0) == exp(+0)); on inf columns the shift is
-    ln a + ln b and the scale -1, an exact negation."""
+    per column), in one buffer and in a fixed operation order."""
     import numpy as np
 
-    wide = np.isinf(ab)
-    shift = np.zeros(wide.shape)
-    shift[wide] = np.log(a[wide]) + np.log(b[wide])
-    scale = -ab
-    scale[wide] = -1.0
-    with np.errstate(over="ignore"):  # only where a*b is inf
-        g = np.multiply(x, -a)
-        g += shift
-        np.exp(g, out=g)
-    g *= scale
+    g = np.multiply(x, -a)
+    np.exp(g, out=g)
+    g *= -ab
     np.exp(g, out=g)
     g *= b
     return g

@@ -308,8 +308,8 @@ def max_degree_deletion(n: int, edges, k: int) -> DeletionResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     edge_set = set(tuple(sorted(e)) for e in edges)
-    if any(len(e) != 2 or e[0] == e[1] for e in edge_set):
-        raise ValueError("edges must be 2-sets of distinct vertices")
+    if any(len(e) != 2 or not 0 <= e[0] < e[1] < n for e in edge_set):
+        raise ValueError("edges must be 2-sets of distinct vertices in 0..n-1")
     m = len(edge_set)
     adj = {v: set() for v in range(n)}
     for u, v in edge_set:

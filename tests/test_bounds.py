@@ -547,8 +547,9 @@ def test_fixed_point_count_three_cycle_case():
 
 
 def test_fixed_point_count_steep_decay_keeps_one():
+    # a*b of 40 to 160 is past e: the fixed point and both 2-cycle points
     for a in (20.0, 50.0, 80.0):
-        assert count_double_exp_fixed_points(a, 2.0) >= 1
+        assert count_double_exp_fixed_points(a, 2.0) == 3
 
 
 def test_fixed_point_count_small_fuzz():
@@ -560,7 +561,8 @@ def test_fixed_point_count_small_fuzz():
 
 
 def _reference_fixed_point_count(a, b):
-    """The counter's original grid scan: np.sign and a product of signs."""
+    """The counter's original grid scan: np.sign and a product of signs.
+    Only meaningful where h(0) = b e^(-ab) is above 0 (see _h0_underflows)."""
     x = np.linspace(0.0, b, 10**4 + 1)
     h = b * np.exp(-a * b * np.exp(-a * x)) - x
     sign = np.sign(h)
@@ -592,7 +594,7 @@ def test_fixed_point_count_matches_sign_scan():
         # stands in for it.
         (4.168924924238127, 5.5232107433905, 1000),
         (20.08576897938324, 5.81930735955266, 300),
-        (703.1760615955515, 9.823649660808982, 10),
+        (104.67846003657596, 5.0, 90),
         (5.0007500916738e-05, 2.0, 10**4 - 1),
     ],
 )
@@ -602,15 +604,40 @@ def test_fixed_point_count_matches_sign_scan_on_grid_roots(a, b, zero_at):
     assert count_double_exp_fixed_points(a, b) == _reference_fixed_point_count(a, b)
 
 
+def _h0_underflows(a, b):
+    """Whether h(0) = g(b) = b e^(-ab) reads 0.0, as the sign scan computes
+    it: there the grid loses the root near 0, and the counter refuses."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(np.asarray(a) * b)) * b == 0
+
+
+_OUT_OF_DOMAIN = r"need b\*exp\(-a\*b\) > 0"
+
+
 @pytest.mark.parametrize("a, b", [(1e300, 1e10), (1e200, 1e200), (1e-300, 1e300), (500.0, 5.0)])
 def test_fixed_point_count_matches_sign_scan_at_extremes(a, b):
-    count = count_double_exp_fixed_points(a, b)
-    if math.isinf(a * b):
-        # the old formula is NaN on the grid here and counts 0, but g(g(x)) = x
-        # always has a root in [0, b]
-        assert count >= 1
+    # g(b) = b e^(-ab) reads 0.0 on all but (1e-300, 1e300), where a*b = 1:
+    # a grid that starts at h(0) = 0.0 loses the root near 0
+    if _h0_underflows(a, b):
+        with pytest.raises(ValueError, match=_OUT_OF_DOMAIN):
+            count_double_exp_fixed_points(a, b)
     else:
-        assert count == _reference_fixed_point_count(a, b)
+        assert count_double_exp_fixed_points(a, b) == _reference_fixed_point_count(a, b)
+    assert _h0_underflows(a, b) == (a != 1e-300)
+
+
+def test_fixed_point_count_domain_boundary():
+    # At b = 1, b e^(-ab) is the least subnormal float up to this a and 0.0 past it
+    a = 745.1332191019411
+    assert count_double_exp_fixed_points(a, 1.0) == 3
+    with pytest.raises(ValueError, match=_OUT_OF_DOMAIN):
+        count_double_exp_fixed_points(np.nextafter(a, math.inf), 1.0)
+    good = np.linspace(0.5, 5.0, 40)
+    assert count_double_exp_fixed_points(good, 2.0).shape == (40,)
+    spoiled = good.copy()
+    spoiled[17] = 400.0  # a*b = 800: one curve out of the domain among many
+    with pytest.raises(ValueError, match=_OUT_OF_DOMAIN):
+        count_double_exp_fixed_points(spoiled, 2.0)
 
 
 def _closed_form_fixed_point_count(a, b):
@@ -638,17 +665,24 @@ def test_fixed_point_count_matches_sign_scan_on_criterion_9_curves():
 
 
 def test_fixed_point_count_matches_closed_form_on_log_uniform_curves():
-    # a, b log-uniform in [1e-3, 1e3]; ab < 700 keeps g(b) = b e^(-ab) in
-    # float range, where the docstring says the count holds
+    # a, b log-uniform in [1e-6, 1e6], and a near the boundary at b = 1: every
+    # curve the counter accepts gets the closed form's count, up to the last
+    # one whose g(b) = b e^(-ab) is above 0, and every other curve is refused
     rng = np.random.default_rng(7)
-    a, b = 10.0 ** rng.uniform(-3.0, 3.0, (2, 40_000))
-    keep = a * b < 700
-    a, b = a[keep][:20_000], b[keep][:20_000]
-    assert a.size == 20_000
+    a, b = 10.0 ** rng.uniform(-6.0, 6.0, (2, 100_000))
+    a = np.concatenate([a, rng.uniform(700.0, 745.14, 2000)])
+    b = np.concatenate([b, np.ones(2000)])
+    out = _h0_underflows(a, b)
+    assert 0 < np.count_nonzero(out[-2000:]) < 10  # the boundary lies in that range
+    for p, q in zip(a[out].tolist(), b[out].tolist()):
+        with pytest.raises(ValueError, match=_OUT_OF_DOMAIN):
+            count_double_exp_fixed_points(p, q)
+    a, b = a[~out], b[~out]
     got = np.concatenate(
         [count_double_exp_fixed_points(a[i:i + 1000], b[i:i + 1000]) for i in range(0, a.size, 1000)]
     )
     assert np.array_equal(got, _closed_form_fixed_point_count(a, b))
+    assert np.count_nonzero(a * b > 100) > 7000 and (a * b).max() > 745
 
 
 def test_fixed_point_count_does_not_depend_on_the_batch():
@@ -659,22 +693,15 @@ def test_fixed_point_count_does_not_depend_on_the_batch():
     assert np.array_equal(count_double_exp_fixed_points(a, b), np.concatenate(blocks))
 
 
-def test_double_exp_log_form_leaves_finite_columns_alone():
-    # A column with a*b = inf takes the log form's shift and scale; the other
-    # columns must get the bytes of the plain form b*exp(-ab*exp(-a*x)),
-    # whether or not such a column is mixed in.
-    a = np.array([0.5, 3.0, 1e300, 7.0, 1e-3])
-    b = np.array([2.0, 5.0, 1e10, 0.1, 9.0])
-    with np.errstate(over="ignore"):
-        ab = a * b
+def test_double_exp_matches_the_plain_form():
+    # one buffer and a fixed operation order, with the bytes of the plain
+    # form b*exp(-ab*exp(-a*x))
+    a = np.array([0.5, 3.0, 7.0, 1e-3])
+    b = np.array([2.0, 5.0, 0.1, 9.0])
+    ab = a * b
     x = np.linspace(0.0, 1.0, 11)[:, None] * b
-    mixed = bounds._double_exp(x, a, b, ab)
-    finite = np.isfinite(ab)
-    assert not finite.all() and np.isfinite(mixed).all()
-    alone = bounds._double_exp(x[:, finite].copy(), a[finite], b[finite], ab[finite])
-    assert mixed[:, finite].tobytes() == alone.tobytes()
-    plain = np.exp(np.exp(x[:, finite] * -a[finite]) * -ab[finite]) * b[finite]
-    assert alone.tobytes() == plain.tobytes()
+    plain = np.exp(np.exp(x * -a) * -ab) * b
+    assert bounds._double_exp(x, a, b, ab).tobytes() == plain.tobytes()
 
 
 def _limit_points(monkeypatch, limit):
@@ -699,11 +726,10 @@ def test_fixed_point_count_work_on_criterion_9_curves(monkeypatch):
     assert passed, detail
 
 
-@pytest.mark.parametrize("a, b", [(1e300, 1e10), (1.0, 1e-320)])
+@pytest.mark.parametrize("a, b", [(1.0, 1e-320)])
 def test_fixed_point_count_work_where_no_block_settles(monkeypatch, a, b):
-    # a*b beyond a float, or a subnormal step b / 10^4, sets tol = b, so no
-    # block settles: 11 points for each of 1, 10, 100 and 1000 blocks, a
-    # full scan's 10,001 plus 22 %.
+    # A subnormal step b / 10^4 sets tol = b, so no block settles: 11 points
+    # for each of 1, 10, 100 and 1000 blocks, a full scan's 10,001 plus 22 %.
     _limit_points(monkeypatch, 12_221)
     assert count_double_exp_fixed_points(a, b) >= 1
 
@@ -712,12 +738,13 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-# a and b in criterion 9's range; over many magnitudes; and with a*b in
-# [1e6, 1e12], where the tolerance of the coarse step is widest
+# a and b in criterion 9's range; over many magnitudes, out of the domain
+# too; and with a*b in [1e2, 745], up to the domain's edge, where the
+# tolerance of the coarse step is widest
 _CURVES = st.one_of(
     st.tuples(st.floats(1e-9, 10.0), st.floats(1e-9, 10.0)),
     st.tuples(_log_uniform(1e-9, 1e4), _log_uniform(1e-9, 1e4)),
-    st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e6, 1e12)).map(
+    st.tuples(_log_uniform(1e-3, 1e6), _log_uniform(1e2, 745.0)).map(
         lambda c: (c[1] / c[0], c[0])
     ),
 )
@@ -727,12 +754,19 @@ _CURVES = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_fixed_point_count_matches_sign_scan_property(curves):
     a, b = np.array(curves).T
-    expected = [_reference_fixed_point_count(p, q) for p, q in curves]
+    out = _h0_underflows(a, b)
+    if out.any():  # one curve out of the domain refuses the whole batch
+        with pytest.raises(ValueError, match=_OUT_OF_DOMAIN):
+            count_double_exp_fixed_points(a, b)
+        a, b = a[~out], b[~out]
+        if not a.size:
+            return
+    expected = [_reference_fixed_point_count(p, q) for p, q in zip(a.tolist(), b.tolist())]
     got = count_double_exp_fixed_points(a, b)
     assert got.dtype.kind == "i" and got.tolist() == expected, curves
-    scalar = count_double_exp_fixed_points(*curves[0])
+    scalar = count_double_exp_fixed_points(a[0].item(), b[0].item())
     assert type(scalar) is int and scalar == expected[0]
-    assert count_double_exp_fixed_points(a[:, None], b[None, :1]).shape == (len(a), 1)
+    assert count_double_exp_fixed_points(a[:, None], b[:, None]).shape == (len(a), 1)
 
 
 def test_fixed_point_count_tolerates_errors_of_g_within_its_bound(monkeypatch):
@@ -740,7 +774,8 @@ def test_fixed_point_count_tolerates_errors_of_g_within_its_bound(monkeypatch):
     # of the exact one, monotone or not.  Perturb the computed g(g(x)) by
     # +-0.45 tol, by the low bit of x, and compare with a full scan of the same
     # perturbed values.  Large a*b makes g(g(x)) flat at b near x = b, where a
-    # bound without the tolerance misses the bracket into x = b.
+    # bound without the tolerance misses the bracket into x = b; it is
+    # flattest at the domain's edge, a*b near 745.
     real = bounds._double_exp
 
     def perturbed(x, a, b, ab):
@@ -750,6 +785,12 @@ def test_fixed_point_count_tolerates_errors_of_g_within_its_bound(monkeypatch):
     rng = random.Random(29)
     a = np.array([10 ** rng.uniform(-1, 2) for _ in range(60)])
     b = np.array([10 ** rng.uniform(0, 2) for _ in range(60)])
+    keep = ~_h0_underflows(a, b)
+    assert np.count_nonzero(keep) == 54  # 6 of the 60 draws have a*b past the domain
+    edge_b = np.repeat([1.0, 3.0, 50.0], 3)
+    edge_ab = np.tile([740.0, 744.0, 745.0], 3)
+    a = np.concatenate([a[keep], edge_ab / edge_b])
+    b = np.concatenate([b[keep], edge_b])
     monkeypatch.setattr(bounds, "_double_exp", perturbed)
     got = count_double_exp_fixed_points(a, b)
     expected = []

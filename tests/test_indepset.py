@@ -608,10 +608,13 @@ def test_random_search_requires_two_uniform():
     (lambda: fancy_bound_fraction(STGraph.make(3, 1, [(0, 0), (1, 0)])), "integral exponent"),
     (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be >= 1"),
     (lambda: max_degree_deletion(3, [(1, 1)], 1), "2-sets of distinct vertices"),
+    (lambda: max_degree_deletion(3, [(0, 5)], 1), r"distinct vertices in 0\.\.n-1"),
+    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 7)], [(0,)]), 5, 1),
+     r"distinct vertices in 0\.\.n-1"),
     (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1)], []), 1, 0),
      "needs a nonempty family"),
 ], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",
-        "transversal-family"])
+        "deletion-range", "transversal-range", "transversal-family"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
