@@ -121,19 +121,17 @@ class Verdict(NamedTuple):
 
 
 class _Budget:
-    __slots__ = ("limit", "nodes", "overrun")
+    """Counts nodes; raises SearchBudgetExceeded past limit (None: no limit)."""
+    __slots__ = ("limit", "nodes")
 
-    def __init__(self, limit, overrun=None):
+    def __init__(self, limit):
         self.limit = limit
         self.nodes = 0
-        self.overrun = overrun  # called past the limit, if given, instead of raising
 
     def charge(self):
         self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
-            if self.overrun is None:
-                raise SearchBudgetExceeded(self.nodes)
-            self.overrun()
+            raise SearchBudgetExceeded(self.nodes)
 
 
 # --- engine (ii): independent transversal search ----------------------------
@@ -413,25 +411,21 @@ _EDGE_TABLE_ROWS = 1 << 15
 
 
 def _edge_table(ka, ncolors):
-    """The ka-edges a prefix covering ncolors colors may append, as rows
-    (edge, mask, colors covered after it) in generation order, the edges
-    alone, and the start of each block: block f takes ka - f old colors, in
-    combinations order, and the f next ids, so each block is
-    lexicographically increasing.  The tables are kept across calls; a table
-    that would take them past _EDGE_TABLE_ROWS rows drops the others first."""
+    """The ka-edges a prefix covering ncolors colors may append, in ka + 1
+    blocks (edges, rows), rows being (edge, mask, colors covered after it):
+    block f takes ka - f old colors, in combinations order, and the f next
+    ids, so it is lexicographically increasing.  The tables are kept across
+    calls; one that would take them past _EDGE_TABLE_ROWS rows drops the rest."""
     table = _EDGE_TABLES.get((ka, ncolors))
     if table is None:
-        rows, starts = [], []
+        table = []
         for fresh in range(ka + 1):
-            starts.append(len(rows))
             new_cols = tuple(range(ncolors, ncolors + fresh))
-            for olds in itertools.combinations(range(ncolors), ka - fresh):
-                e = olds + new_cols
-                rows.append((e, mask_of(e), ncolors + fresh))
-        starts.append(len(rows))
-        if sum(len(t[0]) for t in _EDGE_TABLES.values()) + len(rows) > _EDGE_TABLE_ROWS:
+            edges = [olds + new_cols for olds in itertools.combinations(range(ncolors), ka - fresh)]
+            table.append((edges, [(e, mask_of(e), ncolors + fresh) for e in edges]))
+        if sum(len(edges) for t in [*_EDGE_TABLES.values(), table] for edges, _ in t) > _EDGE_TABLE_ROWS:
             _EDGE_TABLES.clear()
-        table = _EDGE_TABLES[ka, ncolors] = (rows, [r[0] for r in rows], starts)
+        _EDGE_TABLES[ka, ncolors] = table
     return table
 
 
@@ -439,11 +433,9 @@ def _child_rows(ka, ncolors, max_colors, last):
     """The rows of a prefix covering ncolors colors whose last edge is last:
     the blocks adding at most max_colors - ncolors fresh colors, each from
     its first edge after last on."""
-    rows, edges, starts = _edge_table(ka, ncolors)
     out = []
-    for f in range(min(ka, max_colors - ncolors) + 1):
-        end = starts[f + 1]
-        out += rows[bisect_right(edges, last, starts[f], end):end]
+    for edges, rows in _edge_table(ka, ncolors)[: max_colors - ncolors + 1]:
+        out += rows[bisect_right(edges, last):]
     return out
 
 
@@ -546,45 +538,47 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     the covered colors are always met, and padding a found family upward
     never un-blocks it).  First witness in canonical order wins.  Both
     degrees must be at least their list sizes.
+
+    Before a candidate's searches, and once the walk ends, every open point
+    past the budget runs out at budget + 1 nodes, where it crossed; it has
+    searched nothing since, so closing it late changes nothing.  The walk's
+    limit leaves the fewest own nodes room, so it stops with the last point.
     """
     if ka == 1:  # db >= kb: singleton A-lists covering {0..kb-1}, every B-list equal to it
         a_lists, b_list = [(i % kb,) for i in range(db)], tuple(range(kb))
         return {da: Verdict(UNCHOOSABLE, ListInstance.complete(kb, 1, kb, a_lists, [b_list] * da),
                             0, RULE_SINGLETON_EXACT) for da in das}
     done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
+    b = _Budget(budget)  # the walk's nodes, which every point counts
 
-    def close(da, tag, witness=None):
-        done[da] = Verdict(tag, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
+    def run_out():  # a point past the budget crossed it one node at a time
+        for da in [da for da, n in own.items() if budget is not None and b.nodes + n > budget]:
+            del own[da]
+            done[da] = Verdict(EXHAUSTED, None, budget + 1, RULE_ENUMERATION)
 
-    def overrun():  # close every point past the budget; go on while one is open
-        for da in [da for da, n in own.items() if b.nodes + n > budget]:
-            close(da, EXHAUSTED)
-        if not own:
-            raise SearchBudgetExceeded(b.nodes)
-        b.limit = budget - max(own.values())
-
-    b = _Budget(budget, overrun)  # the walk's nodes, which every point counts
-    with contextlib.suppress(SearchBudgetExceeded):  # raised once no point is open
+    with contextlib.suppress(SearchBudgetExceeded):  # raised once every point is past the budget
         for edges, ncolors, transversals in _hypergraph_candidates(ka, kb, db, ka * db, b):
             masks = sorted(transversals, reverse=True)
             subsets = comb(ncolors, kb)
-            cap = min(max(own), subsets)  # the most sets an open point may use
+            cap = min(max(own), subsets)  # the most sets a point not yet closed may use
             heads = _packing_heads(masks, kb, cap + 1)
             if heads > cap:
                 continue  # settled at the root for every open point
+            run_out()
             for da in [da for da in own if min(da, subsets) >= heads]:
                 search, fam = _Budget(None if budget is None else budget - b.nodes - own[da]), None
                 with contextlib.suppress(SearchBudgetExceeded):  # own[da] then passes the budget
                     fam = _family_search(masks, kb, min(da, subsets), search)
                 own[da] += search.nodes
                 if fam is not None:
-                    close(da, UNCHOOSABLE, _witness_instance(ka, kb, da, db, ncolors, edges, fam))
+                    witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
+                    done[da] = Verdict(UNCHOOSABLE, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
             if not own:
                 break
             if budget is not None:
-                overrun()  # closes the points whose search ran out, and moves the limit
-    for da in list(own):
-        close(da, CHOOSABLE)
+                b.limit = budget - min(own.values())
+    run_out()
+    done.update((da, Verdict(CHOOSABLE, None, b.nodes + n, RULE_ENUMERATION)) for da, n in own.items())
     return done
 
 

@@ -24,6 +24,7 @@ an integer, so the exact engine counts with integers.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -307,8 +308,11 @@ def max_degree_deletion(n: int, edges, k: int) -> DeletionResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    edge_set = set(tuple(sorted(e)) for e in edges)
-    if any(len(e) != 2 or not 0 <= e[0] < e[1] < n for e in edge_set):
+    try:  # operator.index takes integers only, numpy's included
+        edge_set = {tuple(sorted(map(operator.index, e))) for e in edges}
+    except TypeError:
+        edge_set = None
+    if edge_set is None or any(len(e) != 2 or not 0 <= e[0] < e[1] < n for e in edge_set):
         raise ValueError("edges must be 2-sets of distinct vertices in 0..n-1")
     m = len(edge_set)
     adj = {v: set() for v in range(n)}

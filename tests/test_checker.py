@@ -1103,6 +1103,23 @@ def test_a_sweep_decides_each_point_as_alone(grid):
     assert tags == ({CHOOSABLE, UNCHOOSABLE} if grid == "ka-1" else {CHOOSABLE, UNCHOOSABLE, EXHAUSTED})
 
 
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("grid", sorted(_SWEEP_GRIDS))
+def test_a_sweep_runs_out_before_the_first_candidate(grid, budget):
+    # the walk charges the empty prefix, then its first child, so at these
+    # budgets every enumerated point runs out before a candidate is drawn
+    points = [RegimePoint(*cell) for cell in _SWEEP_GRIDS[grid]]
+    sweep = checker.Sweep(points)
+    enumerated = 0
+    for point in points:
+        got = decide_choosable(point, budget, sweep=sweep)
+        assert got.to_dict() == decide_choosable(point, budget).to_dict(), point
+        if got.rule == checker.RULE_ENUMERATION:
+            assert (got.tag, got.nodes_explored) == (EXHAUSTED, budget + 1), point
+            enumerated += 1
+    assert enumerated
+
+
 def test_a_sweep_keeps_the_verdicts_of_each_budget_apart():
     points = [RegimePoint(*cell) for cell in _FRONTIER_CELLS]
     alone = {b: [decide_choosable(p, b).to_dict() for p in points] for b in (20, 5_000)}
@@ -1139,6 +1156,30 @@ def test_a_point_that_runs_out_leaves_the_rest_of_its_column_open(monkeypatch, b
     assert (got[2].tag, got[2].nodes_explored, got[4].tag) == (CHOOSABLE, 1105, UNCHOOSABLE)
     for da in (2, 3, 4):
         assert got[da] == _decide_as_given(RegimePoint(da, 6, 2, 3), budget)
+
+
+def test_the_walk_stops_once_its_last_open_point_runs_out(monkeypatch):
+    # delta_a = 3 alone at budget 1155 runs out inside its own search (see
+    # above); with no point left open, the walk takes no further Berge step
+    events = []
+    search, step = checker._family_search, checker._berge_step
+
+    def watched(unmet, kb, left, budget, root=True):
+        try:
+            return search(unmet, kb, left, budget, root)
+        except SearchBudgetExceeded:
+            events.append("out")
+            raise
+
+    def stepped(transversals, e):
+        events.append("step")
+        return step(transversals, e)
+
+    monkeypatch.setattr(checker, "_family_search", watched)
+    monkeypatch.setattr(checker, "_berge_step", stepped)
+    got = checker._decide_column(2, 3, 6, [3], 1155)
+    assert got == {3: checker.Verdict(EXHAUSTED, None, 1156, checker.RULE_ENUMERATION)}
+    assert "step" in events and "step" not in events[events.index("out"):]
 
 
 def test_a_point_outside_the_sweep_is_decided_as_alone():

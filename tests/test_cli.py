@@ -510,7 +510,7 @@ def test_frontier_csv(tmp_path, capsys):
         "--out", out_path,
     )
     assert code == 0
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0] == "deltaA,deltaB,kA,kB,xi,verdict,rule,nodesExplored"
     rows = {tuple(l.split(",")[:2]): l.split(",") for l in lines[1:]}
     assert len(rows) == 15
@@ -618,7 +618,7 @@ def test_frontier_exhausted_exit_code(tmp_path, capsys):
         "--out", out_path, "--budget", "5",
     )
     assert code == 1
-    content = open(out_path).read()
+    content = Path(out_path).read_text()
     assert "exhausted" in content
 
 
@@ -627,7 +627,7 @@ def test_frontier_deterministic(tmp_path, capsys):
     b = str(tmp_path / "b.csv")
     run(capsys, "frontier", "--ka", "2", "--kb", "1", "--maxA", "2", "--maxB", "3", "--out", a)
     run(capsys, "frontier", "--ka", "2", "--kb", "1", "--maxA", "2", "--maxB", "3", "--out", b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_frontier_parallel_matches_serial(tmp_path, capsys):
@@ -638,7 +638,7 @@ def test_frontier_parallel_matches_serial(tmp_path, capsys):
         capsys, "frontier", "--ka", "2", "--kb", "2", "--maxA", "2", "--maxB", "4",
         "--out", parallel, "--jobs", "2",
     )
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
 class _RecordingPool:
@@ -673,7 +673,7 @@ def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatc
     assert _RecordingPool.sizes == []
     run(capsys, *grid, "--out", pooled, "--jobs", "1000000")
     assert _RecordingPool.sizes == expected
-    assert open(serial, "rb").read() == open(pooled, "rb").read()
+    assert Path(serial).read_bytes() == Path(pooled).read_bytes()
 
 
 @pytest.mark.parametrize("grid", sorted(_PINNED_FRONTIER_CSV))

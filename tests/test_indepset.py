@@ -562,6 +562,11 @@ def test_deletion_tie_breaks_lowest_id():
     assert res.remaining_edges == ()
 
 
+def test_deletion_takes_numpy_integer_vertices():
+    edges = [(0, 1), (0, 2), (3, 1), (3, 2), (1, 2)]
+    assert max_degree_deletion(4, np.array(edges), 2) == max_degree_deletion(4, edges, 2)
+
+
 # --- randomized certificate search ------------------------------------------------------
 
 def test_random_search_edgeless_first_try():
@@ -611,10 +616,14 @@ def test_random_search_requires_two_uniform():
     (lambda: max_degree_deletion(3, [(0, 5)], 1), r"distinct vertices in 0\.\.n-1"),
     (lambda: random_transversal_search(ColorSystem.make(3, [(0, 7)], [(0,)]), 5, 1),
      r"distinct vertices in 0\.\.n-1"),
+    (lambda: max_degree_deletion(3, [(0, 1.5)], 1), r"distinct vertices in 0\.\.n-1"),
+    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1.5)], [(0,)]), 5, 1),
+     r"distinct vertices in 0\.\.n-1"),
     (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1)], []), 1, 0),
      "needs a nonempty family"),
 ], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",
-        "deletion-range", "transversal-range", "transversal-family"])
+        "deletion-range", "transversal-range", "deletion-noninteger", "transversal-noninteger",
+        "transversal-family"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
