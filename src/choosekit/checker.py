@@ -30,15 +30,13 @@ carries down its search by incremental Berge dualization, one step per added
 edge.  It walks the prefixes on an explicit stack and takes each prefix's
 next edges from tables of edges by color count, shared across calls.
 
-A hypergraph with a minimal transversal of fewer than kb colors can never be
-blocked: its maximal independent set meets every kb-set.  The generator
-drops such candidates before their last Berge step, by a test on the
-prefix's short transversals that is exact (see _hypergraph_candidates), and
-the family search settles most of the rest at its root by a greedy packing
-bound.  The search works on a list of transversals that shrinks with each
-family set tried, and the bound scans the same list once, stopping as soon
-as it has more heads than sets left.
-Neither shortcut changes a verdict, a witness or a node count.
+The generator only enumerates, and _decide_column settles each candidate
+in one loop: one with a minimal transversal below kb colors is never
+blocked and is skipped before its last Berge step, by an exact test on its
+prefix, and a greedy packing bound settles most of the rest before any
+family search.  The search shrinks a list of transversals with each family
+set tried, and the bound scans it once, stopping at more heads than sets
+left.  Neither shortcut changes a verdict, a witness or a node count.
 
 The points of a column share ka, kb and delta_b, so they walk the same
 candidates and differ only in the family size they may use, min(delta_a,
@@ -146,6 +144,8 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
     color lies in no edge still lacking an out color, the out branch is
     skipped (the pure-literal rule): any set found there stays a solution
     with the color moved in, since every edge holding it is already met.
+    The nodes wait on an explicit stack, a node's out branch under its in
+    branch, so the depth of the search has no limit.
     """
     n = system.vertex_count
     edge_masks = [mask_of(e) for e in system.edges]
@@ -155,8 +155,7 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
     b = _Budget(budget)
     full = (1 << n) - 1
 
-    def search(inm, outm):
-        b.charge()
+    def settle(inm, outm):  # unit propagation to a fixed point; None on a conflict
         while True:
             progressed = False
             for e in edge_masks:
@@ -178,24 +177,23 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
                     inm |= und
                     progressed = True
             if not progressed:
-                break
-        undecided = full & ~inm & ~outm
-        if undecided == 0:
-            return inm
-        if all(e & outm for e in edge_masks) and all(f & inm for f in fam_masks):
-            return inm  # leftovers stay out
-        c = undecided & -undecided
-        got = search(inm | c, outm)
-        if got is not None:
-            return got
-        if not any(e & c for e in edge_masks if not e & outm):
-            return None  # c is in no open edge: out cannot succeed where in failed
-        return search(inm, outm | c)
+                return inm, outm
 
-    got = search(0, 0)
-    if got is None:
-        return (False, None)
-    return (True, colors_of(got))
+    stack = [(0, 0)]  # the nodes still to explore, the next on top
+    while stack:
+        b.charge()
+        node = settle(*stack.pop())
+        if node is None:
+            continue
+        inm, outm = node
+        undecided = full & ~inm & ~outm
+        if undecided == 0 or (all(e & outm for e in edge_masks) and all(f & inm for f in fam_masks)):
+            return (True, colors_of(inm))  # any leftovers stay out
+        c = undecided & -undecided
+        if any(e & c for e in edge_masks if not e & outm):
+            stack.append((inm, outm | c))  # else c is in no open edge: out cannot succeed where in failed
+        stack.append((inm | c, outm))
+    return (False, None)
 
 
 # --- engine (i): backtracking over vertex colorings -------------------------
@@ -206,7 +204,8 @@ def _backtrack(instance: ListInstance, budget=None):
     Vertices are picked by ascending remaining-choice count, lowest index
     first, colors tried in ascending id (fail-first; any order is correct).
     The vertices with at most one choice left are carried down as a bitset,
-    so only branching nodes scan for the minimum.
+    so only branching nodes scan for the minimum.  The colored vertices
+    wait on an explicit stack, so the depth of the search has no limit.
 
     Dominance cut: a color that removes nothing from any uncolored neighbor
     leaves every other vertex all its choices, and any other color of the
@@ -227,12 +226,14 @@ def _backtrack(instance: ListInstance, budget=None):
             neighbors[na + bidx].append(a)
     colored = [0] * nv  # chosen color bit, 0 = uncolored
     b = _Budget(budget)
-
-    def search(remaining, forced):
-        # forced: the uncolored vertices with at most one choice left
+    # one frame per colored vertex: (vertex, colors left to try, forced, color, touched)
+    stack = []
+    # forced: the uncolored vertices with at most one choice left
+    forced = sum(1 << i for i in range(nv) if cand[i] & (cand[i] - 1) == 0)
+    while True:
         b.charge()
-        if remaining == 0:
-            return True
+        if len(stack) == nv:
+            break
         if forced:
             best_i = (forced & -forced).bit_length() - 1
             forced ^= 1 << best_i
@@ -246,7 +247,17 @@ def _backtrack(instance: ListInstance, budget=None):
                         if k == 2:
                             break  # every uncolored vertex has two choices or more
         choices = cand[best_i]
-        while choices:
+        while True:
+            if not choices:  # this vertex failed: undo its parent's color
+                if not stack:
+                    return None
+                best_i, choices, forced, c, touched = stack.pop()
+                colored[best_i] = 0
+                if not touched:
+                    choices = 0  # the dominance cut
+                for j in touched:
+                    cand[j] |= c
+                continue
             c = choices & -choices
             choices &= choices - 1
             colored[best_i] = c
@@ -261,23 +272,19 @@ def _backtrack(instance: ListInstance, budget=None):
                         dead = True  # finish the loop so `touched` stays complete
                     elif left & (left - 1) == 0:
                         below |= 1 << j
-            if not dead and search(remaining - 1, below):
-                return True
+            if not dead:
+                stack.append((best_i, choices, forced, c, touched))
+                forced = below
+                break
             colored[best_i] = 0
-            if not touched:
-                return False  # the dominance cut
             for j in touched:
                 cand[j] |= c
-        return False
-
-    if search(nv, sum(1 << i for i in range(nv) if cand[i] & (cand[i] - 1) == 0)):
-        assignment = {}
-        for i in range(na):
-            assignment[("A", i)] = colored[i].bit_length() - 1
-        for j in range(nb):
-            assignment[("B", j)] = colored[na + j].bit_length() - 1
-        return assignment
-    return None
+    assignment = {}
+    for i in range(na):
+        assignment[("A", i)] = colored[i].bit_length() - 1
+    for j in range(nb):
+        assignment[("B", j)] = colored[na + j].bit_length() - 1
+    return assignment
 
 
 def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
@@ -345,10 +352,10 @@ def _berge_step(transversals, e):
     return kept + grown
 
 
-def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
-    """Distinct ka-edge sets in canonical generation order, each with its
-    minimal transversals (as masks), leaving out those that have a minimal
-    transversal with fewer than kb colors.
+def _hypergraph_candidates(ka, num_edges, max_colors, budget):
+    """The prefixes of num_edges - 1 >= 0 distinct ka-edges in canonical
+    generation order, as (edges, minimal transversals as masks, leaf rows),
+    a row being (edge, mask, colors covered after it): one candidate each.
 
     Edges are emitted lexicographically increasing with colors introduced in
     first-use order (a new edge's fresh colors are the next consecutive ids).
@@ -357,50 +364,38 @@ def _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
     the exhaustion tractable.  Each appended edge costs one Berge step on the
     prefix's transversals, so no candidate is dualized from scratch.
 
-    The last edge e is dualized lazily.  Let U be the union of the prefix's
-    minimal transversals with fewer than kb colors.  The candidate has a
-    transversal below kb exactly when the prefix has one below kb - 1 or e
-    meets U, and such a leaf is skipped before its Berge step.  Proof: a
-    short prefix transversal t meeting e is a transversal of the candidate,
-    and t plus any color of e is one when |t| < kb - 1.  Conversely a
-    candidate transversal s with |s| < kb contains a minimal prefix
-    transversal t; either t meets e, so t lies in U, or s holds a color of e
-    outside t, so |t| < kb - 1.  A skipped leaf still charges its node, so
-    the budget runs out at the same node as without the rule; kb = 1 skips
-    nothing.  The rule acts on the last edge, so num_edges is at least 1.
-
-    The walk is a depth-first search on an explicit stack, one frame per
-    prefix short of num_edges edges, and one node charged per prefix and per
-    leaf in preorder.  A node's children come from the shared edge table of
-    its color count (_edge_table): the blocks that max_colors allows, each
-    cut by bisection to the edges after the prefix's last one.
+    The walk is a depth-first search on an explicit stack, one node charged
+    per prefix in preorder (the caller charges the leaves).  A prefix's
+    children come from the shared edge table of its color count
+    (_edge_table): the blocks that max_colors allows, each cut by bisection
+    to the edges after the prefix's last one.
     """
     budget.charge()  # the empty prefix
     stack = [((), [0], iter(_child_rows(ka, 0, max_colors, ())))]
     while stack:
         edges, transversals, rows = stack[-1]
-        if len(edges) < num_edges - 1:
-            for e, m, nc in rows:
-                budget.charge()
-                child = _berge_step(transversals, m)
-                stack.append((edges + (e,), child, iter(_child_rows(ka, nc, max_colors, e))))
-                break
-            else:
-                stack.pop()
+        if len(edges) == num_edges - 1:
+            yield stack.pop()
             continue
-        stack.pop()  # the last level: its leaves are walked here in one go
-        short = 0  # U: every leaf meeting it is skipped
-        for t in transversals:
-            size = t.bit_count()
-            if size < kb - 1:
-                short = -1  # meets every edge: the whole level is skipped
-                break
-            if size < kb:
-                short |= t
         for e, m, nc in rows:
-            budget.charge()  # a skipped leaf charges its node as if it were dualized
-            if not m & short:
-                yield edges + (e,), nc, _berge_step(transversals, m)
+            budget.charge()
+            child = _berge_step(transversals, m)
+            stack.append((edges + (e,), child, iter(_child_rows(ka, nc, max_colors, e))))
+            break
+        else:
+            stack.pop()
+
+
+def _short_union(transversals, kb):
+    """U of _decide_column's leaf rule for these prefix transversals; -1 is every color."""
+    short = 0
+    for t in transversals:
+        size = t.bit_count()
+        if size < kb - 1:
+            return -1
+        if size < kb:
+            short |= t
+    return short
 
 
 #: Edge tables shared across calls, keyed by (ka, ncolors); see _edge_table.
@@ -454,7 +449,7 @@ def _packing_heads(masks, kb, most):
     return len(heads)
 
 
-def _family_search(unmet, kb, left, budget, root=True):
+def _family_search(unmet, kb, left, budget):
     """Search for at most left distinct kb-color sets such that every
     maximal independent set is disjoint from one of them; None if impossible.
 
@@ -475,16 +470,14 @@ def _family_search(unmet, kb, left, budget, root=True):
     unmet transversals that pairwise share fewer need one family set each.
     A greedy packing gives such a set of heads: take the first unmet
     transversal, drop every transversal sharing kb colors with it, repeat
-    (_packing_heads finds the same heads in one scan).  A search with more
-    heads than sets left is pruned.  The caller runs the test at the root
-    (_decide_column, where a root-settled candidate charges no node, so at
-    least one set is left here); the search runs it in every call below with
-    at least two sets left.  Pruning never cuts off a family, so the first
-    family found is the same as without the bound.
+    (_packing_heads finds the same heads in one scan).  Every call with at
+    least two sets left is pruned when it has more heads than sets left; at
+    the root this repeats _decide_column's test, so it never prunes there.
+    Pruning never cuts off a family, so the first family found is the same.
 
-    Every transversal has at least kb colors, as _hypergraph_candidates
-    guarantees: a shorter one leaves no kb-subset inside it, so the search
-    would spend nodes to find no family.
+    Every transversal has at least kb colors (_decide_column's leaf rule): a
+    shorter one leaves no kb-subset inside it, so the search would spend
+    nodes to find no family.
     """
     budget.charge()
     if not unmet:
@@ -495,11 +488,11 @@ def _family_search(unmet, kb, left, budget, root=True):
             common &= t
         cs = colors_of(common)[:kb]
         return [mask_of(cs)] if len(cs) == kb else None
-    if not root and _packing_heads(unmet, kb, left + 1) > left:
-        return None  # the root was tested before the search began
+    if _packing_heads(unmet, kb, left + 1) > left:
+        return None
     for cs in itertools.combinations(colors_of(unmet[0]), kb):
         f = mask_of(cs)
-        got = _family_search([t for t in unmet[1:] if t & f != f], kb, left - 1, budget, False)
+        got = _family_search([t for t in unmet[1:] if t & f != f], kb, left - 1, budget)
         if got is not None:
             return [f] + got
     return None
@@ -539,7 +532,18 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     never un-blocks it).  First witness in canonical order wins.  Both
     degrees must be at least their list sizes.
 
-    Before a candidate's searches, and once the walk ends, every open point
+    One loop settles every leaf, a prefix from _hypergraph_candidates plus
+    an edge e of its rows.  It charges its node, and is skipped if it has a
+    minimal transversal below kb colors (its maximal independent set meets
+    every kb-set): with U the union of the prefix's minimal transversals
+    below kb colors, or every color if one is below kb - 1, exactly when e
+    meets U.  Proof: a prefix transversal t below kb that meets e is one of
+    the leaf, and so is t plus a color of e when |t| < kb - 1.  Conversely a
+    leaf transversal s below kb holds a minimal prefix transversal t, which
+    meets e, so lies in U, or misses it, so t is a proper subset of s (which
+    meets e) and |t| < kb - 1.  Other leaves go on to their Berge step.
+
+    Before a leaf's searches, and once the walk ends, every open point
     past the budget runs out at budget + 1 nodes, where it crossed; it has
     searched nothing since, so closing it late changes nothing.  The walk's
     limit leaves the fewest own nodes room, so it stops with the last point.
@@ -557,26 +561,31 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
             done[da] = Verdict(EXHAUSTED, None, budget + 1, RULE_ENUMERATION)
 
     with contextlib.suppress(SearchBudgetExceeded):  # raised once every point is past the budget
-        for edges, ncolors, transversals in _hypergraph_candidates(ka, kb, db, ka * db, b):
-            masks = sorted(transversals, reverse=True)
-            subsets = comb(ncolors, kb)
-            cap = min(max(own), subsets)  # the most sets a point not yet closed may use
-            heads = _packing_heads(masks, kb, cap + 1)
-            if heads > cap:
-                continue  # settled at the root for every open point
-            run_out()
-            for da in [da for da in own if min(da, subsets) >= heads]:
-                search, fam = _Budget(None if budget is None else budget - b.nodes - own[da]), None
-                with contextlib.suppress(SearchBudgetExceeded):  # own[da] then passes the budget
-                    fam = _family_search(masks, kb, min(da, subsets), search)
-                own[da] += search.nodes
-                if fam is not None:
-                    witness = _witness_instance(ka, kb, da, db, ncolors, edges, fam)
-                    done[da] = Verdict(UNCHOOSABLE, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
-            if not own:
-                break
-            if budget is not None:
-                b.limit = budget - min(own.values())
+        for prefix, transversals, rows in _hypergraph_candidates(ka, db, ka * db, b):
+            short = _short_union(transversals, kb)
+            for e, m, ncolors in rows:
+                b.charge()  # a skipped leaf charges its node as if it were dualized
+                if m & short:
+                    continue
+                masks = sorted(_berge_step(transversals, m), reverse=True)
+                subsets = comb(ncolors, kb)
+                cap = min(max(own), subsets)  # the most sets a point not yet closed may use
+                heads = _packing_heads(masks, kb, cap + 1)
+                if heads > cap:
+                    continue  # settled at the root for every open point
+                run_out()
+                for da in [da for da in own if min(da, subsets) >= heads]:
+                    search, fam = _Budget(None if budget is None else budget - b.nodes - own[da]), None
+                    with contextlib.suppress(SearchBudgetExceeded):  # own[da] then passes the budget
+                        fam = _family_search(masks, kb, min(da, subsets), search)
+                    own[da] += search.nodes
+                    if fam is not None:
+                        witness = _witness_instance(ka, kb, da, db, ncolors, prefix + (e,), fam)
+                        done[da] = Verdict(UNCHOOSABLE, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
+                if not own:
+                    return done
+                if budget is not None:
+                    b.limit = budget - min(own.values())
     run_out()
     done.update((da, Verdict(CHOOSABLE, None, b.nodes + n, RULE_ENUMERATION)) for da, n in own.items())
     return done

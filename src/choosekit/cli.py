@@ -3,11 +3,11 @@
 Subcommands: check, decide, construct, amplify, bounds, classify, pblocked,
 frontier, simulate, selftest.  All output is machine-readable (JSON lines or
 CSV); identical arguments and seeds produce byte-identical output.  Exit
-codes: 0 success, 1 exhausted search or failed selftest, 2 usage error
-(bad arguments, an input file that cannot be read or used, or an output
-file that cannot be written).  One parser with every subcommand is built
-on the first call and reused by later calls in the same process; numpy is
-imported only by selftest and pblocked --mc.
+codes: 0 success, 1 exhausted search, out of memory or failed selftest,
+2 usage error (bad arguments, an input file that cannot be read or used, or
+an output file that cannot be written).  One parser with every subcommand
+is built on the first call and reused by later calls in the same process;
+numpy is imported only by selftest and pblocked --mc.
 """
 
 from __future__ import annotations
@@ -238,8 +238,10 @@ def _cmd_frontier(args) -> int:
     target = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with target as out:
         sweep = checker.Sweep(points)
-        # the pool forks all its workers up front, so never more than can be busy
-        workers = min(args.jobs, len(sweep.columns), os.cpu_count() or 1)
+        # the pool forks all its workers up front, so never more than can be
+        # busy: no more than the CPUs this process may use, where the platform says
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(args.jobs, len(sweep.columns), cpus)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -400,6 +402,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a bad input file or an unwritable output
         print(f"choosekit: error: {args.command}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a search that ran out, like an exhausted budget
+        print(f"choosekit: error: {args.command}: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 import math
@@ -114,6 +113,26 @@ def test_engines_agree(inst):
     if bt:
         assert validate_coloring(inst, cert_bt) == []
         assert validate_coloring(inst, cert_tv) == []
+
+
+_PAIRS = [(2 * i, 2 * i + 1) for i in range(1500)]
+
+
+# colorable, and deeper than Python's recursion limit: the first in the
+# backtracking engine (1,200 colored vertices), the second in both (3,000
+# vertices, 1,500 branched colors)
+@pytest.mark.parametrize(
+    "inst",
+    [
+        ListInstance.complete(4, 2, 2, [(0, 1)] * 600, [(2, 3)] * 600),
+        ListInstance.complete(3000, 2, 2, _PAIRS, _PAIRS),
+    ],
+    ids=["600+600", "1500-pairs"],
+)
+@pytest.mark.parametrize("engine", ["backtracking", "transversal"])
+def test_engines_color_instances_deeper_than_the_recursion_limit(engine, inst):
+    found, coloring = has_proper_coloring(inst, engine=engine)
+    assert found and validate_coloring(inst, coloring) == []
 
 
 # --- independent_transversal_exists -------------------------------------------
@@ -546,13 +565,11 @@ def _canonical_class(edges, ncolors):
 
 
 def test_candidate_enumeration_covers_every_isomorphism_class():
-    from choosekit.checker import _Budget, _hypergraph_candidates
+    from choosekit.checker import _Budget
 
     for ka, num_edges, max_colors in ((2, 2, 4), (2, 3, 6), (3, 2, 6)):
         generated = set()
-        for edges, nc, transversals in _hypergraph_candidates(
-            ka, 1, num_edges, max_colors, _Budget(None)
-        ):
+        for edges, nc, transversals in _kept_leaves(ka, 1, num_edges, max_colors, _Budget(None)):
             covered = {c for e in edges for c in e}
             assert covered == set(range(nc))  # colors appear in first-use order
             assert len(set(edges)) == num_edges
@@ -570,33 +587,42 @@ def test_candidate_enumeration_covers_every_isomorphism_class():
         assert generated == reference
 
 
-def test_leaf_rule_drops_exactly_the_candidates_with_a_short_transversal():
-    from choosekit.checker import _Budget, _hypergraph_candidates
-
-    def stream(ka, kb, num_edges, max_colors, limit=None):
-        budget, got = _Budget(limit), []
-        with contextlib.suppress(SearchBudgetExceeded):
-            for edges, nc, ts in _hypergraph_candidates(ka, kb, num_edges, max_colors, budget):
-                got.append((edges, nc, sorted(ts)))
-        return got, budget.nodes
+def test_leaf_rule_drops_exactly_the_candidates_with_a_short_transversal(monkeypatch):
+    from choosekit.checker import _Budget, _hypergraph_candidates, _short_union
 
     skipped = 0
     for ka in (2, 3):
         for num_edges in (1, 2, 3, 4):
             for max_colors in (ka + 1, 2 * ka, ka * num_edges):
-                full, full_nodes = stream(ka, 1, num_edges, max_colors)
-                for kb in (2, 3, 4):
-                    kept, nodes = stream(ka, kb, num_edges, max_colors)
-                    assert kept == [c for c in full if min(map(int.bit_count, c[2])) >= kb]
-                    assert nodes == full_nodes, (ka, kb, num_edges, max_colors)
-                    skipped += len(full) - len(kept)
-                    # a budget runs out at the same node, after the same candidates
-                    cut = full_nodes // 2
-                    head = stream(ka, 1, num_edges, max_colors, cut)[0]
-                    assert stream(ka, kb, num_edges, max_colors, cut) == (
-                        [c for c in head if min(map(int.bit_count, c[2])) >= kb], cut + 1
-                    )
+                walk = [
+                    (prefix, ts, list(rows))
+                    for prefix, ts, rows in _hypergraph_candidates(ka, num_edges, max_colors, _Budget(None))
+                ]
+                for kb in (1, 2, 3, 4):
+                    for _, transversals, rows in walk:
+                        short = _short_union(transversals, kb)
+                        for _, m, _ in rows:
+                            leaf = checker._berge_step(transversals, m)
+                            assert bool(m & short) == (min(map(int.bit_count, leaf)) < kb)
+                            skipped += bool(m & short)
     assert skipped > 0
+
+    # a skipped leaf still charges its node: a column's walk counts every
+    # prefix and leaf, skipped or not, as the reference walk does
+    searched = []
+    search = checker._family_search
+
+    def watched(unmet, kb, left, budget):
+        searched.append(budget)
+        return search(unmet, kb, left, budget)
+
+    monkeypatch.setattr(checker, "_family_search", watched)
+    for ka, kb, db, da in ((2, 3, 4, 3), (2, 2, 3, 2), (3, 3, 3, 4), (2, 3, 6, 2)):
+        searched.clear()
+        got = checker._decide_column(ka, kb, db, [da], None)[da]
+        walk = _candidate_stream(_reference_hypergraph_candidates, ka, 1, db, ka * db)[1][1]
+        own = sum(b.nodes for b in {id(b): b for b in searched}.values())
+        assert got.tag == CHOOSABLE and got.nodes_explored == walk + own, (ka, kb, db, da)
 
 
 # The earlier forms of two kernel pieces, kept as oracles: the packing test as
@@ -661,6 +687,19 @@ def test_packing_scan_matches_its_reference(masks, kb, left):
     assert got == min(_reference_packing_heads(masks, kb), left + 1)
 
 
+def _kept_leaves(ka, kb, num_edges, max_colors, budget):
+    """The candidates _decide_column keeps, with their minimal transversals,
+    walked as it walks them: each prefix's rows expanded by one Berge step,
+    a leaf charging its node, then dropped when its edge meets the prefix's
+    U (kb = 1 drops none)."""
+    for prefix, transversals, rows in checker._hypergraph_candidates(ka, num_edges, max_colors, budget):
+        short = checker._short_union(transversals, kb)
+        for e, m, nc in rows:
+            budget.charge()
+            if not m & short:
+                yield prefix + (e,), nc, checker._berge_step(transversals, m)
+
+
 def _candidate_stream(generate, ka, kb, num_edges, max_colors, limit=None):
     """Every candidate with the node count when it came out, then the count
     at the end: the budget's when the walk finished, the exception's when it
@@ -686,7 +725,7 @@ _CANDIDATE_GRID = [
 def test_candidate_walk_matches_its_reference():
     yielded = 0
     for params in _CANDIDATE_GRID:
-        got = _candidate_stream(checker._hypergraph_candidates, *params)
+        got = _candidate_stream(_kept_leaves, *params)
         assert got == _candidate_stream(_reference_hypergraph_candidates, *params), params
         yielded += len(got[0])
     assert yielded > 1000
@@ -698,7 +737,7 @@ def test_candidate_walk_runs_out_where_its_reference_does():
     for params in _CANDIDATE_GRID:
         total = _candidate_stream(_reference_hypergraph_candidates, *params)[1][1]
         for limit in {0, total - 1, *(rng.randint(0, total) for _ in range(4))}:
-            got = _candidate_stream(checker._hypergraph_candidates, *params, limit)
+            got = _candidate_stream(_kept_leaves, *params, limit)
             ref = _candidate_stream(_reference_hypergraph_candidates, *params, limit)
             assert got == ref, (params, limit)
             ran_out += got[1][0] == "exhausted"
@@ -1142,16 +1181,16 @@ def test_a_point_that_runs_out_leaves_the_rest_of_its_column_open(monkeypatch, b
     ran_out = []
     search = checker._family_search
 
-    def watched(unmet, kb, left, budget, root=True):
+    def watched(unmet, kb, left, budget):
         try:
-            return search(unmet, kb, left, budget, root)
+            return search(unmet, kb, left, budget)
         except SearchBudgetExceeded:
-            ran_out.append(root)
+            ran_out.append(unmet)  # raised through every call up to the root
             raise
 
     monkeypatch.setattr(checker, "_family_search", watched)
     got = checker._decide_column(2, 3, 6, [2, 3, 4], budget)
-    assert (True in ran_out) == in_search
+    assert bool(ran_out) == in_search
     assert got[3] == checker.Verdict(EXHAUSTED, None, budget + 1, checker.RULE_ENUMERATION)
     assert (got[2].tag, got[2].nodes_explored, got[4].tag) == (CHOOSABLE, 1105, UNCHOOSABLE)
     for da in (2, 3, 4):
@@ -1164,9 +1203,9 @@ def test_the_walk_stops_once_its_last_open_point_runs_out(monkeypatch):
     events = []
     search, step = checker._family_search, checker._berge_step
 
-    def watched(unmet, kb, left, budget, root=True):
+    def watched(unmet, kb, left, budget):
         try:
-            return search(unmet, kb, left, budget, root)
+            return search(unmet, kb, left, budget)
         except SearchBudgetExceeded:
             events.append("out")
             raise

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from choosekit import bounds, cli
 from choosekit.indepset import STGraph
-from choosekit.model import load_instance, read_json
+from choosekit.model import ListInstance, dump_instance, load_instance, read_json
 
 
 def run(capsys, *argv):
@@ -73,6 +73,25 @@ def test_decide_exhausted_exit_code(capsys):
     code, out = run(capsys, "decide", "--point", "2,4,2,2", "--budget", "5")
     assert code == 1
     assert json.loads(out)["tag"] == "exhausted"
+
+
+def test_decide_out_of_memory_exit_code(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.checker, "_decide_column", exhausted)
+    assert cli.main(["decide", "--point", "5,5,3,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "choosekit: error: decide: out of memory\n"
+
+
+def test_check_colors_an_instance_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    dump_instance(ListInstance.complete(4, 2, 2, [(0, 1)] * 600, [(2, 3)] * 600), path)
+    code, out = run(capsys, "check", "--in", str(path), "--engine", "backtracking")
+    assert code == 0
+    assert json.loads(out)["properColoring"] is True
 
 
 def test_amplify_pipeline(tmp_path, capsys):
@@ -659,21 +678,49 @@ class _RecordingPool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("cpus,expected", [(64, [4]), (3, [3]), (1, []), (None, [])])
-def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatch, cpus, expected):
+def _usable_cpus(monkeypatch, affinity, cpus):
+    """Make the process see cpus CPUs and be allowed affinity of them (None:
+    a platform without sched_getaffinity)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+
+
+def _pool_sizes(tmp_path, capsys, monkeypatch):
+    """The pools an unbounded --jobs frontier opens, its CSV checked against a
+    serial run's."""
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # 25 cells, 16 of them past the trivial degrees, in 4 columns (2, 2, delta_b 2-5)
     grid = ["frontier", "--ka", "2", "--kb", "2", "--maxA", "5", "--maxB", "5"]
     serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
     run(capsys, *grid, "--out", serial)
     assert _RecordingPool.sizes == []
     run(capsys, *grid, "--out", pooled, "--jobs", "1000000")
-    assert _RecordingPool.sizes == expected
     assert Path(serial).read_bytes() == Path(pooled).read_bytes()
+    return _RecordingPool.sizes
+
+
+@pytest.mark.parametrize("cpus,expected", [(64, [4]), (3, [3]), (1, []), (None, [])])
+def test_frontier_pool_never_outgrows_cells_or_cpus(tmp_path, capsys, monkeypatch, cpus, expected):
+    _usable_cpus(monkeypatch, cpus, cpus)  # None: the platform says neither
+    assert _pool_sizes(tmp_path, capsys, monkeypatch) == expected
+
+
+@pytest.mark.parametrize(
+    "affinity,cpus,expected",
+    [(1, 2, []), (2, 64, [2]), (None, 3, [3])],
+)
+def test_frontier_pool_fits_the_cpus_this_process_may_use(
+    tmp_path, capsys, monkeypatch, affinity, cpus, expected
+):
+    # under `taskset -c 0` on two CPUs, --jobs forks no worker for the second
+    _usable_cpus(monkeypatch, affinity, cpus)
+    assert _pool_sizes(tmp_path, capsys, monkeypatch) == expected
 
 
 @pytest.mark.parametrize("grid", sorted(_PINNED_FRONTIER_CSV))
@@ -688,7 +735,7 @@ def test_a_pooled_frontier_walks_each_column_once(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _usable_cpus(monkeypatch, 64, 64)
     walked, real = [], cli.checker._decide_column
 
     def walking(ka, kb, db, das, budget):
