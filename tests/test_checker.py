@@ -895,6 +895,26 @@ _PINNED_PUBLIC_DECISIONS = [
 ]
 
 
+# Witnesses (universe, A-lists, B-lists) from decide_choosable on every way a
+# core is padded: with unused kb-subsets, with repeats of the family in the
+# order it was found, as given or on the mirror (also when ka = kb and only the
+# degrees tell the two sides apart), and the ka = 1 core whose A-lists repeat.
+_PINNED_WITNESSES = [
+    ((4, 4, 2, 2), (4, ((0, 1), (0, 2), (1, 2), (1, 3)), ((0, 1), (0, 2), (0, 3), (1, 2)))),
+    ((5, 3, 2, 2), (3, ((0, 1), (0, 2), (1, 2)), ((0, 1), (0, 2), (0, 2), (1, 2), (1, 2)))),
+    ((3, 6, 2, 2), (3, ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)), ((0, 1), (0, 2), (1, 2)))),
+    ((3, 1, 2, 1), (2, ((0, 1),), ((0,), (1,), (1,)))),
+    ((3, 5, 1, 3), (3, ((0,), (1,), (2,), (0,), (1,)), ((0, 1, 2),) * 3)),
+    ((5, 3, 3, 1), (3, ((0, 1, 2),) * 3, ((0,), (1,), (2,), (0,), (1,)))),
+]
+
+
+@pytest.mark.parametrize("point,witness", _PINNED_WITNESSES, ids=[str(p) for p, _ in _PINNED_WITNESSES])
+def test_decide_pinned_witnesses(point, witness):
+    w = decide_choosable(RegimePoint(*point)).witness
+    assert (w.universe, w.a_lists, w.b_lists) == witness
+
+
 def _check_pinned(decide, point, budget, tag, nodes, witness):
     v = decide(RegimePoint(*point), checker.DEFAULT_NODE_BUDGET if budget is None else budget)
     assert (v.tag, v.rule, v.nodes_explored) == (tag, checker.RULE_ENUMERATION, nodes)

@@ -63,6 +63,16 @@ def test_decide_emits_witness_that_fails_check(tmp_path, capsys):
     assert json.loads(out)["properColoring"] is False
 
 
+def test_decide_prints_a_mirrored_singleton_witness_byte_for_byte(capsys):
+    code, out = run(capsys, "decide", "--point", "5,3,3,1")
+    assert code == 0
+    assert out == (
+        '{"nodesExplored": 0, "rule": "singleton-lists-exact", "tag": "unchoosable", "witness": '
+        '{"aLists": [[0, 1, 2], [0, 1, 2], [0, 1, 2]], "adjacency": "complete", '
+        '"bLists": [[0], [1], [2], [0], [1]], "kA": 3, "kB": 1, "universe": 3}}\n'
+    )
+
+
 def test_decide_choosable_point(capsys):
     code, out = run(capsys, "decide", "--point", "2,3,2,2")
     assert code == 0
