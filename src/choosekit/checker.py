@@ -54,7 +54,8 @@ witness at one into a witness at the other.  The enumeration only ever walks
 the A-lists, delta_b edges over up to ka * delta_b colors, so decide_choosable
 first orients the point: it enumerates the mirror when kb * delta_a is below
 ka * delta_b, or equal with delta_a below delta_b.  Points whose two sides
-tie on both counts, such as (7, 7, 3, 3), run as given.
+tie on both counts, such as (7, 7, 3, 3), run as given.  _pad alone turns
+the core the kernel finds into the witness at the point as given.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class SearchBudgetExceeded(Exception):
 
 class Verdict(NamedTuple):
     tag: str  # choosable | unchoosable | exhausted
-    witness: object  # ListInstance for unchoosable, else None
+    witness: object  # ListInstance for unchoosable (the kernel's core, for _pad), else None
     nodes_explored: int
     rule: str
 
@@ -498,27 +499,6 @@ def _family_search(unmet, kb, left, budget):
     return None
 
 
-def _witness_instance(ka, kb, delta_a, delta_b, ncolors, edges, family_masks):
-    """Assemble the unchoosable instance for a found blocking system.
-
-    The family is padded up to delta_a B-lists: first with unused distinct
-    kb-subsets of the covered colors (extra constraints keep the instance
-    unchoosable), then with repeats once the universe runs out of subsets.
-    """
-    fam = [colors_of(m) for m in family_masks]
-    have = set(fam)
-    if len(fam) < delta_a:
-        for combo in itertools.combinations(range(ncolors), kb):
-            if len(fam) >= delta_a:
-                break
-            if combo not in have:
-                fam.append(combo)
-                have.add(combo)
-    while len(fam) < delta_a:
-        fam.append(fam[len(fam) % len(family_masks)])
-    return ListInstance.complete(ncolors, ka, kb, sorted(edges), sorted(fam))
-
-
 def _decide_column(ka, kb, db, das, budget) -> dict:
     """decide_choosable's kernel, run as given on the points (da, db, ka, kb)
     for da in das in one walk (see the module docstring): their verdicts by
@@ -527,9 +507,9 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     ka = 1 is exactly unchoosable iff delta_b >= kb.  Otherwise color
     systems with delta_b distinct edges over at most ka * delta_b colors are
     exhausted, pairing each with a search for a blocking family of at most
-    min(delta_a, C(covered, kb)) distinct kb-sets (extra family sets beyond
-    the covered colors are always met, and padding a found family upward
-    never un-blocks it).  First witness in canonical order wins.  Both
+    min(delta_a, C(covered, kb)) distinct kb-sets (extra sets beyond the
+    covered colors are always met).  The first in canonical order wins, its
+    witness the core (covered colors, A-lists, family) that _pad pads.  Both
     degrees must be at least their list sizes.
 
     One loop settles every leaf, a prefix from _hypergraph_candidates plus
@@ -548,10 +528,9 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     searched nothing since, so closing it late changes nothing.  The walk's
     limit leaves the fewest own nodes room, so it stops with the last point.
     """
-    if ka == 1:  # db >= kb: singleton A-lists covering {0..kb-1}, every B-list equal to it
-        a_lists, b_list = [(i % kb,) for i in range(db)], tuple(range(kb))
-        return {da: Verdict(UNCHOOSABLE, ListInstance.complete(kb, 1, kb, a_lists, [b_list] * da),
-                            0, RULE_SINGLETON_EXACT) for da in das}
+    if ka == 1:  # db >= kb: the singletons covering {0..kb-1}, blocked by the one kb-set
+        core = (kb, tuple((i,) for i in range(kb)), (tuple(range(kb)),))
+        return {da: Verdict(UNCHOOSABLE, core, 0, RULE_SINGLETON_EXACT) for da in das}
     done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
     b = _Budget(budget)  # the walk's nodes, which every point counts
 
@@ -580,8 +559,8 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
                         fam = _family_search(masks, kb, min(da, subsets), search)
                     own[da] += search.nodes
                     if fam is not None:
-                        witness = _witness_instance(ka, kb, da, db, ncolors, prefix + (e,), fam)
-                        done[da] = Verdict(UNCHOOSABLE, witness, b.nodes + own.pop(da), RULE_ENUMERATION)
+                        core = (ncolors, prefix + (e,), tuple(map(colors_of, fam)))
+                        done[da] = Verdict(UNCHOOSABLE, core, b.nodes + own.pop(da), RULE_ENUMERATION)
                 if not own:
                     return done
                 if budget is not None:
@@ -595,6 +574,29 @@ def _side(point: RegimePoint) -> tuple:
     """(ka, kb, delta_b, delta_a) of the side the kernel runs on: the point's or its mirror's."""
     ka, kb, da, db = point.ka, point.kb, point.delta_a, point.delta_b
     return (kb, ka, da, db) if (kb * da, da) < (ka * db, db) else (ka, kb, db, da)
+
+
+def _pad(core, side, point: RegimePoint) -> ListInstance:
+    """The witness at point from a core the kernel found on side (ka, kb,
+    delta_b, delta_a): (covered colors, distinct A-lists, blocking family).
+
+    The family is padded up to delta_a B-lists, first with the unused
+    kb-subsets of the covered colors in combinations order, then with
+    repeats of the family in the order it was found; the A-lists are padded
+    up to delta_b with repeats (only the ka = 1 core has fewer).  When side
+    is the mirror, the two list families are swapped back.  Padding only adds
+    vertices, and a coloring of the padded instance colors the core, which
+    has none; so the witness is uncolorable too.
+    """
+    ncolors, a_lists, family = core
+    kb, db, da = side[1:]
+    unused = (s for s in itertools.combinations(range(ncolors), kb) if s not in family)
+    fam = [*family, *itertools.islice(unused, da - len(family))]
+    fam += [family[i % len(family)] for i in range(len(fam), da)]
+    lists = [a_lists[i % len(a_lists)] for i in range(db)], sorted(fam)
+    if side != (point.ka, point.kb, point.delta_b, point.delta_a):  # the kernel ran on the mirror
+        lists = lists[::-1]
+    return ListInstance.complete(ncolors, point.ka, point.kb, *lists)
 
 
 class Sweep:
@@ -631,21 +633,19 @@ def decide_choosable(point: RegimePoint, budget=DEFAULT_NODE_BUDGET, sweep=None)
     A part with degree below its list size is always colorable.  Otherwise
     the point is decided on its cheaper side (see the module docstring): when
     (kb * delta_a, delta_a) < (ka * delta_b, delta_b), the kernel runs on the
-    mirror (delta_b, delta_a, kb, ka), and a witness it finds has its two
-    list families swapped back.  Every witness is checked once, by the
-    transversal engine at the point as given.  nodesExplored and the rule
+    mirror (delta_b, delta_a, kb, ka).  _pad turns the core it finds into the
+    witness at the point as given, which the transversal engine checks
+    once (the padded instance, with every list).  nodesExplored and the rule
     are the kernel's on the side it ran.  A sweep (a Sweep holding the
     point) gives the same verdict, from a walk its column shares.
     """
     if trivial_degrees(point):
         return Verdict(CHOOSABLE, None, 0, RULE_TRIVIAL)
-    ka, kb, side = point.ka, point.kb, _side(point)
+    side = _side(point)
     verdict = (sweep or Sweep([point])).verdict(side, budget)
-    witness = verdict.witness
-    if witness is None:
+    if verdict.witness is None:
         return verdict
-    if side != (ka, kb, point.delta_b, point.delta_a):  # the kernel ran on the mirror
-        witness = ListInstance.complete(witness.universe, ka, kb, witness.b_lists, witness.a_lists)
+    witness = _pad(verdict.witness, side, point)
     if has_proper_coloring(witness, engine="transversal")[0]:
         raise RuntimeError("internal error: witness admits a coloring")
     return verdict._replace(witness=witness)

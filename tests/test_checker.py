@@ -24,6 +24,7 @@ from choosekit.model import (
     ColorSystem,
     ListInstance,
     RegimePoint,
+    colors_of,
     mask_of,
     to_color_system,
 )
@@ -35,9 +36,10 @@ from colorings import validate_coloring
 
 def _decide_as_given(point, budget):
     """The column kernel on a column of one: decide_choosable's kernel on the
-    point as given, with no orientation and no witness check."""
-    column = checker._decide_column(point.ka, point.kb, point.delta_b, [point.delta_a], budget)
-    return column[point.delta_a]
+    point as given, with no orientation and no witness check, its core padded."""
+    side = (point.ka, point.kb, point.delta_b, point.delta_a)
+    v = checker._decide_column(*side[:3], [point.delta_a], budget)[point.delta_a]
+    return v if v.witness is None else v._replace(witness=checker._pad(v.witness, side, point))
 
 
 def _find_blocking_family(transversals, kb, max_sets, budget):
@@ -1065,7 +1067,8 @@ def _reference_decide(point, budget):
             max_sets = min(da, comb(ncolors, kb))
             fam = _reference_blocking_family(ncolors, edge_masks, kb, max_sets, b)
             if fam is not None:
-                witness = checker._witness_instance(ka, kb, da, db, ncolors, edges, fam)
+                core = (ncolors, edges, tuple(map(colors_of, fam)))
+                witness = checker._pad(core, (ka, kb, db, da), point)
                 return checker.Verdict(UNCHOOSABLE, witness, b.nodes, checker.RULE_ENUMERATION)
     except SearchBudgetExceeded as exc:
         return checker.Verdict(EXHAUSTED, None, exc.nodes, checker.RULE_ENUMERATION)
@@ -1213,8 +1216,8 @@ def test_a_point_that_runs_out_leaves_the_rest_of_its_column_open(monkeypatch, b
     assert bool(ran_out) == in_search
     assert got[3] == checker.Verdict(EXHAUSTED, None, budget + 1, checker.RULE_ENUMERATION)
     assert (got[2].tag, got[2].nodes_explored, got[4].tag) == (CHOOSABLE, 1105, UNCHOOSABLE)
-    for da in (2, 3, 4):
-        assert got[da] == _decide_as_given(RegimePoint(da, 6, 2, 3), budget)
+    for da in (2, 3, 4):  # the kernel's raw verdicts, an unchoosable one with its core
+        assert got[da] == checker._decide_column(2, 3, 6, [da], budget)[da]
 
 
 def test_the_walk_stops_once_its_last_open_point_runs_out(monkeypatch):
