@@ -703,7 +703,8 @@ def simulate_reserve_coloring(
 
     a_masks = [mask_of(l) for l in instance.a_lists]
     b_masks = [mask_of(l) for l in instance.b_lists]
-    bits = [1 << c for c in range(instance.universe)]
+    used = set().union(*instance.a_lists, *instance.b_lists)  # a bit only where a list can see it
+    bits = [1 << c if c in used else 0 for c in range(instance.universe)]
     draw = random.Random(seed).random
 
     successes = aborts = b_starved = 0

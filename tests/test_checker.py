@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -1244,6 +1245,28 @@ def test_the_walk_stops_once_its_last_open_point_runs_out(monkeypatch):
     assert "step" in events and "step" not in events[events.index("out"):]
 
 
+def test_pad_shapes_each_core_into_a_witness_at_its_point():
+    # the witness has the cell's list sizes and degrees, and holds the core
+    # the kernel found, its A-lists and family on their sides, swapped back
+    # on the mirror
+    mirrored = set()
+    for cell in sorted(set().union(*_SWEEP_GRIDS.values())):
+        point = RegimePoint(*cell)
+        v = decide_choosable(point, 5_000)
+        if v.tag != UNCHOOSABLE:
+            continue
+        side = checker._side(point)
+        _, a_lists, family = checker._decide_column(*side[:3], [side[3]], 5_000)[side[3]].witness
+        w = v.witness
+        assert w.point() == point, cell
+        assert (w.num_b(), w.num_a()) == (point.delta_a, point.delta_b), cell
+        mirror = side != (point.ka, point.kb, point.delta_b, point.delta_a)
+        mirrored.add(mirror)
+        a_side, b_side = (w.b_lists, w.a_lists) if mirror else (w.a_lists, w.b_lists)
+        assert set(a_lists) <= set(a_side) and set(family) <= set(b_side), cell
+    assert mirrored == {False, True}
+
+
 def test_a_point_outside_the_sweep_is_decided_as_alone():
     sweep = checker.Sweep([RegimePoint(da, 4, 3, 2) for da in (3, 5)])
     for da in (3, 4, 5, 6):
@@ -1606,6 +1629,28 @@ def test_simulate_deterministic_per_seed():
     c = simulate_reserve_coloring(inst, 0.4, 2000, seed=10)
     assert (a.successes, a.aborts, a.b_starved) == (b.successes, b.aborts, b.b_starved)
     assert (a.successes, a.aborts, a.b_starved) != (c.successes, c.aborts, c.b_starved)
+
+
+def _sparse_instance(universe):
+    """Four lists using five colors of a large universe, the last among them."""
+    top = universe - 1
+    return ListInstance.complete(universe, 2, 2, [(0, top), (1, 2)], [(0, 1), (2, top)])
+
+
+def test_simulate_memory_does_not_grow_with_unused_colors():
+    # a bit per unused color cost about 150 MB here, quadratic in the universe
+    inst = _sparse_instance(50_000)
+    tracemalloc.start()
+    try:
+        simulate_reserve_coloring(inst, 0.5, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # unused colors still take their draws, so every outcome is the reference's
+    for seed in range(5):
+        sparse = _sparse_instance(3_000)
+        assert simulate_reserve_coloring(sparse, 0.5, 20, seed) == _reference_simulation(sparse, 0.5, 20, seed)
 
 
 def test_simulate_rejects_bad_probability():
