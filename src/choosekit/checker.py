@@ -703,7 +703,7 @@ def simulate_reserve_coloring(
 
     a_masks = [mask_of(l) for l in instance.a_lists]
     b_masks = [mask_of(l) for l in instance.b_lists]
-    used = set().union(*instance.a_lists, *instance.b_lists)  # a bit only where a list can see it
+    used = set().union(*instance.a_lists, *instance.b_lists)  # unused colors still draw, but hold no bit
     bits = [1 << c if c in used else 0 for c in range(instance.universe)]
     draw = random.Random(seed).random
 

@@ -1638,7 +1638,7 @@ def _sparse_instance(universe):
 
 
 def test_simulate_memory_does_not_grow_with_unused_colors():
-    # a bit per unused color cost about 150 MB here, quadratic in the universe
+    # a big-integer bit for every color of the universe would take about 150 MB here
     inst = _sparse_instance(50_000)
     tracemalloc.start()
     try:
@@ -1648,8 +1648,8 @@ def test_simulate_memory_does_not_grow_with_unused_colors():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     # unused colors still take their draws, so every outcome is the reference's
+    sparse = _sparse_instance(3_000)
     for seed in range(5):
-        sparse = _sparse_instance(3_000)
         assert simulate_reserve_coloring(sparse, 0.5, 20, seed) == _reference_simulation(sparse, 0.5, 20, seed)
 
 
