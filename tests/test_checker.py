@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -124,14 +125,13 @@ _PAIRS = [(2 * i, 2 * i + 1) for i in range(1500)]
 # colorable, and deeper than Python's recursion limit: the first in the
 # backtracking engine (1,200 colored vertices), the second in both (3,000
 # vertices, 1,500 branched colors)
-@pytest.mark.parametrize(
-    "inst",
-    [
-        ListInstance.complete(4, 2, 2, [(0, 1)] * 600, [(2, 3)] * 600),
-        ListInstance.complete(3000, 2, 2, _PAIRS, _PAIRS),
-    ],
-    ids=["600+600", "1500-pairs"],
-)
+_DEEP = [
+    ListInstance.complete(4, 2, 2, [(0, 1)] * 600, [(2, 3)] * 600),
+    ListInstance.complete(3000, 2, 2, _PAIRS, _PAIRS),
+]
+
+
+@pytest.mark.parametrize("inst", _DEEP, ids=["600+600", "1500-pairs"])
 @pytest.mark.parametrize("engine", ["backtracking", "transversal"])
 def test_engines_color_instances_deeper_than_the_recursion_limit(engine, inst):
     found, coloring = has_proper_coloring(inst, engine=engine)
@@ -444,6 +444,25 @@ def test_dominance_cuts_pin_the_node_counts():
     assert _engine_run(checker._backtrack, inst) == (None, 2366)
     system = to_color_system(inst)
     assert _engine_run(independent_transversal_exists, system) == ((False, None), 29)
+
+
+def test_engines_pin_their_runs():
+    # each engine's result (verdict and colouring, or EXHAUSTED) and node
+    # count on every instance above, at five budgets; a rewrite of either
+    # engine keeps this digest
+    runs = []
+    for inst in _engine_instances() + _DEEP:
+        calls = [(checker._backtrack, inst)]
+        if inst.is_complete:
+            calls.append((independent_transversal_exists, to_color_system(inst)))
+        for engine, arg in calls:
+            for budget in (None, 0, 1, 5, 50):
+                result, nodes = _engine_run(engine, arg, budget)
+                if isinstance(result, dict):
+                    result = sorted(result.items())
+                runs.append((engine.__name__, result, nodes))
+    digest = hashlib.sha1(repr(runs).encode()).hexdigest()
+    assert digest == "eea65e59e310fd0e2eae9c8ed06b462d8ddbe70e", digest
 
 
 # --- decide_choosable ----------------------------------------------------------
