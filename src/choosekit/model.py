@@ -175,24 +175,26 @@ def to_color_system(instance: ListInstance) -> ColorSystem:
 
     Duplicate lists are dropped first: a duplicated list adds no constraint
     beyond its first copy, so the system of distinct lists decides the same
-    colorability question.
+    colorability question.  The instance's lists are sorted tuples already,
+    so none is sorted again.
     """
     if not instance.is_complete:
         raise ValueError("color system is defined for complete bipartite instances only")
-    return ColorSystem.make(instance.universe, instance.a_lists, instance.b_lists)
+    distinct = lambda lists: tuple(sorted(set(lists)))
+    return ColorSystem(instance.universe, distinct(instance.a_lists), distinct(instance.b_lists))
 
 
 # --- JSON interchange -------------------------------------------------------
 
 def instance_to_dict(instance: ListInstance) -> dict:
-    adj = "complete" if instance.is_complete else [list(e) for e in instance.adjacency]
+    adj = COMPLETE if instance.is_complete else [list(e) for e in instance.adjacency]
     return {
         "universe": instance.universe,
         "kA": instance.ka,
         "kB": instance.kb,
         "adjacency": adj,
-        "aLists": [sorted(l) for l in instance.a_lists],
-        "bLists": [sorted(l) for l in instance.b_lists],
+        "aLists": [list(l) for l in instance.a_lists],
+        "bLists": [list(l) for l in instance.b_lists],
     }
 
 

@@ -384,7 +384,7 @@ def test_invariant_breaking_lists_are_reported_as_violations(tmp_path, capsys, a
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via):
     # 51 vertices: without a budget, backtracking rejects this after 250,026
-    # nodes (1.4 s on a 2-vCPU Xeon VM; without its dominance cut it
+    # nodes (0.8 s on a 2-vCPU Xeon VM; without its dominance cut it
     # exhausted the default 5,000,000 after 35.6 s)
     path = str(tmp_path / "blocks.json")
     run(capsys, "construct", "blocks", "--ka", "3", "--a", "2,2,2", "--out", path)
