@@ -20,7 +20,7 @@ rejects after 250,026 nodes in 0.8 s; without the cut it exhausted the
 default budget (5,000,001 nodes) after 35.6 s (2-vCPU Xeon VM, Python 3.11).
 Both engines keep their state in bitsets and touch only what a decision
 changes, so a step costs a few bitset operations, not a scan of every
-vertex or set, and time grows about linearly with the depth of the search.
+vertex or set, and the steps grow linearly with the depth of the search.
 
 On top of these, decide_choosable settles whether *every* assignment at a
 parameter point is colorable, by exhausting color systems over a bounded
@@ -286,7 +286,8 @@ def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
     Returns (found, coloring) with a validating certificate when found.
     engine: "backtracking", "transversal" (complete bipartite only), or
     "auto" (transversal when complete, else backtracking).  Budget overruns
-    raise SearchBudgetExceeded rather than returning False.
+    raise SearchBudgetExceeded rather than returning False.  Every color must
+    lie in range(instance.universe), as model.validate requires.
     """
     if engine == "auto":
         engine = "transversal" if instance.is_complete else "backtracking"
