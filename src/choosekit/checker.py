@@ -234,7 +234,7 @@ def _backtrack(instance: ListInstance, budget=None):
             near[a] |= 1 << (na + bidx)
             near[na + bidx] |= 1 << a
     free = [0] * instance.universe  # per color, the vertices that may still take it
-    by_count = [0] * (max(1, *map(int.bit_count, colors)) + 1)
+    by_count = [0] * (max([1, *map(int.bit_count, colors)]) + 1)
     for v, m in enumerate(colors):
         by_count[m.bit_count()] |= 1 << v
         for c in colors_of(m):

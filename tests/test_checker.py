@@ -1718,3 +1718,9 @@ def test_input_checks(call, message):
 
 def test_empty_family_set_is_never_met():
     assert independent_transversal_exists(ColorSystem.make(2, [(0, 1)], [()])) == (False, None)
+
+
+def test_engines_color_an_instance_without_vertices():
+    inst = ListInstance.complete(1, 1, 1, [], [])
+    assert _engine_run(checker._backtrack, inst) == ({}, 1)
+    assert _engine_run(independent_transversal_exists, to_color_system(inst)) == ((True, ()), 1)
