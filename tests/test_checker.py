@@ -465,6 +465,18 @@ def test_engines_pin_their_runs():
     assert digest == "eea65e59e310fd0e2eae9c8ed06b462d8ddbe70e", digest
 
 
+def test_engines_pin_their_public_colorings():
+    # the (found, coloring) has_proper_coloring returns with each engine on
+    # every instance above: the transversal engine's coloring is built from
+    # its color set here, not in the engine, so the digest above misses it
+    runs = []
+    for inst in _engine_instances() + _DEEP:
+        engines = ["backtracking", "transversal"] if inst.is_complete else ["backtracking"]
+        runs += [(e, has_proper_coloring(inst, engine=e)) for e in engines]
+    digest = hashlib.sha1(repr(runs).encode()).hexdigest()
+    assert digest == "899f4b65b37561c7d8fe0140e87b98901c8c3421", digest
+
+
 # --- decide_choosable ----------------------------------------------------------
 
 def test_decide_frontier_pair():
