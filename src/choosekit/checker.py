@@ -16,7 +16,7 @@ putting it in has failed, when no edge still lacking an out color holds it.
 Each cut drops only siblings of a subtree that has already failed, so every
 verdict and coloring is the one the plain search finds, in fewer nodes.  On
 the 51-vertex block construction with ka = 3 and a = (2, 2, 2), backtracking
-rejects after 250,026 nodes in 0.8 s; without the cut it exhausted the
+rejects after 250,026 nodes in 0.6 s; without the cut it exhausted the
 default budget (5,000,001 nodes) after 35.6 s (2-vCPU Xeon VM, Python 3.11).
 Both engines keep their state in bitsets and touch only what a decision
 changes, so a step costs a few bitset operations, not a scan of every
@@ -161,43 +161,51 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
     if not all(system.family):
         return (False, None)  # an empty family set can never be met
     clauses, holding = [], [0] * (2 * system.vertex_count)  # holding: per literal, the clauses holding it
+    bit = 1  # the next clause's
     for sets, side in ((system.edges, 1), (system.family, 0)):
         for s in sets:
-            clause, bit = 0, 1 << len(clauses)
+            clause = 0
             for c in s:
-                clause |= 1 << (2 * c + side)
-                holding[2 * c + side] |= bit
+                lit = 2 * c + side
+                clause |= 1 << lit
+                holding[lit] |= bit
             clauses.append(clause)
+            bit <<= 1
     ins = (4 ** system.vertex_count - 1) // 3  # every in literal: bit 2c for each color c
-    b = _Budget(budget)
-    every = (1 << len(clauses)) - 1
-    stack = [(0, every, every)]  # (refuted literals, unmet clauses, clauses to check)
-    while stack:
-        b.charge()
-        refuted, unmet, todo = stack.pop()
-        while True:  # unit propagation to a fixed point; break on a conflict
-            todo &= unmet
-            if todo:
-                i = todo & -todo
-                todo ^= i
-                left = clauses[i.bit_length() - 1] & ~refuted
-                if left & (left - 1) == 0:
-                    if not left:
-                        break  # every literal of the clause is refuted
-                    lit = left.bit_length() - 1
-                    refuted |= 1 << (lit ^ 1)
-                    unmet &= ~holding[lit]
-                    todo |= holding[lit ^ 1]
-            elif not unmet:
-                return (True, tuple(lit >> 1 for lit in colors_of(refuted) if lit & 1))  # leftovers stay out
-            else:
-                undecided = ins & ~(refuted | refuted >> 1)
-                lit = (undecided & -undecided).bit_length() - 1  # the lowest undecided color, in
-                if unmet & holding[lit + 1]:  # else no unmet edge holds it: out cannot succeed where in failed
-                    stack.append((refuted | 1 << lit, unmet & ~holding[lit + 1], holding[lit]))
-                stack.append((refuted | 1 << (lit + 1), unmet & ~holding[lit], holding[lit + 1]))
-                break
-    return (False, None)
+    b, nodes, limit = _Budget(budget), 0, math.inf if budget is None else budget
+    stack = [(0, bit - 1, bit - 1)]  # (refuted literals, unmet clauses, clauses to check)
+    try:
+        while stack:
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded(nodes)
+            refuted, unmet, todo = stack.pop()
+            while True:  # unit propagation to a fixed point; break on a conflict
+                todo &= unmet
+                if todo:
+                    i = todo & -todo
+                    todo ^= i
+                    left = clauses[i.bit_length() - 1] & ~refuted
+                    if left & (left - 1) == 0:
+                        if not left:
+                            break  # every literal of the clause is refuted
+                        lit = left.bit_length() - 1
+                        refuted |= 1 << (lit ^ 1)
+                        unmet &= ~holding[lit]
+                        todo |= holding[lit ^ 1]
+                elif not unmet:
+                    return (True, tuple(lit >> 1 for lit in colors_of(refuted) if lit & 1))  # leftovers stay out
+                else:
+                    undecided = ins & ~(refuted | refuted >> 1)
+                    lit = (undecided & -undecided).bit_length() - 1  # the lowest undecided color, in
+                    held_in, held_out = holding[lit], holding[lit + 1]
+                    if unmet & held_out:  # else no unmet edge holds it: out cannot succeed where in failed
+                        stack.append((refuted | 1 << lit, unmet & ~held_out, held_in))
+                    stack.append((refuted | 2 << lit, unmet & ~held_in, held_out))
+                    break
+        return (False, None)
+    finally:  # counted in a local, cheaper than b.charge(); b keeps the total
+        b.nodes = nodes
 
 
 # --- engine (i): backtracking over vertex colorings -------------------------
@@ -218,13 +226,12 @@ def _backtrack(instance: ListInstance, budget=None):
     picked with); and each vertex's neighbors, so complete and explicit
     adjacency share one loop.  Coloring a vertex takes its color from a
     mask of uncolored neighbors and moves that mask one count down: a step
-    is a few bitset operations per count, with no per-neighbor loop and no
-    scan for the minimum.  The colored vertices wait on an explicit stack,
-    so the depth of the search has no limit.
+    touches only the count buckets the mask meets (none when it is empty),
+    with no per-neighbor loop and no scan for the minimum.  The colored
+    vertices wait on an explicit stack, so the depth of the search has no
+    limit.
     """
-    na = instance.num_a()
-    lists = instance.a_lists + instance.b_lists
-    colors = [mask_of(l) for l in lists]
+    na, lists = instance.num_a(), instance.a_lists + instance.b_lists
     side_a, uncolored = (1 << na) - 1, (1 << len(lists)) - 1
     if instance.is_complete:
         near = [uncolored ^ side_a] * na + [side_a] * (len(lists) - na)
@@ -233,51 +240,68 @@ def _backtrack(instance: ListInstance, budget=None):
         for a, bidx in instance.adjacency:
             near[a] |= 1 << (na + bidx)
             near[na + bidx] |= 1 << a
-    free = [0] * instance.universe  # per color, the vertices that may still take it
-    by_count = [0] * (max([1, *map(int.bit_count, colors)]) + 1)
-    for v, m in enumerate(colors):
-        by_count[m.bit_count()] |= 1 << v
-        for c in colors_of(m):
-            free[c] |= 1 << v
+    colors, free = [], [0] * instance.universe  # free: per color, the vertices that may still take it
+    by_count, bit = [0] * (max([1, *map(len, lists)]) + 1), 1  # a list holds at most len(l) colors
+    for l in lists:
+        m = 0
+        for c in l:
+            m |= 1 << c
+            free[c] |= bit
+        colors.append(m)
+        by_count[m.bit_count()] |= bit
+        bit <<= 1
     down, up = range(2, len(by_count)), range(len(by_count) - 2, 0, -1)
-    b = _Budget(budget)
-    stack = []  # one frame per colored vertex: (vertex, colors left to try, color, neighbors it bars)
-    while True:
-        b.charge()
-        if not uncolored:
-            break
-        pick, k = (by_count[0] | by_count[1]) & uncolored, 2
-        while not pick:
-            pick, k = by_count[k] & uncolored, k + 1
-        v = (pick & -pick).bit_length() - 1
-        choices = colors[v]
+    b, nodes, limit = _Budget(budget), 0, math.inf if budget is None else budget
+    stack = []  # one frame per colored vertex: (vertex, its bit, colors left to try, color, neighbors it bars)
+    try:
         while True:
-            if not choices:  # this vertex failed: undo its parent's color
-                if not stack:
-                    return None
-                v, choices, c, barred = stack.pop()
-                uncolored |= 1 << v
-                free[c] |= barred
-                for k in up:
-                    by_count[k + 1] |= by_count[k] & barred
-                    by_count[k] &= ~barred
-                choices = choices if barred else 0  # the dominance cut
-                continue
-            c = (choices & -choices).bit_length() - 1
-            choices &= choices - 1
-            if not free[c] >> v & 1:
-                continue  # a colored neighbor has c
-            barred = near[v] & uncolored & free[c]
-            if barred & by_count[1]:
-                continue  # c would take a neighbor's last choice
-            free[c] ^= barred
-            for k in down:
-                by_count[k - 1] |= by_count[k] & barred
-                by_count[k] &= ~barred
-            uncolored ^= 1 << v
-            stack.append((v, choices, c, barred))
-            break
-    return {("A", v) if v < na else ("B", v - na): c for v, _, c, _ in sorted(stack)}
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded(nodes)
+            if not uncolored:
+                break
+            pick, k = (by_count[0] | by_count[1]) & uncolored, 2
+            while not pick:
+                pick, k = by_count[k] & uncolored, k + 1
+            bit = pick & -pick
+            v = bit.bit_length() - 1
+            choices = colors[v]
+            while True:
+                if not choices:  # this vertex failed: undo its parent's color
+                    if not stack:
+                        return None
+                    v, bit, choices, c, barred = stack.pop()
+                    uncolored |= bit
+                    if not barred:
+                        choices = 0  # the dominance cut
+                        continue
+                    free[c] |= barred
+                    for k in up:
+                        moved = by_count[k] & barred
+                        if moved:
+                            by_count[k + 1] |= moved
+                            by_count[k] ^= moved
+                    continue
+                c = (choices & -choices).bit_length() - 1
+                choices &= choices - 1
+                if not free[c] & bit:
+                    continue  # a colored neighbor has c
+                barred = near[v] & uncolored & free[c]
+                if barred:
+                    if barred & by_count[1]:
+                        continue  # c would take a neighbor's last choice
+                    free[c] ^= barred
+                    for k in down:
+                        moved = by_count[k] & barred
+                        if moved:
+                            by_count[k - 1] |= moved
+                            by_count[k] ^= moved
+                uncolored ^= bit
+                stack.append((v, bit, choices, c, barred))
+                break
+        return {("A", v) if v < na else ("B", v - na): c for v, _, _, c, _ in sorted(stack)}
+    finally:
+        b.nodes = nodes
 
 
 def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
@@ -292,25 +316,21 @@ def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
     if engine == "auto":
         engine = "transversal" if instance.is_complete else "backtracking"
     if engine == "backtracking":
-        assignment = _backtrack(instance, budget)
-        if assignment is None:
-            return (False, None)
-        return (True, Coloring.make(assignment))
+        assignment = _backtrack(instance, budget)  # in vertex order, so in Coloring's order
+        return (False, None) if assignment is None else (True, Coloring(tuple(assignment.items())))
     if engine != "transversal":
         raise ValueError(f"unknown engine {engine!r}")
     if not instance.is_complete:
         raise ValueError("transversal engine needs a complete bipartite instance")
-    system = to_color_system(instance)
-    ok, chosen = independent_transversal_exists(system, budget)
+    ok, chosen = independent_transversal_exists(to_color_system(instance), budget)
     if not ok:
         return (False, None)
-    inside = set(chosen)
-    assignment = {}
-    for j, l in enumerate(instance.b_lists):
-        assignment[("B", j)] = min(c for c in l if c in inside)
-    for i, l in enumerate(instance.a_lists):
-        assignment[("A", i)] = min(c for c in l if c not in inside)
-    return (True, Coloring.make(assignment))
+    inside, assignment = mask_of(chosen), []
+    for side, lists, keep in (("A", instance.a_lists, ~inside), ("B", instance.b_lists, inside)):
+        for i, l in enumerate(lists):  # each takes its lowest color on its side of the set
+            m = mask_of(l) & keep
+            assignment.append(((side, i), (m & -m).bit_length() - 1))
+    return (True, Coloring(tuple(assignment)))
 
 
 # --- exhaustive choosability decision ----------------------------------------

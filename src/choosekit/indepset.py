@@ -108,7 +108,7 @@ def greedy_independent_set(adjacency, order):
     """
     chosen = set()
     for v in order:
-        if not any(u in chosen for u in adjacency[v]):
+        if chosen.isdisjoint(adjacency[v]):
             chosen.add(v)
     return chosen
 
