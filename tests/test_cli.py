@@ -381,14 +381,19 @@ def test_invariant_breaking_lists_are_reported_as_violations(tmp_path, capsys, a
     assert any("color 5 out of universe" in v for v in payload["violations"])
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
-def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via):
+@pytest.mark.parametrize(
+    "via, engine",
+    [("flag", "backtracking"), ("env", "backtracking"), ("flag", "transversal"), ("env", "transversal")],
+    ids=["flag", "env", "flag-transversal", "env-transversal"],
+)
+def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via, engine):
     # 51 vertices: without a budget, backtracking rejects this after 250,026
-    # nodes (0.8 s on a 2-vCPU Xeon VM; without its dominance cut it
-    # exhausted the default 5,000,000 after 35.6 s)
+    # nodes (0.6 s on a 2-vCPU Xeon VM; without its dominance cut it
+    # exhausted the default 5,000,000 after 35.6 s) and the transversal
+    # engine after 1,342
     path = str(tmp_path / "blocks.json")
     run(capsys, "construct", "blocks", "--ka", "3", "--a", "2,2,2", "--out", path)
-    argv = ["check", "--in", path, "--engine", "backtracking"]
+    argv = ["check", "--in", path, "--engine", engine]
     if via == "flag":
         argv += ["--budget", "1000"]
     else:
