@@ -172,40 +172,35 @@ def independent_transversal_exists(system: ColorSystem, budget=None):
             clauses.append(clause)
             bit <<= 1
     ins = (4 ** system.vertex_count - 1) // 3  # every in literal: bit 2c for each color c
-    b, nodes, limit = _Budget(budget), 0, math.inf if budget is None else budget
+    b = _Budget(budget)
     stack = [(0, bit - 1, bit - 1)]  # (refuted literals, unmet clauses, clauses to check)
-    try:
-        while stack:
-            nodes += 1
-            if nodes > limit:
-                raise SearchBudgetExceeded(nodes)
-            refuted, unmet, todo = stack.pop()
-            while True:  # unit propagation to a fixed point; break on a conflict
-                todo &= unmet
-                if todo:
-                    i = todo & -todo
-                    todo ^= i
-                    left = clauses[i.bit_length() - 1] & ~refuted
-                    if left & (left - 1) == 0:
-                        if not left:
-                            break  # every literal of the clause is refuted
-                        lit = left.bit_length() - 1
-                        refuted |= 1 << (lit ^ 1)
-                        unmet &= ~holding[lit]
-                        todo |= holding[lit ^ 1]
-                elif not unmet:
-                    return (True, tuple(lit >> 1 for lit in colors_of(refuted) if lit & 1))  # leftovers stay out
-                else:
-                    undecided = ins & ~(refuted | refuted >> 1)
-                    lit = (undecided & -undecided).bit_length() - 1  # the lowest undecided color, in
-                    held_in, held_out = holding[lit], holding[lit + 1]
-                    if unmet & held_out:  # else no unmet edge holds it: out cannot succeed where in failed
-                        stack.append((refuted | 1 << lit, unmet & ~held_out, held_in))
-                    stack.append((refuted | 2 << lit, unmet & ~held_in, held_out))
-                    break
-        return (False, None)
-    finally:  # counted in a local, cheaper than b.charge(); b keeps the total
-        b.nodes = nodes
+    while stack:
+        b.charge()
+        refuted, unmet, todo = stack.pop()
+        while True:  # unit propagation to a fixed point; break on a conflict
+            todo &= unmet
+            if todo:
+                i = todo & -todo
+                todo ^= i
+                left = clauses[i.bit_length() - 1] & ~refuted
+                if left & (left - 1) == 0:
+                    if not left:
+                        break  # every literal of the clause is refuted
+                    lit = left.bit_length() - 1
+                    refuted |= 1 << (lit ^ 1)
+                    unmet &= ~holding[lit]
+                    todo |= holding[lit ^ 1]
+            elif not unmet:
+                return (True, tuple(lit >> 1 for lit in colors_of(refuted) if lit & 1))  # leftovers stay out
+            else:
+                undecided = ins & ~(refuted | refuted >> 1)
+                lit = (undecided & -undecided).bit_length() - 1  # the lowest undecided color, in
+                held_in, held_out = holding[lit], holding[lit + 1]
+                if unmet & held_out:  # else no unmet edge holds it: out cannot succeed where in failed
+                    stack.append((refuted | 1 << lit, unmet & ~held_out, held_in))
+                stack.append((refuted | 2 << lit, unmet & ~held_in, held_out))
+                break
+    return (False, None)
 
 
 # --- engine (i): backtracking over vertex colorings -------------------------
@@ -231,7 +226,8 @@ def _backtrack(instance: ListInstance, budget=None):
     vertices wait on an explicit stack, so the depth of the search has no
     limit.
     """
-    na, lists = instance.num_a(), instance.a_lists + instance.b_lists
+    na = instance.num_a()
+    lists = instance.a_lists + instance.b_lists
     side_a, uncolored = (1 << na) - 1, (1 << len(lists)) - 1
     if instance.is_complete:
         near = [uncolored ^ side_a] * na + [side_a] * (len(lists) - na)
@@ -251,57 +247,52 @@ def _backtrack(instance: ListInstance, budget=None):
         by_count[m.bit_count()] |= bit
         bit <<= 1
     down, up = range(2, len(by_count)), range(len(by_count) - 2, 0, -1)
-    b, nodes, limit = _Budget(budget), 0, math.inf if budget is None else budget
+    b = _Budget(budget)
     stack = []  # one frame per colored vertex: (vertex, its bit, colors left to try, color, neighbors it bars)
-    try:
+    while True:
+        b.charge()
+        if not uncolored:
+            break
+        pick, k = (by_count[0] | by_count[1]) & uncolored, 2
+        while not pick:
+            pick, k = by_count[k] & uncolored, k + 1
+        bit = pick & -pick
+        v = bit.bit_length() - 1
+        choices = colors[v]
         while True:
-            nodes += 1
-            if nodes > limit:
-                raise SearchBudgetExceeded(nodes)
-            if not uncolored:
-                break
-            pick, k = (by_count[0] | by_count[1]) & uncolored, 2
-            while not pick:
-                pick, k = by_count[k] & uncolored, k + 1
-            bit = pick & -pick
-            v = bit.bit_length() - 1
-            choices = colors[v]
-            while True:
-                if not choices:  # this vertex failed: undo its parent's color
-                    if not stack:
-                        return None
-                    v, bit, choices, c, barred = stack.pop()
-                    uncolored |= bit
-                    if not barred:
-                        choices = 0  # the dominance cut
-                        continue
-                    free[c] |= barred
-                    for k in up:
-                        moved = by_count[k] & barred
-                        if moved:
-                            by_count[k + 1] |= moved
-                            by_count[k] ^= moved
+            if not choices:  # this vertex failed: undo its parent's color
+                if not stack:
+                    return None
+                v, bit, choices, c, barred = stack.pop()
+                uncolored |= bit
+                if not barred:
+                    choices = 0  # the dominance cut
                     continue
-                c = (choices & -choices).bit_length() - 1
-                choices &= choices - 1
-                if not free[c] & bit:
-                    continue  # a colored neighbor has c
-                barred = near[v] & uncolored & free[c]
-                if barred:
-                    if barred & by_count[1]:
-                        continue  # c would take a neighbor's last choice
-                    free[c] ^= barred
-                    for k in down:
-                        moved = by_count[k] & barred
-                        if moved:
-                            by_count[k - 1] |= moved
-                            by_count[k] ^= moved
-                uncolored ^= bit
-                stack.append((v, bit, choices, c, barred))
-                break
-        return {("A", v) if v < na else ("B", v - na): c for v, _, _, c, _ in sorted(stack)}
-    finally:
-        b.nodes = nodes
+                free[c] |= barred
+                for k in up:
+                    moved = by_count[k] & barred
+                    if moved:
+                        by_count[k + 1] |= moved
+                        by_count[k] ^= moved
+                continue
+            c = (choices & -choices).bit_length() - 1
+            choices &= choices - 1
+            if not free[c] & bit:
+                continue  # a colored neighbor has c
+            barred = near[v] & uncolored & free[c]
+            if barred:
+                if barred & by_count[1]:
+                    continue  # c would take a neighbor's last choice
+                free[c] ^= barred
+                for k in down:
+                    moved = by_count[k] & barred
+                    if moved:
+                        by_count[k - 1] |= moved
+                        by_count[k] ^= moved
+            uncolored ^= bit
+            stack.append((v, bit, choices, c, barred))
+            break
+    return {("A", v) if v < na else ("B", v - na): c for v, _, _, c, _ in sorted(stack)}
 
 
 def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
@@ -316,13 +307,16 @@ def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
     if engine == "auto":
         engine = "transversal" if instance.is_complete else "backtracking"
     if engine == "backtracking":
-        assignment = _backtrack(instance, budget)  # in vertex order, so in Coloring's order
-        return (False, None) if assignment is None else (True, Coloring(tuple(assignment.items())))
+        assignment = _backtrack(instance, budget)
+        if assignment is None:
+            return (False, None)
+        return (True, Coloring(tuple(assignment.items())))  # in vertex order, Coloring's order
     if engine != "transversal":
         raise ValueError(f"unknown engine {engine!r}")
     if not instance.is_complete:
         raise ValueError("transversal engine needs a complete bipartite instance")
-    ok, chosen = independent_transversal_exists(to_color_system(instance), budget)
+    system = to_color_system(instance)
+    ok, chosen = independent_transversal_exists(system, budget)
     if not ok:
         return (False, None)
     inside, assignment = mask_of(chosen), []
