@@ -23,7 +23,15 @@ import sys
 from fractions import Fraction
 
 from . import amplify, bounds, checker, constructions, indepset
-from .model import RegimePoint, dump_instance, instance_to_dict, load_instance, read_json, validate
+from .model import (
+    RegimePoint,
+    dump_instance,
+    instance_to_dict,
+    load_instance,
+    read_json,
+    usable_cpus,
+    validate,
+)
 
 BUDGET_ENV = "CHOOSEKIT_BUDGET"
 
@@ -239,9 +247,8 @@ def _cmd_frontier(args) -> int:
     with target as out:
         sweep = checker.Sweep(points)
         # the pool forks all its workers up front, so never more than can be
-        # busy: no more than the CPUs this process may use, where the platform says
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(args.jobs, len(sweep.columns), cpus)
+        # busy: no more than the CPUs this process may use
+        workers = min(args.jobs, len(sweep.columns), usable_cpus())
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

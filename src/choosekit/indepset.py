@@ -23,6 +23,7 @@ an integer, so the exact engine counts with integers.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .model import ColorSystem, int_rows, require_keys
+from .model import ColorSystem, int_rows, require_keys, usable_cpus
 
 
 class _STGraph(NamedTuple):
@@ -195,18 +196,52 @@ class MonteCarloEstimate(NamedTuple):
 MC_CHUNK_FLOATS = 2**17  # floats per Monte Carlo chunk (1 MiB): the fastest of 2^14..2^18
 
 
+def _count_blocked(nbrs, width, seed, start, stop) -> int:
+    """How many of rows start..stop-1 of one draw of all rows (width uniform
+    times each) give every S-vertex (nbrs[i]: its T-neighbors' columns) an
+    earlier T-neighbor.  The generator skips the start * width floats of the
+    rows before; each double is one PCG64 step, so this draws exactly those
+    rows' floats."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * width)
+    rows = stop - start
+    chunk = min(rows, max(1, MC_CHUNK_FLOATS // max(width, 1)))
+    buf, mins = np.empty((chunk, width)), np.empty(chunk)
+    ok = np.empty(chunk, dtype=bool)
+    successes = 0
+    for done in range(0, rows, chunk):
+        m = min(chunk, rows - done)
+        times, ok_m = buf[:m], ok[:m]
+        rng.random(out=times)
+        ok_m.fill(True)
+        for i, ts in enumerate(nbrs):
+            earliest = times[:, ts[0]]  # earliest T-neighbor time
+            for j in ts[1:]:
+                earliest = np.minimum(earliest, times[:, j], out=mins[:m])
+            ok_m &= earliest < times[:, i]
+        successes += int(np.count_nonzero(ok_m))
+    return successes
+
+
 def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloEstimate:
     """Estimate p(H_S) from uniform random orders; deterministic per seed.
 
     Orders are sampled as i.i.d. uniform processing times (almost surely
     distinct), so an S-vertex is blocked iff some T-neighbor has a smaller
     time.  Vectorized over trials in 1 MiB chunks (MC_CHUNK_FLOATS floats, or
-    one row, if longer) drawn into one reused buffer; the generator fills rows
-    in stream order, so a (graph, trials, seed) gives the estimate one draw of
-    all its rows gives, the same as before chunking or buffer reuse.
-    """
-    import numpy as np
+    one row, if longer) drawn into one reused buffer per worker.
 
+    The generator fills rows in stream order, and PCG64 jumps ahead by n
+    doubles in O(log n), so a worker that starts at row r advances the seed's
+    stream by r * (|S|+|T|) and draws the floats one draw of all rows puts in
+    its rows.  Large calls split their rows into contiguous ranges, one
+    thread each, up to the usable CPUs and one per 8 chunks' worth of floats
+    (smaller calls run inline); the counts are summed, so a (graph, trials,
+    seed) gives the estimate one draw of all its rows gives, for any number
+    of workers.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     s, t = graph.s_size, graph.t_size
@@ -215,21 +250,16 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
         nbrs[i].append(s + j)
     successes = 0
     if all(nbrs):  # an S-vertex without T-neighbors is never blocked
-        rng = np.random.default_rng(seed)
-        chunk = min(trials, max(1, MC_CHUNK_FLOATS // max(s + t, 1)))
-        buf, mins = np.empty((chunk, s + t)), np.empty(chunk)
-        ok = np.empty(chunk, dtype=bool)
-        for done in range(0, trials, chunk):
-            m = min(chunk, trials - done)
-            times, ok_m = buf[:m], ok[:m]
-            rng.random(out=times)
-            ok_m.fill(True)
-            for i in range(s):
-                earliest = times[:, nbrs[i][0]]  # earliest T-neighbor time
-                for j in nbrs[i][1:]:
-                    earliest = np.minimum(earliest, times[:, j], out=mins[:m])
-                ok_m &= earliest < times[:, i]
-            successes += int(np.count_nonzero(ok_m))
+        count = functools.partial(_count_blocked, nbrs, s + t, seed)
+        workers = max(1, min(usable_cpus(), trials, trials * (s + t) // (8 * MC_CHUNK_FLOATS)))
+        if workers == 1:
+            successes = count(0, trials)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            cuts = [trials * k // workers for k in range(workers + 1)]
+            with ThreadPoolExecutor(workers) as pool:
+                successes = sum(pool.map(count, cuts[:-1], cuts[1:]))
     est = successes / trials
     return MonteCarloEstimate(
         est, math.sqrt(max(est * (1.0 - est), 0.0) / trials), successes, trials

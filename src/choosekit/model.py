@@ -8,6 +8,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+import os
 from typing import Iterable, NamedTuple
 
 COMPLETE = "complete"
@@ -108,8 +109,9 @@ class ColorSystem(NamedTuple):
     """A ka-uniform hypergraph on colors plus a family of kb-subsets.
 
     The image of a deduplicated complete-bipartite ListInstance: edges are
-    the distinct A-lists, family the distinct B-lists.  Both are stored as
-    sorted tuples of sorted tuples for deterministic iteration.
+    the distinct A-lists, family the distinct B-lists, each a tuple of
+    sorted tuples.  make sorts both; to_color_system keeps the instance's
+    first-occurrence order.
     """
 
     vertex_count: int
@@ -175,12 +177,12 @@ def to_color_system(instance: ListInstance) -> ColorSystem:
 
     Duplicate lists are dropped first: a duplicated list adds no constraint
     beyond its first copy, so the system of distinct lists decides the same
-    colorability question.  The instance's lists are sorted tuples already,
-    so none is sorted again.
+    colorability question.  Each list keeps the place of its first copy; the
+    instance's lists are sorted tuples already, so none is sorted again.
     """
     if not instance.is_complete:
         raise ValueError("color system is defined for complete bipartite instances only")
-    distinct = lambda lists: tuple(sorted(set(lists)))
+    distinct = lambda lists: tuple(dict.fromkeys(lists))
     return ColorSystem(instance.universe, distinct(instance.a_lists), distinct(instance.b_lists))
 
 
@@ -257,6 +259,14 @@ def dump_instance(instance: ListInstance, path) -> None:
 
 def load_instance(path) -> ListInstance:
     return read_json(path, instance_from_dict)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says, else the
+    machine's CPU count (1 if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # --- bitmask helpers shared by the search kernels ---------------------------

@@ -219,6 +219,30 @@ def test_pblocked_mc_output_is_pinned(capsys):
     )
 
 
+def test_pblocked_mc_output_is_the_same_on_any_cpu_count(capsys, monkeypatch):
+    # 400,000 rows of 9 floats: one, two or three workers
+    argv = ("pblocked", "--counterexample", "--mc", "400000", "--seed", "5")
+    outs = []
+    for affinity, cpus in [(1, 2), (2, 2), (None, 3)]:
+        _usable_cpus(monkeypatch, affinity, cpus)
+        outs.append(run(capsys, *argv))
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+def test_pblocked_mc_worker_out_of_memory_exit_code(capsys, monkeypatch):
+    def out_of_memory(nbrs, width, seed, start, stop):
+        if start:  # only the worker past the first row range fails
+            raise MemoryError
+        return 0
+
+    _usable_cpus(monkeypatch, 2, 2)
+    monkeypatch.setattr(cli.indepset, "_count_blocked", out_of_memory)
+    assert cli.main(["pblocked", "--counterexample", "--mc", "300000", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "choosekit: error: pblocked: out of memory\n"
+
+
 _BAD_ST_FILES = [
     pytest.param(None, "exact", "cannot read", id="missing"),
     pytest.param("{", "exact", "is not JSON", id="truncated"),

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from choosekit import indepset
 from choosekit.checker import independent_transversal_exists
 from choosekit.indepset import (
     MC_CHUNK_FLOATS,
@@ -337,6 +340,7 @@ def _wide_case():
 
 
 _WIDE = _wide_case()
+_SPLIT_FLOATS = 16 * MC_CHUNK_FLOATS  # the fewest floats that two workers share
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,6 +350,9 @@ _WIDE = _wide_case()
 @example((STGraph.make(0, 3, []), 3 * (MC_CHUNK_FLOATS // 3) + 7, 2))
 @example((STGraph.make(2, 3, [(0, 1), (0, 2)]), MC_CHUNK_FLOATS // 5, 3))
 @example((STGraph.make(3, 4, [(0, 0), (1, 0), (2, 1)]), MC_CHUNK_FLOATS // 7 + 1, 4))
+# past the split threshold: up to 2 and up to 3 workers, rows not divisible by either
+@example((STGraph.make(2, 3, [(0, 1), (1, 2)]), _SPLIT_FLOATS // 5 + 1, 6))
+@example((counterexample_graph(), 3 * _SPLIT_FLOATS // 2 // 9 + 4, 5))
 def test_monte_carlo_chunks_match_one_draw(case):
     g, trials, seed = case
     est = p_blocked_monte_carlo(g, trials, seed)
@@ -354,6 +361,44 @@ def test_monte_carlo_chunks_match_one_draw(case):
     if case is _WIDE:  # many chunks, and some orders block every S-vertex
         assert trials > 2 * (MC_CHUNK_FLOATS // (g.s_size + g.t_size))
         assert est.successes > 0
+
+
+def _worker_ranges(monkeypatch, cpus):
+    """Make cpus CPUs usable; the row ranges the counting calls get."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    ranges, real = [], indepset._count_blocked
+
+    def counting(nbrs, width, seed, start, stop):
+        ranges.append((start, stop))
+        return real(nbrs, width, seed, start, stop)
+
+    monkeypatch.setattr(indepset, "_count_blocked", counting)
+    return ranges
+
+
+def test_monte_carlo_estimate_is_the_same_for_any_worker_count(monkeypatch):
+    g, trials = counterexample_graph(), 3 * _SPLIT_FLOATS // 2 // 9 + 4  # 349,529 rows
+    estimates = []
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            ranges = _worker_ranges(patch, cpus)
+            estimates.append(p_blocked_monte_carlo(g, trials, seed=17))
+        cuts = [trials * k // cpus for k in range(cpus + 1)]
+        assert sorted(ranges) == list(zip(cuts, cuts[1:]))
+    assert estimates[0] == estimates[1] == estimates[2]
+    assert estimates[0].successes == _one_draw_successes(g, trials, 17)
+
+
+def test_monte_carlo_below_the_split_threshold_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    g = counterexample_graph()
+    trials = _SPLIT_FLOATS // 9  # just short of two workers' floats
+    ranges = _worker_ranges(monkeypatch, 64)
+    assert p_blocked_monte_carlo(g, trials, seed=5).successes == _one_draw_successes(g, trials, 5)
+    assert ranges == [(0, trials)]
 
 
 def test_blocked_order_has_preceding_t_neighbor():
