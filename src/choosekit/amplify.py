@@ -32,10 +32,7 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
     na, nb = instance.num_a(), instance.num_b()
     universe = instance.universe * r
 
-    a_lists = []
-    for l in instance.a_lists:
-        for i in range(r):
-            a_lists.append(tuple(sorted(c * r + i for c in l)))
+    a_lists = [[c * r + i for c in l] for l in instance.a_lists for i in range(r)]
 
     b_lists = []
     tuples = list(itertools.product(range(nb), repeat=r))
@@ -43,7 +40,7 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
         cols = []
         for i, v in enumerate(combo):
             cols.extend(c * r + i for c in instance.b_lists[v])
-        b_lists.append(tuple(sorted(cols)))
+        b_lists.append(cols)
 
     if instance.is_complete:
         return ListInstance.complete(universe, instance.ka, r * instance.kb, a_lists, b_lists)
@@ -62,8 +59,8 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
 def expand(instance: ListInstance, s: int) -> ListInstance:
     """s-expansion: s^ka copies per A-vertex; multiplies kb by s.
 
-    Each A-list is ordered by ascending color id before indexing its copies,
-    which fixes the otherwise arbitrary copy labeling.
+    A copy's tag indexes the A-list in its stored, ascending order, which
+    fixes the otherwise arbitrary copy labeling.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -71,15 +68,8 @@ def expand(instance: ListInstance, s: int) -> ListInstance:
     universe = instance.universe * s
     copies = list(itertools.product(range(s), repeat=ka))
 
-    a_lists = []
-    for l in instance.a_lists:
-        ordered = sorted(l)
-        for tag in copies:
-            a_lists.append(tuple(sorted(ordered[j] * s + tag[j] for j in range(ka))))
-
-    b_lists = [
-        tuple(sorted(c * s + i for c in l for i in range(s))) for l in instance.b_lists
-    ]
+    a_lists = [[l[j] * s + tag[j] for j in range(ka)] for l in instance.a_lists for tag in copies]
+    b_lists = [[c * s + i for c in l for i in range(s)] for l in instance.b_lists]
 
     if instance.is_complete:
         return ListInstance.complete(universe, ka, s * instance.kb, a_lists, b_lists)

@@ -93,8 +93,8 @@ RULE_ENUMERATION = "enumeration"
 #: engine, or in decide_choosable one prefix or leaf of the candidate walk or
 #: one call of the blocking-family search.  A node's wall time depends on
 #: the point: on a 2-vCPU Xeon VM under Python 3.11 (one run each), (6,6,3,3)
-#: decides in 372,304 nodes and 3.7 s (10 us per node), and (7,7,3,3)
-#: exhausts this budget in 55 s (11 us per node).  At large symmetric
+#: decides in 372,304 nodes and 2.2 s (5.9 us per node), and (7,7,3,3)
+#: exhausts this budget in 45 s (8.9 us per node).  At large symmetric
 #: degrees it does not bound wall time: a Berge step is one node but is
 #: quadratic in a transversal list that quadruples every 10 steps, so
 #: (70,70,2,2) takes 75 nodes and 26 s (README gives more points).

@@ -69,16 +69,13 @@ def construct_blocks(spec: BlockSpec) -> ListInstance:
         blocks.append(row)
     universe = nxt
 
-    a_lists = []
-    for row in blocks:
-        for combo in itertools.product(*row):
-            a_lists.append(tuple(sorted(combo)))
+    a_lists = [combo for row in blocks for combo in itertools.product(*row)]
     b_lists = []
     for choice in itertools.product(range(ka), repeat=spec.r):
         cols = []
         for i, e in enumerate(choice):
             cols.extend(blocks[i][e])
-        b_lists.append(tuple(sorted(cols)))
+        b_lists.append(cols)
     return ListInstance.complete(universe, ka, spec.kb, a_lists, b_lists)
 
 

@@ -17,8 +17,8 @@ are always N(S') for the set S' of surviving S-vertices, and p satisfies
 (condition on the first processed vertex: an S-vertex first means failure,
 a T-vertex blocks its whole neighborhood and drops out), with p = 1 on
 empty S' and p = 0 whenever some S-vertex has no T-neighbor.  The state is
-the surviving S-set alone (at most 2^|S| states), and p(S')*(|S|+|T|)! is
-an integer, so the exact engine counts with integers.
+the surviving S-set alone (at most 2^min(|S|,|T|) states), and
+p(S')*(|S|+|T|)! is an integer, so the exact engine counts with integers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .model import ColorSystem, int_rows, require_keys, usable_cpus
+from .model import ColorSystem, index_pairs, int_rows, require_keys, usable_cpus
 
 
 class _STGraph(NamedTuple):
@@ -66,7 +66,7 @@ class STGraph(_STGraph):
 
     @staticmethod
     def make(s_size, t_size, edges) -> "STGraph":
-        return STGraph(s_size, t_size, tuple(sorted((int(i), int(j)) for i, j in edges)))
+        return STGraph(s_size, t_size, index_pairs(edges))
 
     def to_dict(self) -> dict:
         return {"s": self.s_size, "t": self.t_size, "edges": [list(e) for e in self.edges]}
@@ -93,7 +93,9 @@ def t_degrees(graph: STGraph) -> tuple:
 def counterexample_graph() -> STGraph:
     """The 4+5-vertex blocking graph on which the per-vertex product bound
     prod_i (1+f_i)^(-f_i/d_i) fails: four pendant T-vertices matched to S
-    plus one hub adjacent to all of S."""
+    plus one hub adjacent to all of S.  It is not the smallest refutation:
+    the bound holds on every graph of at most 7 vertices, and fails on a
+    4+4 graph (p = 197/720, pinned in the tests)."""
     edges = [(0, 0), (1, 1), (2, 3), (3, 4), (0, 2), (1, 2), (2, 2), (3, 2)]
     return STGraph.make(4, 5, edges)
 
@@ -116,7 +118,8 @@ def greedy_independent_set(adjacency, order):
 
 # --- exact and sampled blocking probability ----------------------------------
 
-#: Largest |S|+|T| that p_blocked_exact accepts.
+#: Largest |S|+|T| that p_blocked_exact accepts.  Its memo holds at most
+#: 2^min(|S|,|T|) states, so at most 1,024 under the cap.
 EXACT_SIZE_CAP = 20
 
 
@@ -126,8 +129,9 @@ def p_blocked_exact(graph: STGraph) -> Fraction:
     A T-vertex with no alive S-neighbor does not change p, and a processed
     T-vertex takes all its S-neighbors with it, so the state is the set S'
     of alive S-vertices (a bitmask) and the T-vertices that count are
-    N(S').  There are at most 2^|S| states, and at most 2^|T|, as each is
-    S minus the neighborhood of the processed T-vertices.  Counts are exact
+    N(S').  The memo holds at most 2^min(|S|,|T|) states: at most 2^|S|,
+    and at most 2^|T|, as each is S minus the neighborhood of the processed
+    T-vertices.  Under EXACT_SIZE_CAP that is at most 1,024.  Counts are exact
     integers scaled by n! (n = |S|+|T|): the denominator of p(S') divides
     (|S'|+|N(S')|)!, so p(S')*n! is an integer and each step divides exactly.
 

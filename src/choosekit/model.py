@@ -8,6 +8,7 @@ share across threads.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from typing import Iterable, NamedTuple
 
@@ -46,8 +47,9 @@ class ListInstance(NamedTuple):
     a_lists[i] is the color list of the i-th A-vertex (size ka each),
     b_lists[j] of the j-th B-vertex (size kb each).  adjacency is either
     COMPLETE or an explicit tuple of (a_index, b_index) pairs.  Lists are
-    stored as sorted tuples; construction normalizes order but keeps
-    duplicates so that validate() can report them.
+    stored as sorted tuples; complete and explicit sort them, the only code
+    that does, so callers pass lists in any order.  Duplicates are kept so
+    that validate() can report them.
     """
 
     universe: int
@@ -59,25 +61,13 @@ class ListInstance(NamedTuple):
 
     @staticmethod
     def complete(universe, ka, kb, a_lists, b_lists) -> "ListInstance":
-        return ListInstance(
-            universe,
-            ka,
-            kb,
-            tuple(tuple(sorted(l)) for l in a_lists),
-            tuple(tuple(sorted(l)) for l in b_lists),
-            COMPLETE,
-        )
+        sort_each = lambda lists: tuple(tuple(sorted(l)) for l in lists)
+        return ListInstance(universe, ka, kb, sort_each(a_lists), sort_each(b_lists), COMPLETE)
 
     @staticmethod
     def explicit(universe, ka, kb, a_lists, b_lists, edges) -> "ListInstance":
-        return ListInstance(
-            universe,
-            ka,
-            kb,
-            tuple(tuple(sorted(l)) for l in a_lists),
-            tuple(tuple(sorted(l)) for l in b_lists),
-            tuple(sorted((int(a), int(b)) for a, b in edges)),
-        )
+        instance = ListInstance.complete(universe, ka, kb, a_lists, b_lists)
+        return instance._replace(adjacency=index_pairs(edges))
 
     @property
     def is_complete(self) -> bool:
@@ -88,15 +78,6 @@ class ListInstance(NamedTuple):
 
     def num_b(self) -> int:
         return len(self.b_lists)
-
-    def edges(self):
-        """Iterate (a_index, b_index) pairs of the adjacency."""
-        if self.is_complete:
-            for a in range(self.num_a()):
-                for b in range(self.num_b()):
-                    yield (a, b)
-        else:
-            yield from self.adjacency
 
     def point(self) -> RegimePoint:
         """The parameter point of a complete-bipartite instance."""
@@ -110,19 +91,12 @@ class ColorSystem(NamedTuple):
 
     The image of a deduplicated complete-bipartite ListInstance: edges are
     the distinct A-lists, family the distinct B-lists, each a tuple of
-    sorted tuples.  make sorts both; to_color_system keeps the instance's
-    first-occurrence order.
+    sorted tuples in the order of their first copy in the instance.
     """
 
     vertex_count: int
     edges: tuple
     family: tuple
-
-    @staticmethod
-    def make(vertex_count, edges, family) -> "ColorSystem":
-        e = tuple(sorted(set(tuple(sorted(x)) for x in edges)))
-        f = tuple(sorted(set(tuple(sorted(x)) for x in family)))
-        return ColorSystem(vertex_count, e, f)
 
 
 class Coloring(NamedTuple):
@@ -136,6 +110,19 @@ class Coloring(NamedTuple):
 
     def as_dict(self) -> dict:
         return dict(self.assignment)
+
+
+def index_pairs(edges) -> tuple:
+    """edges as sorted (i, j) pairs of integers.  operator.index takes
+    integers only, numpy's included, so a fractional index raises a
+    ValueError naming its edge instead of being truncated."""
+    pairs = []
+    for i, j in edges:
+        try:
+            pairs.append((operator.index(i), operator.index(j)))
+        except TypeError:
+            raise ValueError(f"edge {(i, j)} has an index that is not an integer") from None
+    return tuple(sorted(pairs))
 
 
 def _check_list(l, size, universe, label, out):

@@ -24,7 +24,7 @@ def validate_coloring(instance: ListInstance, coloring: Coloring) -> list:
         for x in sorted(used["A"] & used["B"]):
             out.append(f"color {x} on both sides: its edges are monochromatic")
         return out
-    for a, b in instance.edges():
+    for a, b in instance.adjacency:
         if ("A", a) in c and ("B", b) in c and c[("A", a)] == c[("B", b)]:
             out.append(f"edge ({a},{b}) monochromatic with color {c[('A', a)]}")
     return out

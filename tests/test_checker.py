@@ -141,19 +141,19 @@ def test_engines_color_instances_deeper_than_the_recursion_limit(engine, inst):
 # --- independent_transversal_exists -------------------------------------------
 
 def test_transversal_forced_containment():
-    system = ColorSystem.make(2, [(0, 1)], [(0,), (1,)])
+    system = ColorSystem(2, ((0, 1),), ((0,), (1,)))
     assert independent_transversal_exists(system) == (False, None)
 
 
 def test_transversal_edgeless():
-    system = ColorSystem.make(3, [], [(0,), (1, 2)])
+    system = ColorSystem(3, (), ((0,), (1, 2)))
     ok, chosen = independent_transversal_exists(system)
     assert ok
     assert all(set(f) & set(chosen) for f in system.family)
 
 
 def test_transversal_k22_parts():
-    system = ColorSystem.make(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [(0, 1), (2, 3)])
+    system = ColorSystem(4, ((0, 2), (0, 3), (1, 2), (1, 3)), ((0, 1), (2, 3)))
     assert independent_transversal_exists(system)[0] is False
 
 
@@ -177,7 +177,7 @@ def test_transversal_matches_subset_bruteforce():
         kb = rng.randint(1, min(3, n))
         edges = {tuple(sorted(rng.sample(range(n), ka))) for _ in range(rng.randint(0, 6))}
         family = {tuple(sorted(rng.sample(range(n), kb))) for _ in range(rng.randint(1, 5))}
-        system = ColorSystem.make(n, edges, family)
+        system = ColorSystem(n, tuple(sorted(edges)), tuple(sorted(family)))
         got, witness = independent_transversal_exists(system)
         assert got == _bruteforce_transversal(system)
         if got:
@@ -190,7 +190,7 @@ def test_transversal_sixteen_colors():
     # perfect matching on 16 colors with the two "parity" family sets
     edges = [(2 * i, 2 * i + 1) for i in range(8)]
     family = [tuple(range(0, 16, 2)), tuple(range(1, 16, 2))]
-    system = ColorSystem.make(16, edges, family)
+    system = ColorSystem(16, tuple(edges), tuple(family))
     got, _ = independent_transversal_exists(system)
     assert got == _bruteforce_transversal(system)
 
@@ -392,7 +392,8 @@ def _engine_instances():
             [rng.sample(range(universe), ka) for _ in range(na)],
             [rng.sample(range(universe), kb) for _ in range(nb)],
         )
-        out += [inst, _explicit(inst, [e for e in inst.edges() if rng.random() < 0.8])]
+        pairs = itertools.product(range(na), range(nb))
+        out += [inst, _explicit(inst, [e for e in pairs if rng.random() < 0.8])]
     blocks = [
         construct_blocks(BlockSpec(ka, a))
         for ka, a in ((2, (1,)), (2, (2,)), (2, (1, 1)), (2, (1, 2)), (3, (1,)), (3, (2,)), (4, (1,)))
@@ -401,7 +402,7 @@ def _engine_instances():
     grown = [amplify.blowup(inst, 2) for inst in blocks]
     grown += [amplify.expand(inst, 2) for inst in blocks if inst.universe < 6]
     for inst in blocks + grown:
-        edges = list(inst.edges())
+        edges = list(itertools.product(range(inst.num_a()), range(inst.num_b())))
         del edges[rng.randrange(len(edges))]
         out += [inst, _explicit(inst, edges)]
     return out
@@ -1729,7 +1730,7 @@ def test_input_checks(call, message):
 
 
 def test_empty_family_set_is_never_met():
-    assert independent_transversal_exists(ColorSystem.make(2, [(0, 1)], [()])) == (False, None)
+    assert independent_transversal_exists(ColorSystem(2, ((0, 1),), ((),))) == (False, None)
 
 
 def test_engines_color_an_instance_without_vertices():

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and a command
-imports numpy only if it uses it."""
+"""Every module of the package uses each name it imports, every name it
+defines has a reader outside the tests, and a command imports numpy only if
+it uses it."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "choosekit"
+BENCH = SRC.parent.parent / "bench"
 
 
 def unused_imports(source: str) -> list:
@@ -48,6 +50,66 @@ def test_unused_imports_finds_what_it_should():
 )
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(package: dict, readers: list) -> list:
+    """module.name of each top-level function, class and constant of the
+    package (module name -> source) that no code reads outside its own
+    definition.
+
+    A name is read in its own module by a load of it, and anywhere in the
+    package or readers (further sources) by an import of it or an attribute
+    access .name.  The attribute rule cannot tell modules apart, so it may
+    miss an unread name, never flag a read one.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    others = [ast.parse(source) for source in readers]
+    outside = set()
+    for tree in [*trees.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                outside.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                outside.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            loads = {
+                n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in own
+            }
+            unread += [f"{module}.{name}" for name in names if name not in loads | outside]
+    return unread
+
+
+def test_unread_definitions_finds_what_it_should():
+    package = {
+        "a": "X = 1\nY: int = 2\ndef f():\n    return f()\ndef g():\n    return X\n",
+        "b": "from .a import g\nclass C:\n    def m(self):\n        return C\n",
+    }
+    readers = ["import choosekit.b as b\nb.C().m()\n"]
+    assert unread_definitions(package, readers) == ["a.Y", "a.f"]
+
+
+def test_every_definition_is_read_or_exported():
+    # the package's re-exports are its documented API; the benchmark's own
+    # tests read no more than tests do
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    readers = [p.read_text() for p in BENCH.glob("*.py") if p.name != "bench_tests.py"]
+    exported = {
+        a.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    unread = unread_definitions(package, readers)
+    assert [name for name in unread if name.split(".")[1] not in exported] == []
 
 
 def test_package_exports_the_documented_names():

@@ -86,6 +86,13 @@ def test_stgraph_from_dict_rejects_wrong_shapes(d, says):
         STGraph.from_dict(d)
 
 
+def test_stgraph_rejects_a_fractional_index():
+    # int() once truncated this edge to (0, 1)
+    with pytest.raises(ValueError, match=r"edge \(0, 1\.5\) has an index that is not an integer"):
+        STGraph.make(2, 2, [(0, 1.5)])
+    assert STGraph.make(2, 2, [(np.int64(0), np.int64(1))]).edges == ((0, 1),)
+
+
 def test_stgraph_round_trip():
     g = counterexample_graph()
     assert STGraph.from_dict(g.to_dict()) == g
@@ -506,6 +513,35 @@ def test_product_bound_fails_on_counterexample():
     assert p_blocked_exact(g) > Fraction(prod)
 
 
+# A T-hub on all of S, one T-vertex shared by S0 and S1, and two pendants.
+SMALLEST_REFUTATION = STGraph.make(
+    4, 4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 1), (2, 3), (3, 0), (3, 3)]
+)
+
+
+def test_product_bound_fails_on_eight_vertices():
+    g = SMALLEST_REFUTATION
+    assert p_blocked_exact(g) == p_blocked_bruteforce(g) == Fraction(197, 720)
+    assert abs(float(Fraction(197, 720)) / local_product_bound(g) - 1.00531) < 5e-6
+    assert fancy_bound_fraction(g) == Fraction(1, 3) > Fraction(197, 720)
+
+
+def test_product_bound_holds_on_seven_vertices_or_fewer():
+    # every labelled S/T graph with |S|+|T| <= 7 and no isolated vertex; the
+    # largest ratio is 1 + 2^-52, a rounding of equality
+    checked = 0
+    for s, t in ((s, n - s) for n in range(2, 8) for s in range(1, n)):
+        cells = list(itertools.product(range(s), range(t)))
+        for keep in itertools.product((False, True), repeat=len(cells)):
+            edges = list(itertools.compress(cells, keep))
+            if {i for i, _ in edges} != set(range(s)) or {j for _, j in edges} != set(range(t)):
+                continue
+            g = STGraph(s, t, tuple(edges))
+            assert float(p_blocked_exact(g)) <= local_product_bound(g) * (1 + 1e-12), g
+            checked += 1
+    assert checked == 5295
+
+
 # --- degree functional ---------------------------------------------------------------
 
 def degree_functional_check(graph: STGraph):
@@ -615,13 +651,13 @@ def test_deletion_takes_numpy_integer_vertices():
 # --- randomized certificate search ------------------------------------------------------
 
 def test_random_search_edgeless_first_try():
-    system = ColorSystem.make(4, [], [(0, 1), (2,), (3,)])
+    system = ColorSystem(4, (), ((0, 1), (2,), (3,)))
     got = random_transversal_search(system, restarts=1, seed=0)
     assert got == frozenset(range(4))
 
 
 def test_random_search_never_finds_on_blocked_system():
-    system = ColorSystem.make(4, [(0, 2), (0, 3), (1, 2), (1, 3)], [(0, 1), (2, 3)])
+    system = ColorSystem(4, ((0, 2), (0, 3), (1, 2), (1, 3)), ((0, 1), (2, 3)))
     assert random_transversal_search(system, restarts=300, seed=1) is None
     assert independent_transversal_exists(system)[0] is False
 
@@ -633,7 +669,7 @@ def test_random_search_agrees_with_exact_on_solvable_systems():
         n = rng.randint(3, 8)
         edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 5))}
         family = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 3))}
-        system = ColorSystem.make(n, edges, family)
+        system = ColorSystem(n, tuple(sorted(edges)), tuple(sorted(family)))
         exact, _ = independent_transversal_exists(system)
         got = random_transversal_search(system, restarts=1000, seed=rng.randint(0, 10**6))
         if got is not None:
@@ -646,7 +682,7 @@ def test_random_search_agrees_with_exact_on_solvable_systems():
 
 
 def test_random_search_requires_two_uniform():
-    system = ColorSystem.make(4, [(0, 1, 2)], [(3,)])
+    system = ColorSystem(4, ((0, 1, 2),), ((3,),))
     with pytest.raises(ValueError):
         random_transversal_search(system, restarts=1, seed=0)
 
@@ -659,12 +695,12 @@ def test_random_search_requires_two_uniform():
     (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be >= 1"),
     (lambda: max_degree_deletion(3, [(1, 1)], 1), "2-sets of distinct vertices"),
     (lambda: max_degree_deletion(3, [(0, 5)], 1), r"distinct vertices in 0\.\.n-1"),
-    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 7)], [(0,)]), 5, 1),
+    (lambda: random_transversal_search(ColorSystem(3, ((0, 7),), ((0,),)), 5, 1),
      r"distinct vertices in 0\.\.n-1"),
     (lambda: max_degree_deletion(3, [(0, 1.5)], 1), r"distinct vertices in 0\.\.n-1"),
-    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1.5)], [(0,)]), 5, 1),
+    (lambda: random_transversal_search(ColorSystem(3, ((0, 1.5),), ((0,),)), 5, 1),
      r"distinct vertices in 0\.\.n-1"),
-    (lambda: random_transversal_search(ColorSystem.make(3, [(0, 1)], []), 1, 0),
+    (lambda: random_transversal_search(ColorSystem(3, ((0, 1),), ()), 1, 0),
      "needs a nonempty family"),
 ], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",
         "deletion-range", "transversal-range", "deletion-noninteger", "transversal-noninteger",

@@ -62,6 +62,12 @@ def test_validate_explicit_adjacency():
     assert any("out of range" in p for p in validate(bad))
 
 
+def test_explicit_rejects_a_fractional_index():
+    # int() once truncated this edge to (0, 0)
+    with pytest.raises(ValueError, match=r"edge \(0, 0\.9\) has an index that is not an integer"):
+        ListInstance.explicit(1, 1, 1, [(0,)], [(0,)], [(0, 0.9)])
+
+
 def test_regime_point_invariants():
     with pytest.raises(ValueError):
         RegimePoint(0, 1, 1, 1)
@@ -170,7 +176,8 @@ def test_system_counts_bounded(inst):
 @settings(max_examples=150)
 def test_every_small_system_has_a_preimage(args):
     n, edges, family = args
-    system = ColorSystem.make(n, [tuple(e) for e in edges], [tuple(f) for f in family])
+    pairs = lambda sets: tuple(sorted(tuple(sorted(x)) for x in sets))
+    system = ColorSystem(n, pairs(edges), pairs(family))
     inst = ListInstance.complete(n, 2, 2, system.edges, system.family)
     assert to_color_system(inst) == system
 

@@ -17,7 +17,7 @@ _GRAPH = indepset.STGraph.make(2, 2, [(0, 0), (1, 1), (0, 1)])
 VALUES = {
     "RegimePoint": (lambda: RegimePoint(2, 4, 2, 2), {"ka": 3}),
     "ListInstance": (lambda: ListInstance.complete(2, 2, 1, [(1, 0)], [(0,), (1,)]), {"universe": 3}),
-    "ColorSystem": (lambda: ColorSystem.make(3, [(1, 0)], [(2, 1)]), {"vertex_count": 4}),
+    "ColorSystem": (lambda: ColorSystem(3, ((0, 1),), ((1, 2),)), {"vertex_count": 4}),
     "Coloring": (lambda: Coloring.make({("B", 0): 1, ("A", 0): 0}), {"assignment": ()}),
     "Verdict": (lambda: checker.decide_choosable(RegimePoint(2, 4, 2, 2)), {"witness": None}),
     "ReserveSimulation": (
