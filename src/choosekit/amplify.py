@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .model import ListInstance, RegimePoint
+from .model import ListInstance, RegimePoint, as_int
 
 BLOWUP = "blowup"
 EXPANSION = "expansion"
@@ -27,8 +27,7 @@ EXPANSION = "expansion"
 
 def blowup(instance: ListInstance, r: int) -> ListInstance:
     """r-fold blowup; preserves uncolorability, multiplies kb by r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = as_int(r, "r", 1)
     na, nb = instance.num_a(), instance.num_b()
     universe = instance.universe * r
 
@@ -62,8 +61,7 @@ def expand(instance: ListInstance, s: int) -> ListInstance:
     A copy's tag indexes the A-list in its stored, ascending order, which
     fixes the otherwise arbitrary copy labeling.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    s = as_int(s, "s", 1)
     ka = instance.ka
     universe = instance.universe * s
     copies = list(itertools.product(range(s), repeat=ka))
@@ -87,11 +85,10 @@ def amplify_params(point: RegimePoint, kind: str, r: int) -> RegimePoint:
     blowup: (da, db, ka, kb) -> (da^r, r*db, ka, r*kb)
     expansion: (da, db, ka, kb) -> (da, r^ka * db, ka, r*kb)
 
-    Integers are arbitrary precision, so the exponential growth in da or db
-    cannot overflow.
+    Integers are arbitrary precision, numpy input included (as_int makes it
+    a Python int), so the exponential growth in da or db cannot overflow.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = as_int(r, "r", 1)
     if kind == BLOWUP:
         return RegimePoint(point.delta_a**r, r * point.delta_b, point.ka, r * point.kb)
     if kind == EXPANSION:

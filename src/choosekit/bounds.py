@@ -17,7 +17,7 @@ import sys
 from functools import lru_cache
 from typing import NamedTuple
 
-from .model import RegimePoint
+from .model import RegimePoint, as_int
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = -1075 * math.log(2.0)  # math.exp is 0.0 at and below it
@@ -203,8 +203,7 @@ def xim_bounds(k: int) -> XimBounds:
     is math.inf when the bound itself exceeds a float (first at k = 401).
     A k above XIM_MAX_K raises ValueError rather than start the scan.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int(k, "k", 1)
     if k == 1:
         return XimBounds(1, 1.0, 1.0, RULE_SINGLETON_EXACT, RULE_SINGLETON_EXACT)
 
@@ -259,8 +258,7 @@ def xim_prime_upper(k: int) -> float:
     2 <= k <= 2054 (it grows like e^(0.35 k)), and math.inf from k = 2055 on,
     where the value itself exceeds a float.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = as_int(k, "k", 2)
     inner = ((k + 1) * math.log(2.0) + 2.0 * math.log(k)) / k
     log_value = math.log(2.0) + 2.0 * math.log(k) + k * math.log(2.0 * inner)
     return _from_log(log_value, lambda: math.ldexp(k * k * (2.0 * inner) ** k, 1))
@@ -270,8 +268,7 @@ def xim_prime_lower(k: int) -> float:
     """Lower bound on the same variant: (lower xi_m bound) * ln k.  Takes
     every k that alpha takes: the lower endpoint needs no divisor scan, so
     XIM_MAX_K does not apply."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = as_int(k, "k", 2)
     return _xim_lower(k)[0] * math.log(k)
 
 

@@ -78,6 +78,7 @@ from .model import (
     Coloring,
     ListInstance,
     RegimePoint,
+    as_int,
     colors_of,
     instance_to_dict,
     mask_of,
@@ -695,8 +696,7 @@ def simulate_reserve_coloring(
         raise ValueError("the procedure is defined on complete bipartite instances")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = as_int(trials, "trials", 1)
     if instance.num_a() == 0 or instance.num_b() == 0:
         raise ValueError("both parts must be nonempty")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .model import ListInstance
+from .model import ListInstance, as_int
 
 
 class _BlockSpec(NamedTuple):
@@ -28,11 +28,10 @@ class BlockSpec(_BlockSpec):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, ka, a):
-        if ka < 1:
-            raise ValueError("ka must be >= 1")
-        if len(a) < 1 or any(x < 1 for x in a):
+        ka, a = as_int(ka, "ka", 1), tuple(as_int(x, "a", 1) for x in a)
+        if not a:
             raise ValueError("a must be a nonempty tuple of positive integers")
-        return super().__new__(cls, ka, tuple(int(x) for x in a))
+        return super().__new__(cls, ka, a)
 
     @property
     def r(self) -> int:
@@ -81,6 +80,4 @@ def construct_blocks(spec: BlockSpec) -> ListInstance:
 
 def construct_simple(ka: int, a: int, r: int) -> ListInstance:
     """Uniform block construction: all r block sizes equal to a."""
-    if a < 1 or r < 1:
-        raise ValueError("a and r must be >= 1")
-    return construct_blocks(BlockSpec(ka, (a,) * r))
+    return construct_blocks(BlockSpec(ka, (a,) * as_int(r, "r", 1)))

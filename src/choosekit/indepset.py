@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .model import ColorSystem, index_pairs, int_rows, require_keys, usable_cpus
+from .model import ColorSystem, as_int, index_pairs, int_rows, require_keys, usable_cpus
 
 
 class _STGraph(NamedTuple):
@@ -47,26 +46,19 @@ class STGraph(_STGraph):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.s_size < 0 or self.t_size < 0:
-            raise ValueError(
-                f"negative part size in ({self.s_size}, {self.t_size}):"
-                " s and t must be non-negative integers"
-            )
-        seen = set()
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < self.s_size and 0 <= j < self.t_size):
-                raise ValueError(f"edge {e} out of range")
-            if (i, j) in seen:
-                raise ValueError(f"parallel edge {e}")
-            seen.add((i, j))
-        return self
+    def __new__(cls, s_size, t_size, edges):
+        s, t = as_int(s_size, "s_size", 0), as_int(t_size, "t_size", 0)
+        edges = index_pairs(edges)
+        for i, j in edges:
+            if not (0 <= i < s and 0 <= j < t):
+                raise ValueError(f"edge {(i, j)} out of range")
+        if len(set(edges)) < len(edges):
+            raise ValueError(f"parallel edge {next(e for k, e in enumerate(edges) if e in edges[:k])}")
+        return super().__new__(cls, s, t, edges)
 
     @staticmethod
     def make(s_size, t_size, edges) -> "STGraph":
-        return STGraph(s_size, t_size, index_pairs(edges))
+        return STGraph(s_size, t_size, sorted(index_pairs(edges)))
 
     def to_dict(self) -> dict:
         return {"s": self.s_size, "t": self.t_size, "edges": [list(e) for e in self.edges]}
@@ -75,7 +67,7 @@ class STGraph(_STGraph):
     def from_dict(d) -> "STGraph":
         """The graph a JSON object describes; a ValueError says what is wrong."""
         require_keys(d, ("s", "t", "edges"))
-        if not (type(d["s"]) is int and type(d["t"]) is int):
+        if not (type(d["s"]) is int and type(d["t"]) is int and min(d["s"], d["t"]) >= 0):
             raise ValueError("s and t must be non-negative integers")
         if not int_rows(d["edges"], 2):
             raise ValueError("edges must be a list of [s-index, t-index] integer pairs")
@@ -93,9 +85,9 @@ def t_degrees(graph: STGraph) -> tuple:
 def counterexample_graph() -> STGraph:
     """The 4+5-vertex blocking graph on which the per-vertex product bound
     prod_i (1+f_i)^(-f_i/d_i) fails: four pendant T-vertices matched to S
-    plus one hub adjacent to all of S.  It is not the smallest refutation:
-    the bound holds on every graph of at most 7 vertices, and fails on a
-    4+4 graph (p = 197/720, pinned in the tests)."""
+    plus one hub adjacent to all of S.  Of all 4+5 graphs it breaks the
+    bound most (ratio 1.02686), but it is not the smallest refutation: the
+    bound fails on a 4+4 graph (p = 197/720); both are pinned in the tests."""
     edges = [(0, 0), (1, 1), (2, 3), (3, 4), (0, 2), (1, 2), (2, 2), (3, 2)]
     return STGraph.make(4, 5, edges)
 
@@ -246,8 +238,7 @@ def p_blocked_monte_carlo(graph: STGraph, trials: int, seed: int) -> MonteCarloE
     seed) gives the estimate one draw of all its rows gives, for any number
     of workers.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = as_int(trials, "trials", 1)
     s, t = graph.s_size, graph.t_size
     nbrs = [[] for _ in range(s)]
     for i, j in graph.edges:
@@ -340,13 +331,9 @@ def max_degree_deletion(n: int, edges, k: int) -> DeletionResult:
     because those caps sum to m while each failed step deletes more than its
     cap's worth of edges.  Ties break to the lowest vertex id.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    try:  # operator.index takes integers only, numpy's included
-        edge_set = {tuple(sorted(map(operator.index, e))) for e in edges}
-    except TypeError:
-        edge_set = None
-    if edge_set is None or any(len(e) != 2 or not 0 <= e[0] < e[1] < n for e in edge_set):
+    k = as_int(k, "k", 1)
+    edge_set = {tuple(sorted(as_int(v, "vertex") for v in e)) for e in edges}
+    if any(len(e) != 2 or not 0 <= e[0] < e[1] < n for e in edge_set):
         raise ValueError("edges must be 2-sets of distinct vertices in 0..n-1")
     m = len(edge_set)
     adj = {v: set() for v in range(n)}
@@ -383,6 +370,7 @@ def random_transversal_search(system: ColorSystem, restarts: int, seed: int):
         raise ValueError("needs a 2-uniform system")
     if not system.family:
         raise ValueError("needs a nonempty family")
+    restarts = as_int(restarts, "restarts", 0)
     k = len(system.family[0])
     n = system.vertex_count
     pruned = max_degree_deletion(n, system.edges, k)

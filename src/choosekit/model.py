@@ -7,12 +7,27 @@ share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import operator
 import os
 from typing import Iterable, NamedTuple
 
 COMPLETE = "complete"
+
+
+def as_int(value, name, low=-math.inf) -> int:
+    """value as a Python int of at least low.  Python and numpy integers
+    pass (what operator.index takes), bool does not; anything else raises
+    a ValueError that names the argument."""
+    if type(value) is int and value >= low:
+        return value
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool) and operator.index(value) >= low:
+            return operator.index(value)
+    kind = {0: "a non-negative integer", 1: "a positive integer", -math.inf: "an integer"}
+    raise ValueError(f"{name} must be {kind.get(low, f'an integer >= {low}')}, got {value!r}")
 
 
 class _RegimePoint(NamedTuple):
@@ -33,12 +48,9 @@ class RegimePoint(_RegimePoint):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, v in zip(self._fields, self):
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        return self
+    def __new__(cls, delta_a, delta_b, ka, kb):
+        return super().__new__(cls, as_int(delta_a, "delta_a", 1), as_int(delta_b, "delta_b", 1),
+                               as_int(ka, "ka", 1), as_int(kb, "kb", 1))
 
 
 class ListInstance(NamedTuple):
@@ -67,7 +79,7 @@ class ListInstance(NamedTuple):
     @staticmethod
     def explicit(universe, ka, kb, a_lists, b_lists, edges) -> "ListInstance":
         instance = ListInstance.complete(universe, ka, kb, a_lists, b_lists)
-        return instance._replace(adjacency=index_pairs(edges))
+        return instance._replace(adjacency=tuple(sorted(index_pairs(edges))))
 
     @property
     def is_complete(self) -> bool:
@@ -113,16 +125,12 @@ class Coloring(NamedTuple):
 
 
 def index_pairs(edges) -> tuple:
-    """edges as sorted (i, j) pairs of integers.  operator.index takes
-    integers only, numpy's included, so a fractional index raises a
-    ValueError naming its edge instead of being truncated."""
-    pairs = []
-    for i, j in edges:
-        try:
-            pairs.append((operator.index(i), operator.index(j)))
-        except TypeError:
-            raise ValueError(f"edge {(i, j)} has an index that is not an integer") from None
-    return tuple(sorted(pairs))
+    """edges as (i, j) pairs of Python ints (see as_int), in order."""
+    return tuple([
+        (i, j) if type(i) is int and type(j) is int
+        else (as_int(i, "edge index"), as_int(j, "edge index"))
+        for i, j in edges
+    ])
 
 
 def _check_list(l, size, universe, label, out):
@@ -131,8 +139,11 @@ def _check_list(l, size, universe, label, out):
     if len(set(l)) != size:
         out.append(f"{label} has {len(set(l))} distinct colors, expected {size}")
     for c in l:
-        if not (0 <= c < universe):
-            out.append(f"{label} color {c} out of universe [0, {universe})")
+        try:
+            if not 0 <= as_int(c, "color") < universe:
+                out.append(f"{label} color {c} out of universe [0, {universe})")
+        except ValueError as exc:
+            out.append(f"{label} {exc}")
 
 
 def validate(instance: ListInstance) -> list:

@@ -242,9 +242,9 @@ def test_chain_huge_values_exact():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: blowup(k12_witness(), 0), "r must be >= 1"),
-    (lambda: expand(k12_witness(), 0), "s must be >= 1"),
-    (lambda: amplify_params(RegimePoint(2, 2, 2, 2), BLOWUP, 0), "r must be >= 1"),
+    (lambda: blowup(k12_witness(), 0), "r must be a positive integer, got 0"),
+    (lambda: expand(k12_witness(), 0), "s must be a positive integer, got 0"),
+    (lambda: amplify_params(RegimePoint(2, 2, 2, 2), BLOWUP, 0), "r must be a positive integer, got 0"),
     (lambda: amplify_params(RegimePoint(2, 2, 2, 2), "twist", 2), "unknown amplification kind"),
 ], ids=["blowup", "expand", "params-r", "params-kind"])
 def test_input_checks(call, message):

@@ -872,9 +872,9 @@ def test_composite_swap_certifies_the_ka_4_upper_bound():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: xim_bounds(0), "k must be >= 1"),
-    (lambda: xim_prime_upper(1), "k must be >= 2"),
-    (lambda: xim_prime_lower(1), "k must be >= 2"),
+    (lambda: xim_bounds(0), "k must be a positive integer, got 0"),
+    (lambda: xim_prime_upper(1), "k must be an integer >= 2, got 1"),
+    (lambda: xim_prime_lower(1), "k must be an integer >= 2, got 1"),
 ], ids=["xim_bounds", "xim_prime_upper", "xim_prime_lower"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):

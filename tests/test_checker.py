@@ -1722,7 +1722,7 @@ _K12 = construct_blocks(BlockSpec(2, (1,)))
 
 @pytest.mark.parametrize("call, message", [
     (lambda: has_proper_coloring(_K12, engine="x"), "unknown engine 'x'"),
-    (lambda: simulate_reserve_coloring(_K12, 0.5, 0, 1), "need at least one trial"),
+    (lambda: simulate_reserve_coloring(_K12, 0.5, 0, 1), "trials must be a positive integer, got 0"),
 ], ids=["engine", "trials"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):

@@ -122,5 +122,5 @@ def test_byte_stable_layout():
 
 @pytest.mark.parametrize("a, r", [(0, 1), (1, 0)])
 def test_construct_simple_input_checks(a, r):
-    with pytest.raises(ValueError, match="a and r must be >= 1"):
+    with pytest.raises(ValueError, match="(a|r) must be a positive integer, got 0"):
         construct_simple(2, a, r)

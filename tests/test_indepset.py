@@ -65,7 +65,8 @@ def test_stgraph_validation():
     ids=["direct-s", "direct-t", "make", "from-dict"],
 )
 def test_stgraph_rejects_negative_part_sizes(build):
-    with pytest.raises(ValueError, match="negative part size"):
+    # from_dict names the JSON keys, the constructor its own argument
+    with pytest.raises(ValueError, match="non-negative integer"):
         build()
 
 
@@ -88,7 +89,7 @@ def test_stgraph_from_dict_rejects_wrong_shapes(d, says):
 
 def test_stgraph_rejects_a_fractional_index():
     # int() once truncated this edge to (0, 1)
-    with pytest.raises(ValueError, match=r"edge \(0, 1\.5\) has an index that is not an integer"):
+    with pytest.raises(ValueError, match=r"edge index must be an integer, got 1\.5"):
         STGraph.make(2, 2, [(0, 1.5)])
     assert STGraph.make(2, 2, [(np.int64(0), np.int64(1))]).edges == ((0, 1),)
 
@@ -526,6 +527,37 @@ def test_product_bound_fails_on_eight_vertices():
     assert fancy_bound_fraction(g) == Fraction(1, 3) > Fraction(197, 720)
 
 
+def _canonical(g):
+    """g's S-neighbourhoods, as T-bitmasks, sorted and minimised over every
+    relabelling of T: equal exactly when two graphs are isomorphic."""
+    nbhds = [[j for i2, j in g.edges if i2 == i] for i in range(g.s_size)]
+    return min(
+        tuple(sorted(sum(1 << perm[j] for j in nb) for nb in nbhds))
+        for perm in itertools.permutations(range(g.t_size))
+    )
+
+
+def test_counterexample_is_the_four_plus_five_maximum():
+    # every S/T graph with |S| = 4, |T| = 5 and no isolated vertex, once per
+    # sorted multiset of S-neighbourhoods (nonempty T-sets covering T)
+    ratios = []
+    for nbhds in itertools.combinations_with_replacement(range(1, 32), 4):
+        if nbhds[0] | nbhds[1] | nbhds[2] | nbhds[3] == 31:
+            edges = [(i, j) for i, nb in enumerate(nbhds) for j in range(5) if nb >> j & 1]
+            g = STGraph.make(4, 5, edges)
+            ratios.append((float(p_blocked_exact(g)) / local_product_bound(g), g))
+    assert len(ratios) == 33031
+    top, g = max(ratios, key=lambda r: r[0])
+    assert p_blocked_exact(g) == Fraction(83, 315)
+    # (83/315) / (4 sqrt(3) / 27), the counterexample's product bound
+    assert abs(top - 2241 / (1260 * math.sqrt(3))) < 1e-12
+    assert abs(top - 1.02686) < 5e-6
+    # only relabellings of the hub T-vertex plus four pendants come near it;
+    # the next largest ratio is 1
+    maximisers = {_canonical(h) for r, h in ratios if r > top - 1e-9}
+    assert maximisers == {_canonical(counterexample_graph())}
+
+
 def test_product_bound_holds_on_seven_vertices_or_fewer():
     # every labelled S/T graph with |S|+|T| <= 7 and no isolated vertex; the
     # largest ratio is 1 + 2^-52, a rounding of equality
@@ -688,18 +720,19 @@ def test_random_search_requires_two_uniform():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: p_blocked_monte_carlo(counterexample_graph(), 0, 1), "need at least one trial"),
+    (lambda: p_blocked_monte_carlo(counterexample_graph(), 0, 1),
+     "trials must be a positive integer, got 0"),
     (lambda: fancy_bound_params(3, 0, 0), "need a nonempty graph"),
     # Delta_T = 2 does not divide |S| = 3
     (lambda: fancy_bound_fraction(STGraph.make(3, 1, [(0, 0), (1, 0)])), "integral exponent"),
-    (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be >= 1"),
+    (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be a positive integer, got 0"),
     (lambda: max_degree_deletion(3, [(1, 1)], 1), "2-sets of distinct vertices"),
     (lambda: max_degree_deletion(3, [(0, 5)], 1), r"distinct vertices in 0\.\.n-1"),
     (lambda: random_transversal_search(ColorSystem(3, ((0, 7),), ((0,),)), 5, 1),
      r"distinct vertices in 0\.\.n-1"),
-    (lambda: max_degree_deletion(3, [(0, 1.5)], 1), r"distinct vertices in 0\.\.n-1"),
+    (lambda: max_degree_deletion(3, [(0, 1.5)], 1), r"vertex must be an integer, got 1\.5"),
     (lambda: random_transversal_search(ColorSystem(3, ((0, 1.5),), ((0,),)), 5, 1),
-     r"distinct vertices in 0\.\.n-1"),
+     r"vertex must be an integer, got 1\.5"),
     (lambda: random_transversal_search(ColorSystem(3, ((0, 1),), ()), 1, 0),
      "needs a nonempty family"),
 ], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",

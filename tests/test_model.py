@@ -1,6 +1,7 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,7 +65,7 @@ def test_validate_explicit_adjacency():
 
 def test_explicit_rejects_a_fractional_index():
     # int() once truncated this edge to (0, 0)
-    with pytest.raises(ValueError, match=r"edge \(0, 0\.9\) has an index that is not an integer"):
+    with pytest.raises(ValueError, match=r"edge index must be an integer, got 0\.9"):
         ListInstance.explicit(1, 1, 1, [(0,)], [(0,)], [(0, 0.9)])
 
 
@@ -215,3 +216,11 @@ def test_point_requires_complete_adjacency():
 ], ids=["negative-universe", "repeated-edge", "color-outside-list"])
 def test_validation_reports(problems, message):
     assert message in problems()
+
+
+@pytest.mark.parametrize("color", [1.5, True], ids=["float", "bool"])
+def test_validate_reports_a_color_that_is_not_an_integer(color):
+    # validate once passed these, and both engines then raised TypeError at 1 << c
+    inst = ListInstance.complete(4, 2, 2, [[0, color]], [[0, 1]])
+    assert validate(inst) == [f"aLists[0] color must be an integer, got {color!r}"]
+    assert validate(inst._replace(a_lists=((0, np.int64(1)),))) == []

@@ -4,6 +4,7 @@ STGraph, BlockSpec) check every construction, _replace included."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from choosekit import acceptance, bounds, checker, indepset
@@ -78,14 +79,14 @@ def test_values_unpack_and_sort_as_tuples():
         (lambda: RegimePoint(1, 1, 1, 1)._replace(ka=0), "ka must be a positive integer, got 0"),
         (
             lambda: indepset.STGraph(-1, 0, ()),
-            "negative part size in (-1, 0): s and t must be non-negative integers",
+            "s_size must be a non-negative integer, got -1",
         ),
         (lambda: indepset.STGraph(1, 1, ((0, 1),)), "edge (0, 1) out of range"),
         (lambda: indepset.STGraph(1, 1, ((0, 0), (0, 0))), "parallel edge (0, 0)"),
         (lambda: _GRAPH._replace(t_size=1), "edge (0, 1) out of range"),
-        (lambda: BlockSpec(0, (1,)), "ka must be >= 1"),
+        (lambda: BlockSpec(-1, (1,)), "ka must be a positive integer, got -1"),
         (lambda: BlockSpec(1, ()), "a must be a nonempty tuple of positive integers"),
-        (lambda: BlockSpec(1, (1, 0)), "a must be a nonempty tuple of positive integers"),
+        (lambda: BlockSpec(1, (1, 0)), "a must be a positive integer, got 0"),
         (lambda: BlockSpec(1, (1,))._replace(a=()), "a must be a nonempty tuple of positive integers"),
     ],
 )
@@ -98,4 +99,6 @@ def test_checked_types_reject_bad_fields(make, message):
 def test_blockspec_keeps_its_sizes_as_a_tuple_of_ints():
     assert BlockSpec(2, [1, 2]).a == (1, 2)
     assert BlockSpec(2, (1,))._replace(a=[3, 1]) == BlockSpec(2, (3, 1))
-    assert type(BlockSpec(ka=2, a=[1.0]).a[0]) is int
+    assert type(BlockSpec(ka=2, a=[np.int64(1)]).a[0]) is int
+    with pytest.raises(ValueError, match="a must be a positive integer, got 1.0"):
+        BlockSpec(ka=2, a=[1.0])
