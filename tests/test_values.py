@@ -84,6 +84,11 @@ def test_values_unpack_and_sort_as_tuples():
         (lambda: indepset.STGraph(1, 1, ((0, 1),)), "edge (0, 1) out of range"),
         (lambda: indepset.STGraph(1, 1, ((0, 0), (0, 0))), "parallel edge (0, 0)"),
         (lambda: _GRAPH._replace(t_size=1), "edge (0, 1) out of range"),
+        pytest.param(
+            lambda: BlockSpec(0, (1,)),
+            "ka must be a positive integer, got 0",
+            id="<lambda>-ka must be >= 1",
+        ),
         (lambda: BlockSpec(-1, (1,)), "ka must be a positive integer, got -1"),
         (lambda: BlockSpec(1, ()), "a must be a nonempty tuple of positive integers"),
         (lambda: BlockSpec(1, (1, 0)), "a must be a positive integer, got 0"),
