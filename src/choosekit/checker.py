@@ -94,11 +94,11 @@ RULE_ENUMERATION = "enumeration"
 #: engine, or in decide_choosable one prefix or leaf of the candidate walk or
 #: one call of the blocking-family search.  A node's wall time depends on
 #: the point: on a 2-vCPU Xeon VM under Python 3.11 (one run each), (6,6,3,3)
-#: decides in 372,304 nodes and 2.2 s (5.9 us per node), and (7,7,3,3)
-#: exhausts this budget in 45 s (8.9 us per node).  At large symmetric
+#: decides in 372,304 nodes and 2.0 s (5.3 us per node), and (7,7,3,3)
+#: exhausts this budget in 42 s (8.4 us per node).  At large symmetric
 #: degrees it does not bound wall time: a Berge step is one node but is
 #: quadratic in a transversal list that quadruples every 10 steps, so
-#: (70,70,2,2) takes 75 nodes and 26 s (README gives more points).
+#: (70,70,2,2) takes 75 nodes and 11 s (README gives more points).
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -337,28 +337,32 @@ def _berge_step(transversals, e):
     A transversal already meeting e stays, every other one grows by each
     color of e, and grown sets containing a kept set are dropped.  Nothing
     else can go non-minimal or repeat, since the family was minimal and every
-    grown set holds exactly one color of e.  A missed t grown by c contains a
-    kept k exactly when k holds c and its stem k ^ c lies inside t, so the
-    test runs color by color against the stems of the kept sets holding c.
+    grown set holds exactly one color of e.  So a missed t grown by c holds a
+    kept k iff k meets e in c alone and its stem k ^ c lies inside t: stems
+    are filed by that color, and a color with none grows its sets untested.
     The grown sets come out by color, not by t; no caller reads the order.
     """
-    kept = []
-    missed = []
+    kept, missed, stems = [], [], {}
     for t in transversals:
-        (kept if t & e else missed).append(t)
-    grown = []
+        hit = t & e
+        if not hit:
+            missed.append(t)
+        else:
+            kept.append(t)
+            if not hit & (hit - 1):
+                stems.setdefault(hit, []).append(t ^ hit)
     rest = e
     while rest:
         c = rest & -rest
         rest ^= c
-        stems = [k ^ c for k in kept if k & c]
+        filed = stems.get(c, ())
         for t in missed:
-            for s in stems:
+            for s in filed:
                 if s & t == s:
                     break
             else:
-                grown.append(t | c)
-    return kept + grown
+                kept.append(t | c)
+    return kept
 
 
 def _hypergraph_candidates(ka, num_edges, max_colors, budget):
@@ -493,7 +497,7 @@ def _family_search(unmet, kb, left, budget):
         return []
     if left == 1:
         common = unmet[0]
-        for t in unmet[1:]:
+        for t in unmet:
             common &= t
         cs = colors_of(common)[:kb]
         return [mask_of(cs)] if len(cs) == kb else None
@@ -501,7 +505,7 @@ def _family_search(unmet, kb, left, budget):
         return None
     for cs in itertools.combinations(colors_of(unmet[0]), kb):
         f = mask_of(cs)
-        got = _family_search([t for t in unmet[1:] if t & f != f], kb, left - 1, budget)
+        got = _family_search([t for t in unmet if t & f != f], kb, left - 1, budget)
         if got is not None:
             return [f] + got
     return None
@@ -540,6 +544,7 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
         core = (kb, tuple((i,) for i in range(kb)), (tuple(range(kb)),))
         return {da: Verdict(UNCHOOSABLE, core, 0, RULE_SINGLETON_EXACT) for da in das}
     done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
+    top = max(own)  # the largest da still open
     b = _Budget(budget)  # the walk's nodes, which every point counts
 
     def run_out():  # a point past the budget crossed it one node at a time
@@ -556,21 +561,24 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
                     continue
                 masks = sorted(_berge_step(transversals, m), reverse=True)
                 subsets = comb(ncolors, kb)
-                cap = min(max(own), subsets)  # the most sets a point not yet closed may use
+                cap = min(top, subsets)  # the most sets a point not yet closed may use
                 heads = _packing_heads(masks, kb, cap + 1)
                 if heads > cap:
                     continue  # settled at the root for every open point
                 run_out()
-                for da in [da for da in own if min(da, subsets) >= heads]:
-                    search, fam = _Budget(None if budget is None else budget - b.nodes - own[da]), None
-                    with contextlib.suppress(SearchBudgetExceeded):  # own[da] then passes the budget
+                for da in [da for da in own if da >= heads]:  # heads <= subsets
+                    search = _Budget(None if budget is None else budget - b.nodes - own[da])
+                    try:
                         fam = _family_search(masks, kb, min(da, subsets), search)
+                    except SearchBudgetExceeded:  # own[da] then passes the budget
+                        fam = None
                     own[da] += search.nodes
                     if fam is not None:
                         core = (ncolors, prefix + (e,), tuple(map(colors_of, fam)))
                         done[da] = Verdict(UNCHOOSABLE, core, b.nodes + own.pop(da), RULE_ENUMERATION)
                 if not own:
                     return done
+                top = max(own)
                 if budget is not None:
                     b.limit = budget - min(own.values())
     run_out()

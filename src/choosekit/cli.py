@@ -129,8 +129,7 @@ def _cmd_decide(args) -> int:
 def _verify_and_emit(inst, args) -> int:
     out = {"instance": instance_to_dict(inst), "point": None}
     if inst.is_complete:
-        p = inst.point()
-        out["point"] = [p.delta_a, p.delta_b, p.ka, p.kb]
+        out["point"] = list(inst.point())
     if args.out:
         dump_instance(inst, args.out)
         out["file"] = args.out
@@ -154,11 +153,7 @@ def _cmd_amplify(args) -> int:
     inst = _valid_instance(args)
     if inst is None:
         return 2
-    if args.kind == "blowup":
-        out = amplify.blowup(inst, args.r)
-    else:
-        out = amplify.expand(inst, args.r)
-    return _verify_and_emit(out, args)
+    return _verify_and_emit(getattr(amplify, args.kind)(inst, args.r), args)
 
 
 def _cmd_bounds(args) -> int:

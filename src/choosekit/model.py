@@ -60,8 +60,8 @@ class ListInstance(NamedTuple):
     b_lists[j] of the j-th B-vertex (size kb each).  adjacency is either
     COMPLETE or an explicit tuple of (a_index, b_index) pairs.  Lists are
     stored as sorted tuples; complete and explicit sort them, the only code
-    that does, so callers pass lists in any order.  Duplicates are kept so
-    that validate() can report them.
+    that does, so callers pass lists in any order, and store integer sizes
+    and colors as Python ints.  Duplicates are kept for validate() to report.
     """
 
     universe: int
@@ -73,8 +73,8 @@ class ListInstance(NamedTuple):
 
     @staticmethod
     def complete(universe, ka, kb, a_lists, b_lists) -> "ListInstance":
-        sort_each = lambda lists: tuple(tuple(sorted(l)) for l in lists)
-        return ListInstance(universe, ka, kb, sort_each(a_lists), sort_each(b_lists), COMPLETE)
+        sizes = map(_plain, (universe, ka, kb))
+        return ListInstance(*sizes, _sort_each(a_lists), _sort_each(b_lists), COMPLETE)
 
     @staticmethod
     def explicit(universe, ka, kb, a_lists, b_lists, edges) -> "ListInstance":
@@ -133,6 +133,25 @@ def index_pairs(edges) -> tuple:
     ])
 
 
+def _plain(value):
+    """value as a Python int if as_int takes it (the bitmask engines need one:
+    numpy's wrap at 64 bits), else as given, for validate() to report."""
+    try:
+        return as_int(value, "value")
+    except ValueError:
+        return value
+
+
+def _sort_each(lists) -> tuple:
+    """Each list as a sorted tuple of colors, each through _plain."""
+    out = tuple(tuple(sorted(l)) for l in lists)
+    for l in out:
+        for c in l:
+            if type(c) is not int:
+                return tuple(tuple(map(_plain, l)) for l in out)
+    return out
+
+
 def _check_list(l, size, universe, label, out):
     if len(set(l)) != len(l):
         out.append(f"{label} has repeated color")
@@ -152,12 +171,18 @@ def validate(instance: ListInstance) -> list:
     Violations are data, not failures: malformed instances never raise here.
     """
     out = []
-    if instance.universe < 0:
+    for name in ("universe", "ka", "kb"):
+        try:
+            as_int(getattr(instance, name), name)
+        except ValueError as exc:
+            out.append(str(exc))
+    universe = instance.universe if type(_plain(instance.universe)) is int else math.inf
+    if universe < 0:
         out.append("universe size is negative")
     for i, l in enumerate(instance.a_lists):
-        _check_list(l, instance.ka, instance.universe, f"aLists[{i}]", out)
+        _check_list(l, instance.ka, universe, f"aLists[{i}]", out)
     for j, l in enumerate(instance.b_lists):
-        _check_list(l, instance.kb, instance.universe, f"bLists[{j}]", out)
+        _check_list(l, instance.kb, universe, f"bLists[{j}]", out)
     if not instance.is_complete:
         na, nb = instance.num_a(), instance.num_b()
         seen = set()

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -812,6 +813,25 @@ def test_maximal_independent_sets_match_subset_scan():
         assert got == _scan_maximal_independent_sets(n, edge_masks), (n, sorted(edges))
 
 
+def test_berge_step_tests_only_single_hit_stems_and_stays_exact():
+    # a missed t grown by c holds a kept set k only when k meets the new edge
+    # in c alone, so the step never tests the kept sets that meet it in two
+    # or more colors; the fold must still give every maximal independent set
+    rng = random.Random(59)
+    dropped = 0  # steps with a kept set meeting the new edge in 2+ colors
+    for _ in range(60):
+        n = rng.randint(5, 14)
+        edge_masks = [mask_of(rng.sample(range(n), rng.randint(2, min(5, n))))
+                      for _ in range(rng.randint(1, 9))]
+        transversals = [0]
+        for e in edge_masks:
+            dropped += any((t & e).bit_count() >= 2 for t in transversals)
+            transversals = checker._berge_step(transversals, e)
+        got = sorted(((1 << n) - 1) & ~t for t in transversals)
+        assert got == _scan_maximal_independent_sets(n, edge_masks), (n, edge_masks)
+    assert dropped >= 100, dropped
+
+
 def test_blocking_family_search_matches_bruteforce():
     from choosekit.checker import _Budget
 
@@ -1222,6 +1242,18 @@ def test_a_sweep_keeps_the_verdicts_of_each_budget_apart():
     sweep = checker.Sweep(points)
     for budget in (20, 5_000, 20, 5_000):
         assert [decide_choosable(p, budget, sweep=sweep).to_dict() for p in points] == alone[budget]
+
+
+def test_the_180_point_grid_keeps_its_verdicts_byte_for_byte():
+    # one sweep at budget 50,000: 125 choosable, 49 unchoosable, 6 exhausted
+    # cells, with every node count and witness as the kernel has found them
+    points = [RegimePoint(*cell) for cell in _SWEEP_GRIDS["grid-180"]]
+    sweep = checker.Sweep(points)
+    verdicts = [decide_choosable(p, 50_000, sweep=sweep) for p in points]
+    tags = [v.tag for v in verdicts]
+    assert [tags.count(t) for t in (CHOOSABLE, UNCHOOSABLE, EXHAUSTED)] == [125, 49, 6]
+    text = json.dumps([v.to_dict() for v in verdicts], sort_keys=True)
+    assert hashlib.sha1(text.encode()).hexdigest() == "8eb71ed0219d4fe10ffcd9658dc438c08134dbb0"
 
 
 # The column (ka, kb, delta_b) = (2, 3, 6), as given: delta_a = 2 is choosable

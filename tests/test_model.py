@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choosekit.checker import has_proper_coloring
 from choosekit.model import (
     ColorSystem,
     Coloring,
@@ -224,3 +225,41 @@ def test_validate_reports_a_color_that_is_not_an_integer(color):
     inst = ListInstance.complete(4, 2, 2, [[0, color]], [[0, 1]])
     assert validate(inst) == [f"aLists[0] color must be an integer, got {color!r}"]
     assert validate(inst._replace(a_lists=((0, np.int64(1)),))) == []
+
+
+@pytest.mark.parametrize("engine", ["transversal", "backtracking"])
+def test_numpy_integer_colors_get_the_verdict_of_python_ints(engine):
+    # numpy colors were once kept, and 1 << np.int64(65) is 0: both engines
+    # then found this colorable instance uncolorable
+    inst = ListInstance.complete(70, 1, 1, [[np.int64(65)]], [[np.int64(66)]])
+    assert inst == ListInstance.complete(70, 1, 1, [[65]], [[66]])
+    assert {type(c) for l in inst.a_lists + inst.b_lists for c in l} == {int}
+    assert validate(inst) == []
+    found, coloring = has_proper_coloring(inst, engine=engine)
+    assert found and validate_coloring(inst, coloring) == []
+
+
+@pytest.mark.parametrize("engine", ["transversal", "backtracking"])
+def test_numpy_integer_sizes_are_stored_as_python_ints(engine):
+    # a numpy universe of 40 once made the transversal engine raise
+    # AttributeError on the int64 its literal masks wrapped to
+    a_lists, b_lists = [[0, 35], [1, 36]], [[0, 36], [35, 39]]
+    inst = ListInstance.complete(np.int64(40), np.int64(2), np.int32(2), a_lists, b_lists)
+    assert all(type(v) is int for v in inst[:3])
+    assert validate(inst) == []
+    assert has_proper_coloring(inst, engine=engine) == has_proper_coloring(
+        ListInstance.complete(40, 2, 2, a_lists, b_lists), engine=engine)
+
+
+@pytest.mark.parametrize("field", ["universe", "ka", "kb"])
+@pytest.mark.parametrize("value", [4.5, 2.0, True], ids=["4.5", "2.0", "True"])
+def test_validate_reports_a_size_that_is_not_an_integer(field, value):
+    # validate once passed a universe of 4.5 or a ka of 2.0, and both
+    # engines then raised TypeError
+    sizes = {"universe": 4, "ka": 2, "kb": 2, field: value}
+    problems = validate(ListInstance(*sizes.values(), ((0, 1),), ((2, 3),)))
+    assert f"{field} must be an integer, got {value!r}" in problems
+
+
+def test_validate_accepts_numpy_integer_sizes():
+    assert validate(ListInstance(np.int64(4), np.int64(2), np.int64(2), ((0, 1),), ((2, 3),))) == []
