@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .model import ListInstance, RegimePoint, as_int
+from .model import COMPLETE, ListInstance, RegimePoint, as_int, check_list_entries
 
 BLOWUP = "blowup"
 EXPANSION = "expansion"
@@ -29,6 +29,7 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
     """r-fold blowup; preserves uncolorability, multiplies kb by r."""
     r = as_int(r, "r", 1)
     na, nb = instance.num_a(), instance.num_b()
+    check_list_entries((instance.ka * na * r, 1, 1), (r * instance.kb, nb, r))
     universe = instance.universe * r
 
     a_lists = [[c * r + i for c in l] for l in instance.a_lists for i in range(r)]
@@ -41,18 +42,12 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
             cols.extend(c * r + i for c in instance.b_lists[v])
         b_lists.append(cols)
 
-    if instance.is_complete:
-        return ListInstance.complete(universe, instance.ka, r * instance.kb, a_lists, b_lists)
-    # (v, i) is adjacent to (v_1..v_r) iff v ~ v_i in the input.
-    old = set(instance.adjacency)
-    edges = []
-    for va in range(na):
-        for i in range(r):
-            ai = va * r + i
-            for bi, combo in enumerate(tuples):
-                if (va, combo[i]) in old:
-                    edges.append((ai, bi))
-    return ListInstance.explicit(universe, instance.ka, r * instance.kb, a_lists, b_lists, edges)
+    edges = COMPLETE
+    if not instance.is_complete:  # (v, i) is adjacent to (v_1..v_r) iff v ~ v_i in the input
+        old = set(instance.adjacency)
+        edges = [(va * r + i, bi) for va in range(na) for i in range(r)
+                 for bi, combo in enumerate(tuples) if (va, combo[i]) in old]
+    return ListInstance(universe, instance.ka, r * instance.kb, a_lists, b_lists, edges)
 
 
 def expand(instance: ListInstance, s: int) -> ListInstance:
@@ -63,20 +58,18 @@ def expand(instance: ListInstance, s: int) -> ListInstance:
     """
     s = as_int(s, "s", 1)
     ka = instance.ka
+    check_list_entries((ka * instance.num_a(), s, ka), (s * instance.kb * instance.num_b(), 1, 1))
     universe = instance.universe * s
     copies = list(itertools.product(range(s), repeat=ka))
 
     a_lists = [[l[j] * s + tag[j] for j in range(ka)] for l in instance.a_lists for tag in copies]
     b_lists = [[c * s + i for c in l for i in range(s)] for l in instance.b_lists]
 
-    if instance.is_complete:
-        return ListInstance.complete(universe, ka, s * instance.kb, a_lists, b_lists)
     per = len(copies)
-    edges = []
-    for va, bi in instance.adjacency:
-        for t in range(per):
-            edges.append((va * per + t, bi))
-    return ListInstance.explicit(universe, ka, s * instance.kb, a_lists, b_lists, edges)
+    edges = COMPLETE if instance.is_complete else [
+        (va * per + t, bi) for va, bi in instance.adjacency for t in range(per)
+    ]
+    return ListInstance(universe, ka, s * instance.kb, a_lists, b_lists, edges)
 
 
 def amplify_params(point: RegimePoint, kind: str, r: int) -> RegimePoint:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .model import ListInstance, as_int
+from .model import ListInstance, as_int, check_list_entries
 
 
 class _BlockSpec(NamedTuple):
@@ -58,6 +58,7 @@ def construct_blocks(spec: BlockSpec) -> ListInstance:
     lexicographic product order; B-lists enumerate choice vectors likewise.
     """
     ka, a = spec.ka, spec.a
+    check_list_entries(*((ka, x, ka) for x in a), (spec.kb, ka, spec.r))
     blocks = []
     nxt = 0
     for size in a:
@@ -80,4 +81,6 @@ def construct_blocks(spec: BlockSpec) -> ListInstance:
 
 def construct_simple(ka: int, a: int, r: int) -> ListInstance:
     """Uniform block construction: all r block sizes equal to a."""
-    return construct_blocks(BlockSpec(ka, (a,) * as_int(r, "r", 1)))
+    ka, a, r = as_int(ka, "ka", 1), as_int(a, "a", 1), as_int(r, "r", 1)
+    check_list_entries((ka * r, a, ka), (r * a, ka, r))  # before a tuple of r sizes
+    return construct_blocks(BlockSpec(ka, (a,) * r))

@@ -17,6 +17,20 @@ from typing import Iterable, NamedTuple
 COMPLETE = "complete"
 
 
+#: The most list entries (colors of lists, both sides) that amplify and
+#: constructions build; a larger output is a ValueError before any is built.
+MAX_LIST_ENTRIES = 2**22
+
+
+def check_list_entries(*terms) -> None:
+    """Raise a ValueError past the cap on sum(size * base**exp) over the
+    (size, base, exp) terms.  Cutting exp to the cap's bit length builds no
+    huge power, yet keeps a base of 2 or more past the cap."""
+    cut = MAX_LIST_ENTRIES.bit_length()
+    if sum(size * base ** min(exp, cut) for size, base, exp in terms) > MAX_LIST_ENTRIES:
+        raise ValueError(f"the output would have more than {MAX_LIST_ENTRIES} list entries")
+
+
 def as_int(value, name, low=-math.inf) -> int:
     """value as a Python int of at least low.  Python and numpy integers
     pass (what operator.index takes), bool does not; anything else raises
@@ -53,33 +67,43 @@ class RegimePoint(_RegimePoint):
                                as_int(ka, "ka", 1), as_int(kb, "kb", 1))
 
 
-class ListInstance(NamedTuple):
-    """A bipartite graph with per-vertex color lists.
-
-    a_lists[i] is the color list of the i-th A-vertex (size ka each),
-    b_lists[j] of the j-th B-vertex (size kb each).  adjacency is either
-    COMPLETE or an explicit tuple of (a_index, b_index) pairs.  Lists are
-    stored as sorted tuples; complete and explicit sort them, the only code
-    that does, so callers pass lists in any order, and store integer sizes
-    and colors as Python ints.  Duplicates are kept for validate() to report.
-    """
-
+class _ListInstance(NamedTuple):
     universe: int
     ka: int
     kb: int
     a_lists: tuple
     b_lists: tuple
-    adjacency: object = COMPLETE
+    adjacency: object
+
+
+class ListInstance(_ListInstance):
+    """A bipartite graph with per-vertex color lists.
+
+    a_lists[i] is the color list of the i-th A-vertex (size ka each),
+    b_lists[j] of the j-th B-vertex (size kb each).  adjacency is either
+    COMPLETE or (a_index, b_index) pairs, stored sorted.  Every construction,
+    _replace included, stores each list as a sorted tuple, so callers pass
+    lists in any order, and the sizes, colors and edge indices as Python
+    ints.  A size or color the integer rule (as_int) refuses, and duplicates,
+    are kept for validate() to report.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace normalises too
+
+    def __new__(cls, universe, ka, kb, a_lists, b_lists, adjacency=COMPLETE):
+        if not (isinstance(adjacency, str) and adjacency == COMPLETE):  # numpy compares elementwise
+            adjacency = tuple(sorted(index_pairs(adjacency)))
+        return super().__new__(cls, *map(_plain, (universe, ka, kb)), _sort_each(a_lists),
+                               _sort_each(b_lists), adjacency)
 
     @staticmethod
     def complete(universe, ka, kb, a_lists, b_lists) -> "ListInstance":
-        sizes = map(_plain, (universe, ka, kb))
-        return ListInstance(*sizes, _sort_each(a_lists), _sort_each(b_lists), COMPLETE)
+        return ListInstance(universe, ka, kb, a_lists, b_lists)
 
     @staticmethod
     def explicit(universe, ka, kb, a_lists, b_lists, edges) -> "ListInstance":
-        instance = ListInstance.complete(universe, ka, kb, a_lists, b_lists)
-        return instance._replace(adjacency=tuple(sorted(index_pairs(edges))))
+        return ListInstance(universe, ka, kb, a_lists, b_lists, edges)
 
     @property
     def is_complete(self) -> bool:
@@ -103,7 +127,9 @@ class ColorSystem(NamedTuple):
 
     The image of a deduplicated complete-bipartite ListInstance: edges are
     the distinct A-lists, family the distinct B-lists, each a tuple of
-    sorted tuples in the order of their first copy in the instance.
+    sorted tuples in the order of their first copy in the instance.  Stored
+    as given, not normalised as ListInstance is: to_color_system passes it
+    an instance's lists, which are sorted already.
     """
 
     vertex_count: int
@@ -176,7 +202,7 @@ def validate(instance: ListInstance) -> list:
             as_int(getattr(instance, name), name)
         except ValueError as exc:
             out.append(str(exc))
-    universe = instance.universe if type(_plain(instance.universe)) is int else math.inf
+    universe = instance.universe if type(instance.universe) is int else math.inf
     if universe < 0:
         out.append("universe size is negative")
     for i, l in enumerate(instance.a_lists):
@@ -249,13 +275,11 @@ def instance_from_dict(d) -> ListInstance:
     if not (int_rows(d["aLists"]) and int_rows(d["bLists"])):
         raise ValueError("aLists and bLists must be lists of integer lists")
     adj = d["adjacency"]
-    if adj == COMPLETE:
-        return ListInstance.complete(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"])
-    if not int_rows(adj, 2):
+    if adj != COMPLETE and not int_rows(adj, 2):
         raise ValueError(
             f'adjacency must be "{COMPLETE}" or a list of [a-index, b-index] integer pairs'
         )
-    return ListInstance.explicit(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"], adj)
+    return ListInstance(d["universe"], d["kA"], d["kB"], d["aLists"], d["bLists"], adj)
 
 
 def read_json(path, decode):

@@ -14,7 +14,14 @@ from choosekit.amplify import (
 from choosekit.bounds import xi
 from choosekit.checker import CHOOSABLE, UNCHOOSABLE, decide_choosable, has_proper_coloring
 from choosekit.constructions import BlockSpec, construct_blocks
-from choosekit.model import ListInstance, RegimePoint, to_color_system, validate
+from choosekit import model
+from choosekit.model import (
+    MAX_LIST_ENTRIES,
+    ListInstance,
+    RegimePoint,
+    to_color_system,
+    validate,
+)
 
 
 def k12_witness():
@@ -241,12 +248,38 @@ def test_chain_huge_values_exact():
     assert math.log2(out.delta_a) > 60  # past any fixed-width range
 
 
+_PAIR_BLOCKS = construct_blocks(BlockSpec(2, (2,)))  # the witness decide gives at (2,4,2,2)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: blowup(k12_witness(), 0), "r must be a positive integer, got 0"),
     (lambda: expand(k12_witness(), 0), "s must be a positive integer, got 0"),
     (lambda: amplify_params(RegimePoint(2, 2, 2, 2), BLOWUP, 0), "r must be a positive integer, got 0"),
     (lambda: amplify_params(RegimePoint(2, 2, 2, 2), "twist", 2), "unknown amplification kind"),
-], ids=["blowup", "expand", "params-r", "params-kind"])
+    # on the (2,4,2,2) witness r = 40 asks for 2^40 B-lists, r = 17 for 2^17
+    # of 34 colors (just past the cap), s = 10^9 for 10^18 copies of an A-vertex
+    (lambda: blowup(_PAIR_BLOCKS, 40), f"more than {MAX_LIST_ENTRIES} list entries"),
+    (lambda: blowup(_PAIR_BLOCKS, 17), f"more than {MAX_LIST_ENTRIES} list entries"),
+    (lambda: expand(_PAIR_BLOCKS, 10**9), f"more than {MAX_LIST_ENTRIES} list entries"),
+], ids=["blowup", "expand", "params-r", "params-kind", "blowup-r40-cap", "blowup-r17-cap",
+        "expand-cap"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("op", [blowup, expand])
+@pytest.mark.parametrize("inst", [
+    _PAIR_BLOCKS,
+    construct_blocks(BlockSpec(3, (1, 2))),
+    ListInstance.explicit(5, 2, 1, [(0, 1), (2, 3)], [(4,), (0,), (1,)], [(0, 2), (1, 0)]),
+], ids=["pair-blocks", "blocks-3-12", "explicit"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_list_entry_cap_counts_the_output_exactly(monkeypatch, op, inst, r):
+    out = op(inst, r)
+    entries = sum(map(len, out.a_lists + out.b_lists))
+    monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries)
+    assert op(inst, r) == out
+    monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match=f"more than {entries - 1} list entries"):
+        op(inst, r)

@@ -3,7 +3,8 @@ import pytest
 from choosekit.bounds import xi
 from choosekit.checker import has_proper_coloring
 from choosekit.constructions import BlockSpec, construct_blocks, construct_simple
-from choosekit.model import instance_to_dict, to_color_system, validate
+from choosekit import model
+from choosekit.model import MAX_LIST_ENTRIES, instance_to_dict, to_color_system, validate
 
 
 def _compositions(total):
@@ -124,3 +125,30 @@ def test_byte_stable_layout():
 def test_construct_simple_input_checks(a, r):
     with pytest.raises(ValueError, match="(a|r) must be a positive integer, got 0"):
         construct_simple(2, a, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: construct_simple(2, 1, 40),  # 2^40 B-lists
+    lambda: construct_simple(2, 1, 10**9),  # refused before a tuple of 10^9 sizes
+    lambda: construct_blocks(BlockSpec(1000, (1, 1, 1))),  # 10^9 B-lists
+    lambda: construct_blocks(BlockSpec(2, (3000,))),  # 9 * 10^6 A-lists
+], ids=["simple-r40", "simple-r1e9", "blocks-ka1000", "blocks-a3000"])
+def test_outputs_past_the_list_entry_cap_are_refused(call):
+    with pytest.raises(ValueError, match=f"more than {MAX_LIST_ENTRIES} list entries"):
+        call()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct_blocks(BlockSpec(2, (1, 2, 3))),
+    lambda: construct_blocks(BlockSpec(3, (2, 1))),
+    lambda: construct_simple(2, 2, 3),
+    lambda: construct_simple(3, 1, 2),
+], ids=["blocks-2-123", "blocks-3-21", "simple-2-2-3", "simple-3-1-2"])
+def test_list_entry_cap_counts_the_output_exactly(monkeypatch, build):
+    out = build()
+    entries = sum(map(len, out.a_lists + out.b_lists))
+    monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries)
+    assert build() == out
+    monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries - 1)
+    with pytest.raises(ValueError, match=f"more than {entries - 1} list entries"):
+        build()

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from math import comb
 
 import numpy as np
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 
 from choosekit.checker import has_proper_coloring
 from choosekit.model import (
+    COMPLETE,
+    MAX_LIST_ENTRIES,
     ColorSystem,
     Coloring,
     ListInstance,
     RegimePoint,
+    check_list_entries,
     colors_of,
     instance_from_dict,
     instance_to_dict,
@@ -263,3 +268,91 @@ def test_validate_reports_a_size_that_is_not_an_integer(field, value):
 
 def test_validate_accepts_numpy_integer_sizes():
     assert validate(ListInstance(np.int64(4), np.int64(2), np.int64(2), ((0, 1),), ((2, 3),))) == []
+
+
+#: Instances built without complete or explicit, each with the instance that
+#: complete builds from the same Python-int lists.
+_BUILT_DIRECTLY = {
+    "numpy-colors": (lambda: ListInstance(70, 1, 1, ((np.int64(65),),), ((np.int64(66),),)),
+                     lambda: ListInstance.complete(70, 1, 1, [[65]], [[66]])),
+    "replace-numpy-universe": (
+        lambda: ListInstance.complete(40, 2, 2, [[0, 1]], [[2, 3]])._replace(universe=np.int64(40)),
+        lambda: ListInstance.complete(40, 2, 2, [[0, 1]], [[2, 3]])),
+    "replace-numpy-colors": (
+        lambda: ListInstance.complete(70, 1, 1, [[0]], [[1]])._replace(
+            a_lists=((np.int64(65),),), b_lists=((np.int64(66),),)),
+        lambda: ListInstance.complete(70, 1, 1, [[65]], [[66]])),
+    "replace-unsorted-list": (
+        lambda: ListInstance.complete(5, 2, 2, [[0, 1]], [[2, 3]])._replace(a_lists=((1, 0),)),
+        lambda: ListInstance.complete(5, 2, 2, [[0, 1]], [[2, 3]])),
+}
+
+
+@pytest.mark.parametrize("engine", ["transversal", "backtracking"])
+@pytest.mark.parametrize("case", list(_BUILT_DIRECTLY))
+def test_direct_construction_and_replace_normalise_as_complete_does(case, engine):
+    # these once skipped complete's conversion and sort: validate passed the
+    # numpy colors 1 << c wraps to 0, both engines then called the instance
+    # uncolorable, a numpy universe made the transversal engine raise
+    # AttributeError, and _replace stored an unsorted list
+    built, plain = (make() for make in _BUILT_DIRECTLY[case])
+    assert validate(built) == []
+    found, coloring = has_proper_coloring(built, engine=engine)
+    assert found and validate_coloring(built, coloring) == []
+    assert repr(built) == repr(plain)
+
+
+def _shape(value):
+    """value with its type at every level, so that 3 and np.int64(3), or a
+    list and a tuple, compare unequal."""
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_shape, value))
+    return type(value), value
+
+
+@st.composite
+def spelled_fields(draw):
+    """ListInstance fields spelled any way a caller may: lists or tuples,
+    colors and edges in any order, each integer a Python or numpy one, the
+    edges also as a numpy array.  Returned with the plain fields that every
+    construction must store."""
+    integer = st.sampled_from([int, np.int64, np.int32, np.uint8])
+    container = lambda items: draw(st.sampled_from([list, tuple]))(items)
+    spell = lambda values: container([draw(integer)(v) for v in values])
+    universe, ka, kb = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lists = lambda k: draw(st.lists(st.lists(st.integers(0, universe - 1), min_size=k, max_size=k),
+                                    max_size=4))
+    a, b = lists(ka), lists(kb)
+    plain = [universe, ka, kb, tuple(tuple(sorted(l)) for l in a), tuple(tuple(sorted(l)) for l in b)]
+    fields = [*spell([universe, ka, kb]), container(map(spell, a)), container(map(spell, b))]
+    if draw(st.booleans()):
+        return (*fields, COMPLETE), (*plain, COMPLETE)
+    edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=6))
+    spelled = (np.array(edges, dtype=np.int64).reshape(-1, 2) if draw(st.booleans())
+               else container(map(spell, edges)))
+    return (*fields, spelled), (*plain, tuple(sorted(edges)))
+
+
+@given(spelled_fields())
+@settings(max_examples=200, deadline=None)
+def test_every_construction_path_stores_the_same_instance(case):
+    fields, plain = case
+    built = ListInstance(*fields)
+    named = (ListInstance.complete(*fields[:5]) if isinstance(fields[5], str)
+             else ListInstance.explicit(*fields))
+    other = ListInstance.explicit(3, 1, 1, [[2]], [[0], [1]], [(0, 1)])
+    replaced = other._replace(**dict(zip(ListInstance._fields, fields)))
+    for inst in (built, named, replaced, instance_from_dict(instance_to_dict(built)),
+                 pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert type(inst) is ListInstance
+        assert _shape(tuple(inst)) == _shape(plain)
+
+
+def test_list_entry_cap_cuts_huge_exponents():
+    # base**exp for exp = 10**9 would be a 125 MB integer; the cut keeps the
+    # answer without it
+    check_list_entries((MAX_LIST_ENTRIES - 7, 1, 1), (0, 2, 10**9), (7, 1, 10**9), (5, 0, 10**9))
+    with pytest.raises(ValueError, match=f"more than {MAX_LIST_ENTRIES} list entries"):
+        check_list_entries((MAX_LIST_ENTRIES, 1, 1), (1, 1, 1))
+    with pytest.raises(ValueError, match=f"more than {MAX_LIST_ENTRIES} list entries"):
+        check_list_entries((1, 2, 10**9))
