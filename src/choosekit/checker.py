@@ -128,12 +128,12 @@ class _Budget:
     __slots__ = ("limit", "nodes")
 
     def __init__(self, limit):
-        self.limit = limit
+        self.limit = math.inf if limit is None else limit
         self.nodes = 0
 
     def charge(self):
         self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
+        if self.nodes > self.limit:
             raise SearchBudgetExceeded(self.nodes)
 
 
@@ -543,12 +543,13 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     if ka == 1:  # db >= kb: the singletons covering {0..kb-1}, blocked by the one kb-set
         core = (kb, tuple((i,) for i in range(kb)), (tuple(range(kb)),))
         return {da: Verdict(UNCHOOSABLE, core, 0, RULE_SINGLETON_EXACT) for da in das}
+    budget = math.inf if budget is None else budget
     done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
     top = max(own)  # the largest da still open
     b = _Budget(budget)  # the walk's nodes, which every point counts
 
     def run_out():  # a point past the budget crossed it one node at a time
-        for da in [da for da, n in own.items() if budget is not None and b.nodes + n > budget]:
+        for da in [da for da, n in own.items() if b.nodes + n > budget]:
             del own[da]
             done[da] = Verdict(EXHAUSTED, None, budget + 1, RULE_ENUMERATION)
 
@@ -567,7 +568,7 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
                     continue  # settled at the root for every open point
                 run_out()
                 for da in [da for da in own if da >= heads]:  # heads <= subsets
-                    search = _Budget(None if budget is None else budget - b.nodes - own[da])
+                    search = _Budget(budget - b.nodes - own[da])
                     try:
                         fam = _family_search(masks, kb, min(da, subsets), search)
                     except SearchBudgetExceeded:  # own[da] then passes the budget
@@ -579,8 +580,7 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
                 if not own:
                     return done
                 top = max(own)
-                if budget is not None:
-                    b.limit = budget - min(own.values())
+                b.limit = budget - min(own.values())
     run_out()
     done.update((da, Verdict(CHOOSABLE, None, b.nodes + n, RULE_ENUMERATION)) for da, n in own.items())
     return done

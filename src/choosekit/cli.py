@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -79,13 +80,15 @@ def _parse_point(text) -> RegimePoint:
     )
 
 
-def _finite_or_inf(x):
-    """JSON has no infinity: an infinite float is written as "inf"."""
-    return x if math.isfinite(x) else "inf"
-
-
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Print a dict or named tuple as one JSON line: keys in camelCase and
+    sorted, and a non-finite float, which JSON cannot hold, as "inf"."""
+    fields = obj._asdict() if hasattr(obj, "_asdict") else obj
+    print(json.dumps({
+        re.sub(r"_([a-z])", lambda m: m[1].upper(), key):
+            "inf" if isinstance(v, float) and not math.isfinite(v) else v
+        for key, v in fields.items()
+    }, sort_keys=True))
 
 
 def _valid_instance(args):
@@ -165,26 +168,18 @@ def _cmd_bounds(args) -> int:
         "uStar": bounds.alpha(k).u_star,
         "ximLo": xb.lo,
         "ximLoRule": xb.lo_rule,
-        "ximHi": _finite_or_inf(xb.hi),
+        "ximHi": xb.hi,
         "ximHiRule": xb.hi_rule,
     }
     if k >= 2:
-        out["ximPrimeUpper"] = _finite_or_inf(bounds.xim_prime_upper(k))
+        out["ximPrimeUpper"] = bounds.xim_prime_upper(k)
         out["ximPrimeLower"] = bounds.xim_prime_lower(k)
     _emit(out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    report = bounds.classify(args.point)
-    _emit(
-        {
-            "point": [args.point.delta_a, args.point.delta_b, args.point.ka, args.point.kb],
-            "xi": _finite_or_inf(report.xi),
-            "verdict": report.verdict,
-            "rule": report.rule,
-        }
-    )
+    _emit(bounds.classify(args.point))
     return 0
 
 
@@ -195,15 +190,7 @@ def _cmd_pblocked(args) -> int:
         graph = read_json(args.infile, indepset.STGraph.from_dict)
     p = indepset.p_blocked_exact(graph) if args.exact else None
     if args.mc is not None:
-        est = indepset.p_blocked_monte_carlo(graph, args.mc, args.seed)
-        _emit(
-            {
-                "estimate": est.estimate,
-                "stdError": est.std_error,
-                "successes": est.successes,
-                "trials": est.trials,
-            }
-        )
+        _emit(indepset.p_blocked_monte_carlo(graph, args.mc, args.seed))
         return 0
     out = {"exact": f"{p.numerator}/{p.denominator}", "float": float(p)}
     if args.counterexample:
@@ -263,18 +250,7 @@ def _cmd_simulate(args) -> int:
     if inst is None:
         return 2
     sim = checker.simulate_reserve_coloring(inst, args.p, args.trials, args.seed, eps=args.eps)
-    _emit(
-        {
-            "trials": sim.trials,
-            "successes": sim.successes,
-            "aborts": sim.aborts,
-            "bStarved": sim.b_starved,
-            "successRate": sim.success_rate,
-            "threshold": _finite_or_inf(sim.threshold),
-            "p": sim.p,
-            "seed": sim.seed,
-        }
-    )
+    _emit({**sim._asdict(), "success_rate": sim.success_rate})
     return 0
 
 

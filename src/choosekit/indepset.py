@@ -41,24 +41,25 @@ class _STGraph(NamedTuple):
 
 class STGraph(_STGraph):
     """Bipartite blocking graph: S-indices 0..s_size-1, T-indices 0..t_size-1,
-    edges as (s_index, t_index) pairs without repeats."""
+    edges as (s_index, t_index) pairs without repeats, stored sorted on every
+    construction, _replace included."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, s_size, t_size, edges):
         s, t = as_int(s_size, "s_size", 0), as_int(t_size, "t_size", 0)
-        edges = index_pairs(edges)
+        edges = index_pairs(edges, "edges")
         for i, j in edges:
             if not (0 <= i < s and 0 <= j < t):
                 raise ValueError(f"edge {(i, j)} out of range")
         if len(set(edges)) < len(edges):
-            raise ValueError(f"parallel edge {next(e for k, e in enumerate(edges) if e in edges[:k])}")
+            raise ValueError(f"parallel edge {next(e for e, f in zip(edges, edges[1:]) if e == f)}")
         return super().__new__(cls, s, t, edges)
 
     @staticmethod
     def make(s_size, t_size, edges) -> "STGraph":
-        return STGraph(s_size, t_size, sorted(index_pairs(edges)))
+        return STGraph(s_size, t_size, edges)
 
     def to_dict(self) -> dict:
         return {"s": self.s_size, "t": self.t_size, "edges": [list(e) for e in self.edges]}
@@ -71,7 +72,7 @@ class STGraph(_STGraph):
             raise ValueError("s and t must be non-negative integers")
         if not int_rows(d["edges"], 2):
             raise ValueError("edges must be a list of [s-index, t-index] integer pairs")
-        return STGraph.make(d["s"], d["t"], d["edges"])
+        return STGraph(d["s"], d["t"], d["edges"])
 
 
 def t_degrees(graph: STGraph) -> tuple:

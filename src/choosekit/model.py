@@ -93,7 +93,7 @@ class ListInstance(_ListInstance):
 
     def __new__(cls, universe, ka, kb, a_lists, b_lists, adjacency=COMPLETE):
         if not (isinstance(adjacency, str) and adjacency == COMPLETE):  # numpy compares elementwise
-            adjacency = tuple(sorted(index_pairs(adjacency)))
+            adjacency = index_pairs(adjacency, "adjacency")
         return super().__new__(cls, *map(_plain, (universe, ka, kb)), _sort_each(a_lists),
                                _sort_each(b_lists), adjacency)
 
@@ -150,13 +150,17 @@ class Coloring(NamedTuple):
         return dict(self.assignment)
 
 
-def index_pairs(edges) -> tuple:
-    """edges as (i, j) pairs of Python ints (see as_int), in order."""
-    return tuple([
-        (i, j) if type(i) is int and type(j) is int
-        else (as_int(i, "edge index"), as_int(j, "edge index"))
-        for i, j in edges
-    ])
+def index_pairs(edges, name) -> tuple:
+    """edges as a sorted tuple of (i, j) pairs of ints (see as_int); name is the argument's."""
+    pairs = []
+    for e in edges:
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must hold (i, j) index pairs, got item {e!r}") from None
+        pairs.append((i, j) if type(i) is int and type(j) is int
+                     else (as_int(i, "edge index"), as_int(j, "edge index")))
+    return tuple(sorted(pairs))
 
 
 def _plain(value):

@@ -141,6 +141,32 @@ def test_bounds_output_beyond_float_range(capsys, k):
     assert (payload["ximPrimeUpper"] == "inf") == (k >= 2055)
 
 
+_BIG = 10**400
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("classify", "--point", "3,9,2,1"),
+     '{"point": [3, 9, 2, 1], "rule": "block-threshold", "verdict": "unchoosable", '
+     '"xi": 9.887510598012987}'),
+    (("classify", "--point", f"3,{_BIG},2,2"),
+     f'{{"point": [3, {_BIG}, 2, 2], "rule": "block-threshold", "verdict": "unchoosable", '
+     '"xi": "inf"}'),
+    (("bounds", "--k", "2"),
+     '{"alpha": 0.10181609439726842, "k": 2, "uStar": 0.2846681370408385, '
+     '"ximHi": 0.6931471805599453, "ximHiRule": "block-construction", '
+     '"ximLo": 0.5493061443340549, "ximLoRule": "greedy-blocking", '
+     '"ximPrimeLower": 0.3807500052094045, "ximPrimeUpper": 96.09060278364026}'),
+    (("bounds", "--k", "2055"),
+     '{"alpha": 1.6315253774323227e-05, "k": 2055, "uStar": 4.903735381872112e-05, '
+     '"ximHi": "inf", "ximHiRule": "composite-swap", '
+     '"ximLo": 1.6315253774323227e-05, "ximLoRule": "xi-below-alpha", '
+     '"ximPrimeLower": 0.0001244532636343052, "ximPrimeUpper": "inf"}'),
+], ids=["classify", "classify-inf", "bounds-2", "bounds-2055"])
+def test_json_output_is_pinned(capsys, argv, line):
+    # every key and value, "inf" where the float would overflow
+    assert run(capsys, *argv) == (0, line + "\n")
+
+
 def test_classify_output(capsys):
     code, out = run(capsys, "classify", "--point", "3,9,2,1")
     assert code == 0
@@ -948,6 +974,20 @@ def test_simulate_output(tmp_path, capsys):
     assert payload["successes"] == 0  # the instance is uncolorable
     assert payload["trials"] == 500
     assert payload["successes"] + payload["aborts"] + payload["bStarved"] == 500
+
+
+@pytest.mark.parametrize("ka, argv, line", [
+    ("2", ("--p", "0.5", "--trials", "500", "--seed", "7"),
+     '{"aborts": 283, "bStarved": 217, "p": 0.5, "seed": 7, "successRate": 0.0, '
+     '"successes": 0, "threshold": 0.5792633409542193, "trials": 500}'),
+    ("1", ("--p", "0.5", "--trials", "200", "--seed", "7"),
+     '{"aborts": 0, "bStarved": 200, "p": 0.5, "seed": 7, "successRate": 0.0, '
+     '"successes": 0, "threshold": "inf", "trials": 200}'),
+], ids=["ka2", "ka1-no-threshold"])
+def test_simulate_output_is_pinned(tmp_path, capsys, ka, argv, line):
+    path = str(tmp_path / "inst.json")
+    run(capsys, "construct", "blocks", "--ka", ka, "--a", "2", "--out", path)
+    assert run(capsys, "simulate", "--in", path, *argv) == (0, line + "\n")
 
 
 def test_check_rejects_malformed_instance(tmp_path, capsys):

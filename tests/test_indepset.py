@@ -94,6 +94,31 @@ def test_stgraph_rejects_a_fractional_index():
     assert STGraph.make(2, 2, [(np.int64(0), np.int64(1))]).edges == ((0, 1),)
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), unique=True, max_size=12),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_every_stgraph_construction_path_stores_the_same_graph(edges, rng):
+    # the edges in two orders, as tuples or as JSON-style lists
+    shuffled = [list(e) for e in edges]
+    rng.shuffle(shuffled)
+    want = STGraph(4, 5, sorted(edges))
+    assert want.edges == tuple(sorted(edges))
+    other = STGraph(1, 1, [(0, 0)])
+    for g in (STGraph(4, 5, edges), STGraph(4, 5, shuffled), STGraph.make(4, 5, shuffled),
+              other._replace(s_size=4, t_size=5, edges=shuffled),
+              STGraph.from_dict({"s": 4, "t": 5, "edges": shuffled})):
+        assert type(g) is STGraph and g == want and type(g.edges) is tuple
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 1)], [(0, 1), (1,)], [0, 1], "01"],
+                         ids=["triple", "single", "ints", "string"])
+def test_stgraph_edges_that_are_not_pairs_name_the_argument(edges):
+    # the unpacking error once escaped as "not enough values to unpack"
+    for build in (STGraph, STGraph.make):
+        with pytest.raises(ValueError, match=r"^edges must hold \(i, j\) index pairs, got item "):
+            build(2, 2, edges)
+
+
 def test_stgraph_round_trip():
     g = counterexample_graph()
     assert STGraph.from_dict(g.to_dict()) == g

@@ -348,6 +348,17 @@ def test_every_construction_path_stores_the_same_instance(case):
         assert _shape(tuple(inst)) == _shape(plain)
 
 
+@pytest.mark.parametrize("adjacency, item", [
+    ("Complete", "'C'"), ([(0, 0, 1)], r"\(0, 0, 1\)"), ([(0, 0), 1], "1"),
+], ids=["misspelt-complete", "triple", "int"])
+def test_an_adjacency_that_is_not_pairs_names_the_argument(adjacency, item):
+    # the unpacking error once escaped as "not enough values to unpack"
+    with pytest.raises(ValueError, match=rf"^adjacency must hold \(i, j\) index pairs, got item {item}$"):
+        ListInstance(2, 1, 1, [[0]], [[1]], adjacency)
+    with pytest.raises(ValueError, match="^adjacency must hold"):
+        ListInstance.explicit(2, 1, 1, [[0]], [[1]], adjacency)
+
+
 def test_list_entry_cap_cuts_huge_exponents():
     # base**exp for exp = 10**9 would be a 125 MB integer; the cut keeps the
     # answer without it
