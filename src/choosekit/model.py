@@ -12,7 +12,8 @@ import json
 import math
 import operator
 import os
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
+from typing import NamedTuple
 
 COMPLETE = "complete"
 
@@ -81,11 +82,9 @@ class ListInstance(_ListInstance):
 
     a_lists[i] is the color list of the i-th A-vertex (size ka each),
     b_lists[j] of the j-th B-vertex (size kb each).  adjacency is either
-    COMPLETE or (a_index, b_index) pairs, stored sorted.  Every construction,
-    _replace included, stores each list as a sorted tuple, so callers pass
-    lists in any order, and the sizes, colors and edge indices as Python
-    ints.  A size or color the integer rule (as_int) refuses, and duplicates,
-    are kept for validate() to report.
+    COMPLETE or (a_index, b_index) pairs.  Every construction, _replace
+    included, makes sizes, colors and edge indices ints by as_int and sorts
+    each list and the edges; bounds and repeats are left to validate().
     """
 
     __slots__ = ()
@@ -94,8 +93,9 @@ class ListInstance(_ListInstance):
     def __new__(cls, universe, ka, kb, a_lists, b_lists, adjacency=COMPLETE):
         if not (isinstance(adjacency, str) and adjacency == COMPLETE):  # numpy compares elementwise
             adjacency = index_pairs(adjacency, "adjacency")
-        return super().__new__(cls, *map(_plain, (universe, ka, kb)), _sort_each(a_lists),
-                               _sort_each(b_lists), adjacency)
+        return super().__new__(cls, as_int(universe, "universe"), as_int(ka, "ka"),
+                               as_int(kb, "kb"), _sort_each(a_lists, "a_lists"),
+                               _sort_each(b_lists, "b_lists"), adjacency)
 
     @staticmethod
     def complete(universe, ka, kb, a_lists, b_lists) -> "ListInstance":
@@ -152,6 +152,8 @@ class Coloring(NamedTuple):
 
 def index_pairs(edges, name) -> tuple:
     """edges as a sorted tuple of (i, j) pairs of ints (see as_int); name is the argument's."""
+    if not isinstance(edges, Iterable) or isinstance(edges, str) and not edges:
+        raise ValueError(f"{name} must hold (i, j) index pairs, got {edges!r}")
     pairs = []
     for e in edges:
         try:
@@ -163,56 +165,46 @@ def index_pairs(edges, name) -> tuple:
     return tuple(sorted(pairs))
 
 
-def _plain(value):
-    """value as a Python int if as_int takes it (the bitmask engines need one:
-    numpy's wrap at 64 bits), else as given, for validate() to report."""
+def _sort_each(lists, name) -> tuple:
+    """Each of lists as a sorted tuple of int colors (see as_int); name is the argument's."""
     try:
-        return as_int(value, "value")
-    except ValueError:
-        return value
-
-
-def _sort_each(lists) -> tuple:
-    """Each list as a sorted tuple of colors, each through _plain."""
-    out = tuple(tuple(sorted(l)) for l in lists)
-    for l in out:
-        for c in l:
-            if type(c) is not int:
-                return tuple(tuple(map(_plain, l)) for l in out)
-    return out
-
-
-def _check_list(l, size, universe, label, out):
-    if len(set(l)) != len(l):
-        out.append(f"{label} has repeated color")
-    if len(set(l)) != size:
-        out.append(f"{label} has {len(set(l))} distinct colors, expected {size}")
-    for c in l:
-        try:
-            if not 0 <= as_int(c, "color") < universe:
-                out.append(f"{label} color {c} out of universe [0, {universe})")
-        except ValueError as exc:
-            out.append(f"{label} {exc}")
+        lists = tuple(lists)  # a generator is read once, whichever path follows
+        lists = tuple(tuple(sorted(l)) for l in lists)
+        for l in lists:
+            for c in l:
+                if type(c) is not int:
+                    raise TypeError  # for as_int below to convert or refuse
+        return lists
+    except TypeError:  # not a family of lists, or colors that do not compare
+        pass
+    if not isinstance(lists, tuple):  # tuple(lists) raised
+        raise ValueError(f"{name} must hold color lists, got {lists!r}")
+    for l in lists:
+        if not isinstance(l, Iterable) or iter(l) is l:  # an iterator was read above
+            raise ValueError(f"{name} must hold color lists, got item {l!r}")
+    return tuple(tuple(sorted([as_int(c, "color") for c in l])) for l in lists)
 
 
 def validate(instance: ListInstance) -> list:
     """Return every violated instance invariant; empty list iff well-formed.
+    The invariants: universe >= 0; each A-list (B-list) holds ka (kb) colors
+    of range(universe), none twice; no explicit edge is out of range or repeated.
 
     Violations are data, not failures: malformed instances never raise here.
     """
     out = []
-    for name in ("universe", "ka", "kb"):
-        try:
-            as_int(getattr(instance, name), name)
-        except ValueError as exc:
-            out.append(str(exc))
-    universe = instance.universe if type(instance.universe) is int else math.inf
-    if universe < 0:
+    if instance.universe < 0:
         out.append("universe size is negative")
-    for i, l in enumerate(instance.a_lists):
-        _check_list(l, instance.ka, universe, f"aLists[{i}]", out)
-    for j, l in enumerate(instance.b_lists):
-        _check_list(l, instance.kb, universe, f"bLists[{j}]", out)
+    sides = ("a", instance.a_lists, instance.ka), ("b", instance.b_lists, instance.kb)
+    for side, lists, size in sides:
+        for i, l in enumerate(lists):
+            label = f"{side}Lists[{i}]"
+            if len(set(l)) != len(l):
+                out.append(f"{label} has repeated color")
+            if len(set(l)) != size:
+                out.append(f"{label} has {len(set(l))} distinct colors, expected {size}")
+            out += [f"{label} color {c} out of universe [0, {instance.universe})"
+                    for c in l if not 0 <= c < instance.universe]
     if not instance.is_complete:
         na, nb = instance.num_a(), instance.num_b()
         seen = set()

@@ -454,10 +454,14 @@ def test_check_budget_exhaustion(tmp_path, capsys, monkeypatch, via, engine):
     assert json.loads(out) == {"tag": "exhausted", "nodesExplored": 1001}
 
 
-def test_python_dash_m_runs_the_cli(run_python):
-    done = run_python("-m", "choosekit", "classify", "--point", "3,9,2,1")
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["verdict"] == "unchoosable"
+def test_python_dash_m_runs_the_cli(run_python, monkeypatch, capsys):
+    # what cli.main prints in process, byte for byte and with its exit code,
+    # for a verdict and for a usage error; the child's stdout is a pipe, so
+    # argparse wraps usage to COLUMNS or 80
+    monkeypatch.setenv("COLUMNS", os.environ.get("COLUMNS") or "80")
+    for argv in (["classify", "--point", "3,9,2,1"], ["classify", "--point", "3,9"]):
+        done = run_python("-m", "choosekit", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == _call(capsys, argv)
 
 
 def test_classify_at_a_huge_ka_answers_without_building_kb_to_the_ka(run_python):

@@ -110,12 +110,15 @@ def test_every_stgraph_construction_path_stores_the_same_graph(edges, rng):
         assert type(g) is STGraph and g == want and type(g.edges) is tuple
 
 
-@pytest.mark.parametrize("edges", [[(0, 1, 1)], [(0, 1), (1,)], [0, 1], "01"],
-                         ids=["triple", "single", "ints", "string"])
-def test_stgraph_edges_that_are_not_pairs_name_the_argument(edges):
-    # the unpacking error once escaped as "not enough values to unpack"
+@pytest.mark.parametrize("edges, got", [
+    ([(0, 1, 1)], "got item "), ([(0, 1), (1,)], "got item "), ([0, 1], "got item "),
+    ("01", "got item "), ("", "got ''$"), (None, "got None$"),
+], ids=["triple", "single", "ints", "string", "empty-string", "none"])
+def test_stgraph_edges_that_are_not_pairs_name_the_argument(edges, got):
+    # the unpacking error once escaped as "not enough values to unpack", None
+    # as a TypeError, and "" gave a graph with no edges
     for build in (STGraph, STGraph.make):
-        with pytest.raises(ValueError, match=r"^edges must hold \(i, j\) index pairs, got item "):
+        with pytest.raises(ValueError, match=rf"^edges must hold \(i, j\) index pairs, {got}"):
             build(2, 2, edges)
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 from math import comb
 
 import numpy as np
@@ -226,9 +227,17 @@ def test_validation_reports(problems, message):
 
 @pytest.mark.parametrize("color", [1.5, True], ids=["float", "bool"])
 def test_validate_reports_a_color_that_is_not_an_integer(color):
-    # validate once passed these, and both engines then raised TypeError at 1 << c
-    inst = ListInstance.complete(4, 2, 2, [[0, color]], [[0, 1]])
-    assert validate(inst) == [f"aLists[0] color must be an integer, got {color!r}"]
+    # validate once passed these, and both engines then raised TypeError at
+    # 1 << c; later the constructor kept them for validate to report.  Now no
+    # instance holds one: every construction path refuses it by the integer rule
+    inst = ListInstance.complete(4, 2, 2, [[0, 1]], [[0, 1]])
+    message = f"color must be an integer, got {color!r}"
+    for build in (lambda: ListInstance(4, 2, 2, [[0, color]], [[0, 1]]),
+                  lambda: ListInstance.complete(4, 2, 2, [[0, color]], [[0, 1]]),
+                  lambda: ListInstance.explicit(4, 2, 2, [[0, color]], [[0, 1]], [(0, 0)]),
+                  lambda: inst._replace(a_lists=((0, color),))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
     assert validate(inst._replace(a_lists=((0, np.int64(1)),))) == []
 
 
@@ -260,10 +269,17 @@ def test_numpy_integer_sizes_are_stored_as_python_ints(engine):
 @pytest.mark.parametrize("value", [4.5, 2.0, True], ids=["4.5", "2.0", "True"])
 def test_validate_reports_a_size_that_is_not_an_integer(field, value):
     # validate once passed a universe of 4.5 or a ka of 2.0, and both
-    # engines then raised TypeError
-    sizes = {"universe": 4, "ka": 2, "kb": 2, field: value}
-    problems = validate(ListInstance(*sizes.values(), ((0, 1),), ((2, 3),)))
-    assert f"{field} must be an integer, got {value!r}" in problems
+    # engines then raised TypeError; later the constructor kept them for
+    # validate to report.  Now every construction path refuses them
+    sizes = list({"universe": 4, "ka": 2, "kb": 2, field: value}.values())
+    inst = ListInstance(4, 2, 2, ((0, 1),), ((2, 3),))
+    message = f"{field} must be an integer, got {value!r}"
+    for build in (lambda: ListInstance(*sizes, ((0, 1),), ((2, 3),)),
+                  lambda: ListInstance.complete(*sizes, ((0, 1),), ((2, 3),)),
+                  lambda: ListInstance.explicit(*sizes, ((0, 1),), ((2, 3),), [(0, 0)]),
+                  lambda: inst._replace(**{field: value})):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_validate_accepts_numpy_integer_sizes():
@@ -348,15 +364,31 @@ def test_every_construction_path_stores_the_same_instance(case):
         assert _shape(tuple(inst)) == _shape(plain)
 
 
-@pytest.mark.parametrize("adjacency, item", [
-    ("Complete", "'C'"), ([(0, 0, 1)], r"\(0, 0, 1\)"), ([(0, 0), 1], "1"),
-], ids=["misspelt-complete", "triple", "int"])
-def test_an_adjacency_that_is_not_pairs_names_the_argument(adjacency, item):
-    # the unpacking error once escaped as "not enough values to unpack"
-    with pytest.raises(ValueError, match=rf"^adjacency must hold \(i, j\) index pairs, got item {item}$"):
+@pytest.mark.parametrize("adjacency, got", [
+    ("Complete", "item 'C'"), ([(0, 0, 1)], r"item \(0, 0, 1\)"), ([(0, 0), 1], "item 1"),
+    ("", "''"), (None, "None"),
+], ids=["misspelt-complete", "triple", "int", "empty-string", "none"])
+def test_an_adjacency_that_is_not_pairs_names_the_argument(adjacency, got):
+    # the unpacking error once escaped as "not enough values to unpack", None
+    # as a TypeError, and "" was stored as an empty edge list
+    with pytest.raises(ValueError, match=rf"^adjacency must hold \(i, j\) index pairs, got {got}$"):
         ListInstance(2, 1, 1, [[0]], [[1]], adjacency)
     with pytest.raises(ValueError, match="^adjacency must hold"):
         ListInstance.explicit(2, 1, 1, [[0]], [[1]], adjacency)
+
+
+@pytest.mark.parametrize("side", ["a_lists", "b_lists"])
+@pytest.mark.parametrize("lists, message", [
+    ([0, 1], "{side} must hold color lists, got item 0"),
+    (None, "{side} must hold color lists, got None"),
+    ([[0, "a"]], "color must be an integer, got 'a'"),
+], ids=["flat", "none", "string-color"])
+def test_a_family_that_is_not_color_lists_names_the_argument(side, lists, message):
+    # each once escaped as a raw TypeError: "'int' object is not iterable",
+    # "'NoneType' object is not iterable", or "'<' not supported" from sorting
+    fields = {"a_lists": [[0, 1]], "b_lists": [[1, 2]], side: lists}
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(side=side))}$"):
+        ListInstance(4, 2, 2, **fields)
 
 
 def test_list_entry_cap_cuts_huge_exponents():
