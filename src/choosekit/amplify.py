@@ -29,7 +29,8 @@ def blowup(instance: ListInstance, r: int) -> ListInstance:
     """r-fold blowup; preserves uncolorability, multiplies kb by r."""
     r = as_int(r, "r", 1)
     na, nb = instance.num_a(), instance.num_b()
-    check_list_entries((instance.ka * na * r, 1, 1), (r * instance.kb, nb, r))
+    m = 0 if instance.is_complete else len(instance.adjacency)  # each output edge counts one
+    check_list_entries((instance.ka * na * r, 1, 1), (r * instance.kb, nb, r), (r * m, nb, r - 1))
     universe = instance.universe * r
 
     a_lists = [[c * r + i for c in l] for l in instance.a_lists for i in range(r)]
@@ -58,7 +59,8 @@ def expand(instance: ListInstance, s: int) -> ListInstance:
     """
     s = as_int(s, "s", 1)
     ka = instance.ka
-    check_list_entries((ka * instance.num_a(), s, ka), (s * instance.kb * instance.num_b(), 1, 1))
+    m = 0 if instance.is_complete else len(instance.adjacency)  # each output edge counts one
+    check_list_entries((ka * instance.num_a(), s, ka), (m, s, ka), (s * instance.kb * instance.num_b(), 1, 1))
     universe = instance.universe * s
     copies = list(itertools.product(range(s), repeat=ka))
 

@@ -303,8 +303,18 @@ def has_proper_coloring(instance: ListInstance, engine="auto", budget=None):
     engine: "backtracking", "transversal" (complete bipartite only), or
     "auto" (transversal when complete, else backtracking).  Budget overruns
     raise SearchBudgetExceeded rather than returning False.  Every color must
-    lie in range(instance.universe), as model.validate requires.
+    lie in range(instance.universe), as model.validate requires.  When the
+    lists hold fewer colors than that, the engine runs on the held colors,
+    renumbered in increasing order, so colors no list holds cost nothing.
     """
+    held = set().union(*instance.a_lists, *instance.b_lists)
+    if len(held) < instance.universe:
+        back = sorted(held)  # new color i is old color back[i]
+        new = {c: i for i, c in enumerate(back)}
+        a, b = ([[new[c] for c in l] for l in lists] for lists in (instance.a_lists, instance.b_lists))
+        found, coloring = has_proper_coloring(instance._replace(universe=len(back), a_lists=a, b_lists=b),
+                                              engine, budget)
+        return (found, coloring and Coloring(tuple((v, back[c]) for v, c in coloring.assignment)))
     if engine == "auto":
         engine = "transversal" if instance.is_complete else "backtracking"
     if engine == "backtracking":
@@ -540,8 +550,8 @@ def _decide_column(ka, kb, db, das, budget) -> dict:
     searched nothing since, so closing it late changes nothing.  The walk's
     limit leaves the fewest own nodes room, so it stops with the last point.
     """
-    if ka == 1:  # db >= kb: the singletons covering {0..kb-1}, blocked by the one kb-set
-        core = (kb, tuple((i,) for i in range(kb)), (tuple(range(kb)),))
+    if ka == 1:  # db >= kb: db singletons covering {0..kb-1}, blocked by the one kb-set
+        core = (kb, tuple((i % kb,) for i in range(db)), (tuple(range(kb)),))
         return {da: Verdict(UNCHOOSABLE, core, 0, RULE_SINGLETON_EXACT) for da in das}
     budget = math.inf if budget is None else budget
     done, own = {}, dict.fromkeys(sorted(das), 0)  # own: each open point's search nodes
@@ -596,20 +606,19 @@ def _pad(core, side, point: RegimePoint) -> ListInstance:
     """The witness at point from a core the kernel found on side (ka, kb,
     delta_b, delta_a): (covered colors, distinct A-lists, blocking family).
 
-    The family is padded up to delta_a B-lists, first with the unused
-    kb-subsets of the covered colors in combinations order, then with
-    repeats of the family in the order it was found; the A-lists are padded
-    up to delta_b with repeats (only the ka = 1 core has fewer).  When side
-    is the mirror, the two list families are swapped back.  Padding only adds
-    vertices, and a coloring of the padded instance colors the core, which
-    has none; so the witness is uncolorable too.
+    The core holds its delta_b A-lists already; the family is padded up to
+    delta_a B-lists, first with the unused kb-subsets of the covered colors
+    in combinations order, then with repeats of the family in the order it
+    was found.  When side is the mirror, the two list families are swapped
+    back.  Padding only adds vertices, and a coloring of the padded instance
+    colors the core, which has none; so the witness is uncolorable too.
     """
     ncolors, a_lists, family = core
-    kb, db, da = side[1:]
+    kb, da = side[1], side[3]
     unused = (s for s in itertools.combinations(range(ncolors), kb) if s not in family)
     fam = [*family, *itertools.islice(unused, da - len(family))]
     fam += [family[i % len(family)] for i in range(len(fam), da)]
-    lists = [a_lists[i % len(a_lists)] for i in range(db)], sorted(fam)
+    lists = a_lists, sorted(fam)
     if side != (point.ka, point.kb, point.delta_b, point.delta_a):  # the kernel ran on the mirror
         lists = lists[::-1]
     return ListInstance.complete(ncolors, point.ka, point.kb, *lists)

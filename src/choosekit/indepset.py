@@ -61,9 +61,6 @@ class STGraph(_STGraph):
     def make(s_size, t_size, edges) -> "STGraph":
         return STGraph(s_size, t_size, edges)
 
-    def to_dict(self) -> dict:
-        return {"s": self.s_size, "t": self.t_size, "edges": [list(e) for e in self.edges]}
-
     @staticmethod
     def from_dict(d) -> "STGraph":
         """The graph a JSON object describes; a ValueError says what is wrong."""
@@ -141,15 +138,13 @@ def p_blocked_exact(graph: STGraph) -> Fraction:
     # p(S') * n!, keyed by S'.  An S-vertex with no T-neighbor is never
     # removed, so its states end in an empty sum and count 0.
     full = factorial(n)
-    counts = {0: full}
 
+    @functools.cache
     def count(alive):
-        got = counts.get(alive)
-        if got is None:
-            children = [alive & ~nb for nb in s_nbrs if nb & alive]
-            got = sum(map(count, children)) // (alive.bit_count() + len(children))
-            counts[alive] = got
-        return got
+        if not alive:
+            return full
+        children = [alive & ~nb for nb in s_nbrs if nb & alive]
+        return sum(map(count, children)) // (alive.bit_count() + len(children))
 
     return Fraction(count((1 << s) - 1), full)
 
@@ -342,20 +337,16 @@ def max_degree_deletion(n: int, edges, k: int) -> DeletionResult:
         adj[u].add(v)
         adj[v].add(u)
     deleted = []
-    i = 0
     while True:
         max_deg = max((len(adj[v]) for v in adj), default=0)
-        cap = (2 * k - 2 * i - 1) * m / (k * k)
+        cap = (2 * k - 2 * len(deleted) - 1) * m / (k * k)
         if max_deg <= cap:
-            remaining = tuple(sorted(edge_set))
-            return DeletionResult(i, tuple(deleted), remaining, cap)
+            remaining = tuple(sorted((u, v) for u in adj for v in adj[u] if u < v))
+            return DeletionResult(len(deleted), tuple(deleted), remaining, cap)
         victim = min(v for v in adj if len(adj[v]) == max_deg)
-        for u in adj[victim]:
+        for u in adj.pop(victim):
             adj[u].discard(victim)
-            edge_set.discard(tuple(sorted((u, victim))))
-        del adj[victim]
         deleted.append(victim)
-        i += 1
 
 
 def random_transversal_search(system: ColorSystem, restarts: int, seed: int):
@@ -375,15 +366,15 @@ def random_transversal_search(system: ColorSystem, restarts: int, seed: int):
     k = len(system.family[0])
     n = system.vertex_count
     pruned = max_degree_deletion(n, system.edges, k)
-    survivors = sorted(set(range(n)) - set(pruned.deleted))
-    adjacency = {v: set() for v in survivors}
+    gone = set(pruned.deleted)
+    adjacency = {v: set() for v in range(n) if v not in gone}
     for u, v in pruned.remaining_edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
     fam = [frozenset(f) for f in system.family]
     edge_sets = [frozenset(e) for e in system.edges]
     rng = random.Random(seed)
-    order = list(survivors)
+    order = list(adjacency)
     for _ in range(restarts):
         rng.shuffle(order)
         chosen = greedy_independent_set(adjacency, order)

@@ -1,6 +1,6 @@
 """Core data model: colors, list assignments, parameter points, serialization.
 
-Colors are dense integer ids: a universe of size n uses exactly {0..n-1}.
+Colors are integer ids: a universe of size n has {0..n-1}, not all in lists.
 All model values are named tuples: immutable after construction and safe to
 share across threads.
 """
@@ -18,8 +18,9 @@ from typing import NamedTuple
 COMPLETE = "complete"
 
 
-#: The most list entries (colors of lists, both sides) that amplify and
-#: constructions build; a larger output is a ValueError before any is built.
+#: The most list entries (colors of lists, both sides, plus one per explicit
+#: edge) that amplify and constructions build; a larger output is a
+#: ValueError before any is built.
 MAX_LIST_ENTRIES = 2**22
 
 
@@ -100,10 +101,6 @@ class ListInstance(_ListInstance):
     @staticmethod
     def complete(universe, ka, kb, a_lists, b_lists) -> "ListInstance":
         return ListInstance(universe, ka, kb, a_lists, b_lists)
-
-    @staticmethod
-    def explicit(universe, ka, kb, a_lists, b_lists, edges) -> "ListInstance":
-        return ListInstance(universe, ka, kb, a_lists, b_lists, edges)
 
     @property
     def is_complete(self) -> bool:

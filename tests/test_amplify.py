@@ -146,7 +146,7 @@ def test_blowup_keeps_lists_distinct_on_maximal_input():
 
 def test_blowup_explicit_adjacency():
     # non-complete input: single A-vertex adjacent to one of two B-vertices
-    inst = ListInstance.explicit(2, 1, 1, [(0,)], [(0,), (1,)], [(0, 0)])
+    inst = ListInstance(2, 1, 1, [(0,)], [(0,), (1,)], [(0, 0)])
     out = blowup(inst, 2)
     assert not out.is_complete
     assert out.num_a() == 2 and out.num_b() == 4
@@ -159,7 +159,7 @@ def test_blowup_explicit_adjacency():
 
 
 def test_expand_explicit_adjacency():
-    inst = ListInstance.explicit(2, 1, 1, [(0,)], [(0,), (1,)], [(0, 1)])
+    inst = ListInstance(2, 1, 1, [(0,)], [(0,), (1,)], [(0, 1)])
     out = expand(inst, 3)
     assert not out.is_complete
     assert out.num_a() == 3  # s^ka copies of the single A-vertex
@@ -249,6 +249,8 @@ def test_chain_huge_values_exact():
 
 
 _PAIR_BLOCKS = construct_blocks(BlockSpec(2, (2,)))  # the witness decide gives at (2,4,2,2)
+_EXPLICIT_300 = ListInstance(4, 2, 2, [[0, 1]] * 300, [[0, 2], [1, 3]],
+                             [(a, b) for a in range(300) for b in range(2)])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -261,8 +263,11 @@ _PAIR_BLOCKS = construct_blocks(BlockSpec(2, (2,)))  # the witness decide gives 
     (lambda: blowup(_PAIR_BLOCKS, 40), f"more than {MAX_LIST_ENTRIES} list entries"),
     (lambda: blowup(_PAIR_BLOCKS, 17), f"more than {MAX_LIST_ENTRIES} list entries"),
     (lambda: expand(_PAIR_BLOCKS, 10**9), f"more than {MAX_LIST_ENTRIES} list entries"),
+    # 51,656 list entries but 6,758,400 edges: this once passed the cap and
+    # took 6.6 s and 1.4 GB to build
+    (lambda: blowup(_EXPLICIT_300, 11), f"more than {MAX_LIST_ENTRIES} list entries"),
 ], ids=["blowup", "expand", "params-r", "params-kind", "blowup-r40-cap", "blowup-r17-cap",
-        "expand-cap"])
+        "expand-cap", "blowup-explicit-edges-cap"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -272,12 +277,12 @@ def test_input_checks(call, message):
 @pytest.mark.parametrize("inst", [
     _PAIR_BLOCKS,
     construct_blocks(BlockSpec(3, (1, 2))),
-    ListInstance.explicit(5, 2, 1, [(0, 1), (2, 3)], [(4,), (0,), (1,)], [(0, 2), (1, 0)]),
+    ListInstance(5, 2, 1, [(0, 1), (2, 3)], [(4,), (0,), (1,)], [(0, 2), (1, 0)]),
 ], ids=["pair-blocks", "blocks-3-12", "explicit"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_list_entry_cap_counts_the_output_exactly(monkeypatch, op, inst, r):
     out = op(inst, r)
-    entries = sum(map(len, out.a_lists + out.b_lists))
+    entries = sum(map(len, out.a_lists + out.b_lists)) + (0 if out.is_complete else len(out.adjacency))
     monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries)
     assert op(inst, r) == out
     monkeypatch.setattr(model, "MAX_LIST_ENTRIES", entries - 1)

@@ -77,8 +77,31 @@ def test_block_witness_rejected_by_both_engines():
     assert not has_proper_coloring(inst, engine="transversal")[0]
 
 
+def _top_four(universe):
+    """A colorable instance of four lists on the top four colors of the universe."""
+    u = universe
+    return ListInstance.complete(u, 2, 2, [(u - 4, u - 3), (u - 2, u - 1)], [(u - 4, u - 2), (u - 3, u - 1)])
+
+
+@pytest.mark.parametrize("engine", ["transversal", "backtracking"])
+@pytest.mark.parametrize("universe", [4, 30_000, 10**30])
+def test_engines_pay_nothing_for_colors_no_list_holds(engine, universe):
+    # at a universe of 30,000 the transversal engine once charged 29,998
+    # nodes, one per color below the lists', and at 10^30 both engines
+    # raised OverflowError; the coloring is the dense instance's, shifted
+    shift = universe - 4
+    dense = has_proper_coloring(_top_four(4), engine)[1]
+    inst = _top_four(universe)
+    found, coloring = has_proper_coloring(inst, engine, budget=5)
+    assert found and validate_coloring(inst, coloring) == []
+    assert coloring.assignment == tuple((v, c + shift) for v, c in dense.assignment)
+    u = universe
+    k12 = ListInstance.complete(u, 2, 1, [(u - 2, u - 1)], [(u - 2,), (u - 1,)])
+    assert has_proper_coloring(k12, engine, budget=5) == (False, None)
+
+
 def test_transversal_engine_rejects_explicit_adjacency():
-    inst = ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
+    inst = ListInstance(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
     with pytest.raises(ValueError):
         has_proper_coloring(inst, engine="transversal")
     assert has_proper_coloring(inst, engine="backtracking")[0]
@@ -87,9 +110,9 @@ def test_transversal_engine_rejects_explicit_adjacency():
 def test_backtracking_respects_explicit_edges():
     # A path a0 - b0 - a1 with singleton lists all {0}: only a0b0 and a1b0
     # edges, so no proper coloring; dropping one edge makes it colorable.
-    bad = ListInstance.explicit(1, 1, 1, [(0,), (0,)], [(0,)], [(0, 0), (1, 0)])
+    bad = ListInstance(1, 1, 1, [(0,), (0,)], [(0,)], [(0, 0), (1, 0)])
     assert not has_proper_coloring(bad)[0]
-    ok = ListInstance.explicit(2, 1, 1, [(0,), (1,)], [(0,)], [(1, 0)])
+    ok = ListInstance(2, 1, 1, [(0,), (1,)], [(0,)], [(1, 0)])
     found, cert = has_proper_coloring(ok)
     assert found and validate_coloring(ok, cert) == []
 
@@ -368,7 +391,7 @@ def _engine_run(engine, *args):
 
 
 def _explicit(inst, edges):
-    return ListInstance.explicit(inst.universe, inst.ka, inst.kb, inst.a_lists, inst.b_lists, edges)
+    return ListInstance(inst.universe, inst.ka, inst.kb, inst.a_lists, inst.b_lists, edges)
 
 
 @functools.cache
@@ -1180,6 +1203,17 @@ def test_decide_matches_reference_kernel_on_frontier_grids():
                 _assert_no_worse(_outcome(cut), ref, whole, cell)
     assert as_given_tags == {CHOOSABLE, UNCHOOSABLE, EXHAUSTED}
     assert tags == {CHOOSABLE, UNCHOOSABLE}  # every cell decides on its cheaper side
+
+
+def test_evicting_the_edge_tables_changes_no_verdict(monkeypatch):
+    # the shared tables are a cache: with room for one row, each new table
+    # evicts the rest, and every frontier cell gets the verdict, witness and
+    # node count it gets under the default cap
+    default = [decide_choosable(RegimePoint(*cell)).to_dict() for cell in _FRONTIER_CELLS]
+    monkeypatch.setattr(checker, "_EDGE_TABLES", {})
+    monkeypatch.setattr(checker, "_EDGE_TABLE_ROWS", 1)
+    assert [decide_choosable(RegimePoint(*cell)).to_dict() for cell in _FRONTIER_CELLS] == default
+    assert len(checker._EDGE_TABLES) == 1
 
 
 # --- the column kernel ---------------------------------------------------------

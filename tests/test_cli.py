@@ -104,6 +104,21 @@ def test_check_colors_an_instance_deeper_than_the_recursion_limit(tmp_path, caps
     assert json.loads(out)["properColoring"] is True
 
 
+@pytest.mark.parametrize("engine", ["transversal", "backtracking"])
+@pytest.mark.parametrize("universe", [10**7, 10**30])
+def test_check_colors_lists_at_the_top_of_a_huge_universe(tmp_path, capsys, engine, universe):
+    # four lists on the top four colors: at 10^7 the transversal engine once
+    # ran out of this budget (exit 1), and at 10^30 both engines ended in an
+    # OverflowError traceback
+    path = tmp_path / "top.json"
+    u = universe
+    dump_instance(ListInstance.complete(u, 2, 2, [(u - 4, u - 3), (u - 2, u - 1)],
+                                        [(u - 4, u - 2), (u - 3, u - 1)]), path)
+    code, out = run(capsys, "check", "--in", str(path), "--engine", engine, "--budget", "1000")
+    assert code == 0
+    assert json.loads(out)["properColoring"] is True
+
+
 def test_amplify_pipeline(tmp_path, capsys):
     src = str(tmp_path / "base.json")
     dst = str(tmp_path / "blown.json")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -124,7 +125,8 @@ def test_stgraph_edges_that_are_not_pairs_name_the_argument(edges, got):
 
 def test_stgraph_round_trip():
     g = counterexample_graph()
-    assert STGraph.from_dict(g.to_dict()) == g
+    text = json.dumps({"s": g.s_size, "t": g.t_size, "edges": g.edges})
+    assert STGraph.from_dict(json.loads(text)) == g
 
 
 def test_counterexample_shape():
@@ -542,6 +544,11 @@ def test_product_bound_fails_on_counterexample():
     assert p_blocked_exact(g) > Fraction(prod)
 
 
+def test_product_bound_skips_an_isolated_t_vertex():
+    g = counterexample_graph()
+    assert local_product_bound(g._replace(t_size=g.t_size + 1)) == local_product_bound(g)
+
+
 # A T-hub on all of S, one T-vertex shared by S0 and S1, and two pendants.
 SMALLEST_REFUTATION = STGraph.make(
     4, 4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 1), (2, 3), (3, 0), (3, 3)]
@@ -753,6 +760,7 @@ def test_random_search_requires_two_uniform():
     (lambda: fancy_bound_params(3, 0, 0), "need a nonempty graph"),
     # Delta_T = 2 does not divide |S| = 3
     (lambda: fancy_bound_fraction(STGraph.make(3, 1, [(0, 0), (1, 0)])), "integral exponent"),
+    (lambda: fancy_bound_fraction(STGraph(2, 1, [])), "the bound needs at least one edge"),
     (lambda: max_degree_deletion(3, [(0, 1)], 0), "k must be a positive integer, got 0"),
     (lambda: max_degree_deletion(3, [(1, 1)], 1), "2-sets of distinct vertices"),
     (lambda: max_degree_deletion(3, [(0, 5)], 1), r"distinct vertices in 0\.\.n-1"),
@@ -763,9 +771,9 @@ def test_random_search_requires_two_uniform():
      r"vertex must be an integer, got 1\.5"),
     (lambda: random_transversal_search(ColorSystem(3, ((0, 1),), ()), 1, 0),
      "needs a nonempty family"),
-], ids=["mc-trials", "fancy-params", "fancy-fraction", "deletion-k", "deletion-loop",
-        "deletion-range", "transversal-range", "deletion-noninteger", "transversal-noninteger",
-        "transversal-family"])
+], ids=["mc-trials", "fancy-params", "fancy-fraction", "fancy-fraction-edgeless", "deletion-k",
+        "deletion-loop", "deletion-range", "transversal-range", "deletion-noninteger",
+        "transversal-noninteger", "transversal-family"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

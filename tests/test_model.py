@@ -64,16 +64,16 @@ def test_validate_out_of_universe():
 
 
 def test_validate_explicit_adjacency():
-    inst = ListInstance.explicit(3, 1, 1, [(0,), (1,)], [(2,)], [(0, 0), (1, 0)])
+    inst = ListInstance(3, 1, 1, [(0,), (1,)], [(2,)], [(0, 0), (1, 0)])
     assert validate(inst) == []
-    bad = ListInstance.explicit(3, 1, 1, [(0,)], [(2,)], [(0, 5)])
+    bad = ListInstance(3, 1, 1, [(0,)], [(2,)], [(0, 5)])
     assert any("out of range" in p for p in validate(bad))
 
 
 def test_explicit_rejects_a_fractional_index():
     # int() once truncated this edge to (0, 0)
     with pytest.raises(ValueError, match=r"edge index must be an integer, got 0\.9"):
-        ListInstance.explicit(1, 1, 1, [(0,)], [(0,)], [(0, 0.9)])
+        ListInstance(1, 1, 1, [(0,)], [(0,)], [(0, 0.9)])
 
 
 def test_regime_point_invariants():
@@ -124,7 +124,7 @@ def test_instance_from_dict_rejects_wrong_shapes(d, says):
 
 
 def test_explicit_adjacency_round_trip():
-    inst = ListInstance.explicit(3, 1, 1, [(0,), (1,)], [(2,)], [(0, 0), (1, 0)])
+    inst = ListInstance(3, 1, 1, [(0,), (1,)], [(2,)], [(0, 0), (1, 0)])
     assert instance_from_dict(instance_to_dict(inst)) == inst
 
 
@@ -151,7 +151,7 @@ def test_to_color_system_dedups():
 
 
 def test_to_color_system_rejects_explicit():
-    inst = ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
+    inst = ListInstance(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
     with pytest.raises(ValueError):
         to_color_system(inst)
 
@@ -208,14 +208,14 @@ def test_mask_helpers():
 
 
 def test_point_requires_complete_adjacency():
-    inst = ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
+    inst = ListInstance(2, 1, 1, [(0,)], [(1,)], [(0, 0)])
     with pytest.raises(ValueError):
         inst.point()
 
 
 @pytest.mark.parametrize("problems, message", [
     (lambda: validate(ListInstance.complete(-1, 1, 1, [], [])), "universe size is negative"),
-    (lambda: validate(ListInstance.explicit(2, 1, 1, [(0,)], [(1,)], [(0, 0), (0, 0)])),
+    (lambda: validate(ListInstance(2, 1, 1, [(0,)], [(1,)], [(0, 0), (0, 0)])),
      "edge (0,0) repeated"),
     (lambda: validate_coloring(ListInstance.complete(2, 1, 1, [(0,)], [(1,)]),
                                Coloring.make({("A", 0): 1, ("B", 0): 1})),
@@ -234,7 +234,7 @@ def test_validate_reports_a_color_that_is_not_an_integer(color):
     message = f"color must be an integer, got {color!r}"
     for build in (lambda: ListInstance(4, 2, 2, [[0, color]], [[0, 1]]),
                   lambda: ListInstance.complete(4, 2, 2, [[0, color]], [[0, 1]]),
-                  lambda: ListInstance.explicit(4, 2, 2, [[0, color]], [[0, 1]], [(0, 0)]),
+                  lambda: ListInstance(4, 2, 2, [[0, color]], [[0, 1]], [(0, 0)]),
                   lambda: inst._replace(a_lists=((0, color),))):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -276,7 +276,7 @@ def test_validate_reports_a_size_that_is_not_an_integer(field, value):
     message = f"{field} must be an integer, got {value!r}"
     for build in (lambda: ListInstance(*sizes, ((0, 1),), ((2, 3),)),
                   lambda: ListInstance.complete(*sizes, ((0, 1),), ((2, 3),)),
-                  lambda: ListInstance.explicit(*sizes, ((0, 1),), ((2, 3),), [(0, 0)]),
+                  lambda: ListInstance(*sizes, ((0, 1),), ((2, 3),), [(0, 0)]),
                   lambda: inst._replace(**{field: value})):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -355,8 +355,8 @@ def test_every_construction_path_stores_the_same_instance(case):
     fields, plain = case
     built = ListInstance(*fields)
     named = (ListInstance.complete(*fields[:5]) if isinstance(fields[5], str)
-             else ListInstance.explicit(*fields))
-    other = ListInstance.explicit(3, 1, 1, [[2]], [[0], [1]], [(0, 1)])
+             else ListInstance(*fields))
+    other = ListInstance(3, 1, 1, [[2]], [[0], [1]], [(0, 1)])
     replaced = other._replace(**dict(zip(ListInstance._fields, fields)))
     for inst in (built, named, replaced, instance_from_dict(instance_to_dict(built)),
                  pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
@@ -373,8 +373,6 @@ def test_an_adjacency_that_is_not_pairs_names_the_argument(adjacency, got):
     # as a TypeError, and "" was stored as an empty edge list
     with pytest.raises(ValueError, match=rf"^adjacency must hold \(i, j\) index pairs, got {got}$"):
         ListInstance(2, 1, 1, [[0]], [[1]], adjacency)
-    with pytest.raises(ValueError, match="^adjacency must hold"):
-        ListInstance.explicit(2, 1, 1, [[0]], [[1]], adjacency)
 
 
 @pytest.mark.parametrize("side", ["a_lists", "b_lists"])
